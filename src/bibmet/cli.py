@@ -26,7 +26,7 @@ from pathlib import Path
 
 from . import __version__
 from .collab import PARTITIONS, authorship_pattern_report
-from .corpus import Corpus, build_authorship_matrix, build_yearly_series
+from .corpus import Corpus, CountTables, build_authorship_matrix, build_yearly_series
 from .errors import DomainError, ParseError
 from .growth import build_growth_report
 from .lotka import (
@@ -37,8 +37,8 @@ from .lotka import (
     productivity_distribution,
 )
 from .synth import PowerLawSpec, sample_corpus_from_spec, sample_productivity, spec_from_json
-from .tables import AuthorshipMatrix, ProductivityDistribution, YearlySeries
-from .wos import parse_wos_file, write_wos_export
+from .tables import AuthorshipMatrix, ProductivityDistribution, YearlySeries, split_lines
+from .wos import count_wos_file, parse_wos_file, write_wos_export
 
 
 class _UsageError(Exception):
@@ -121,7 +121,7 @@ def _apply_config(argv: list[str]) -> list[str]:
     except OSError as exc:
         raise _UsageError(f"bibmet: cannot read config file: {exc}") from exc
     flags: list[str] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -274,24 +274,38 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _load_corpus(files, strict: bool) -> Corpus:
+    """Parse exports into records; only ``ingest --emit wos`` needs them."""
     results = [parse_wos_file(f) for f in files]
-    skipped = sum(r.skipped for r in results)
-    total = sum(len(r.corpus) for r in results)
-    print(f"bibmet: parsed {total} record(s) from {len(files)} file(s), "
-          f"skipped {skipped} block(s)", file=sys.stderr)
-    if strict and skipped:
-        raise ParseError(f"strict mode: {skipped} block(s) skipped")
+    _report_ingest(sum(len(r.corpus) for r in results), len(files),
+                   sum(r.skipped for r in results), strict)
     corpus = results[0].corpus
     if len(results) > 1:
         corpus = corpus.merge(*[r.corpus for r in results[1:]])
     return corpus
 
 
+def _load_counts(files, strict: bool) -> CountTables:
+    """Stream exports into count tables, the input of every analysis."""
+    counts = CountTables()
+    for f in files:
+        count_wos_file(f, counts)
+    _report_ingest(len(counts.record_ids), len(files), len(counts.skipped_lines), strict)
+    counts.check_unique_ids()
+    return counts
+
+
+def _report_ingest(records: int, files: int, skipped: int, strict: bool) -> None:
+    print(f"bibmet: parsed {records} record(s) from {files} file(s), "
+          f"skipped {skipped} block(s)", file=sys.stderr)
+    if strict and skipped:
+        raise ParseError(f"strict mode: {skipped} block(s) skipped")
+
+
 def _need_series(args) -> YearlySeries:
     if getattr(args, "series", None):
         return YearlySeries.from_csv(Path(args.series).read_text(encoding="utf-8"))
     if getattr(args, "wos", None):
-        return build_yearly_series(_load_corpus(args.wos, False))
+        return _load_counts(args.wos, False).yearly_series()
     raise _UsageError("bibmet: provide --series or --wos")
 
 
@@ -302,8 +316,8 @@ def _need_matrix(args) -> AuthorshipMatrix:
             matrix = matrix.collapse(args.cap)
         return matrix
     if getattr(args, "wos", None):
-        return build_authorship_matrix(_load_corpus(args.wos, False),
-                                       cap=args.cap, collapse=not args.no_collapse)
+        return _load_counts(args.wos, False).authorship_matrix(
+            cap=args.cap, collapse=not args.no_collapse)
     raise _UsageError("bibmet: provide --matrix or --wos")
 
 
@@ -312,7 +326,7 @@ def _need_distribution(args) -> ProductivityDistribution:
         return ProductivityDistribution.from_csv(
             Path(args.dist).read_text(encoding="utf-8"))
     if getattr(args, "wos", None):
-        return productivity_distribution(_load_corpus(args.wos, False))
+        return _load_counts(args.wos, False).productivity_distribution()
     raise _UsageError("bibmet: provide --dist or --wos")
 
 
@@ -325,17 +339,18 @@ def _fit_with_constant(dist, args):
 # subcommands
 
 def _cmd_ingest(args) -> int:
-    corpus = _load_corpus(args.files, args.strict)
+    if args.emit == "wos":
+        _emit(write_wos_export(_load_corpus(args.files, args.strict)), args.output)
+        return 0
+    counts = _load_counts(args.files, args.strict)
     if args.emit == "yearly":
-        text = build_yearly_series(corpus).to_csv()
+        table = counts.yearly_series()
     elif args.emit == "matrix":
-        text = build_authorship_matrix(corpus, cap=args.cap,
-                                       collapse=not args.no_collapse).to_csv()
-    elif args.emit == "distribution":
-        text = productivity_distribution(corpus).to_csv()
+        table = counts.authorship_matrix(cap=args.cap, collapse=not args.no_collapse)
     else:
-        text = write_wos_export(corpus)
-    if args.source_comment and args.emit != "wos":
+        table = counts.productivity_distribution()
+    text = table.to_csv()
+    if args.source_comment:
         text = f"# source: {' '.join(args.files)}\n" + text
     _emit(text, args.output)
     return 0
@@ -397,25 +412,24 @@ def _cmd_report(args) -> int:
     if not (args.wos or args.series or args.matrix or args.dist):
         raise _UsageError("bibmet report: no inputs; provide --wos, --series, "
                           "--matrix and/or --dist")
-    corpus = _load_corpus(args.wos, args.strict) if args.wos else None
+    counts = _load_counts(args.wos, args.strict) if args.wos else None
 
     series = matrix = dist = None
     if args.series:
         series = YearlySeries.from_csv(Path(args.series).read_text(encoding="utf-8"))
-    elif corpus:
-        series = build_yearly_series(corpus)
+    elif counts is not None:
+        series = counts.yearly_series()
     if args.matrix:
         matrix = AuthorshipMatrix.from_csv(Path(args.matrix).read_text(encoding="utf-8"))
         if not args.no_collapse and not matrix.collapsed:
             matrix = matrix.collapse(args.cap)
-    elif corpus:
-        matrix = build_authorship_matrix(corpus, cap=args.cap,
-                                         collapse=not args.no_collapse)
+    elif counts is not None:
+        matrix = counts.authorship_matrix(cap=args.cap, collapse=not args.no_collapse)
     if args.dist:
         dist = ProductivityDistribution.from_csv(
             Path(args.dist).read_text(encoding="utf-8"))
-    elif corpus:
-        dist = productivity_distribution(corpus)
+    elif counts is not None:
+        dist = counts.productivity_distribution()
 
     skipped_sections = []
 

@@ -6,15 +6,20 @@ order of corpora never affects results; only record ids must stay unique.
 No attempt is made to disambiguate author names across records: a paper
 with j authors contributes j author slots, and the same name string on
 two papers counts as one author with two papers.
+
+:class:`CountTables` folds papers one at a time into the two counts that
+the yearly series, the authorship matrix and the productivity
+distribution are built from, so records need not be kept to tabulate.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import DomainError
-from .tables import AuthorshipMatrix, YearlySeries
+from .tables import AuthorshipMatrix, ProductivityDistribution, YearlySeries
 
 YEAR_MIN = 1000
 YEAR_MAX = 3000
@@ -60,10 +65,7 @@ class Corpus:
     provenance: str = ""
 
     def __post_init__(self):
-        ids = [r.id for r in self.records]
-        if len(set(ids)) != len(ids):
-            dup = next(i for i, c in Counter(ids).items() if c > 1)
-            raise ValueError(f"duplicate record id: {dup!r}")
+        _check_unique_ids([r.id for r in self.records])
 
     def __len__(self) -> int:
         return len(self.records)
@@ -77,23 +79,88 @@ class Corpus:
         return sum(r.author_count for r in self.records)
 
     def merge(self, *others: "Corpus", provenance: str | None = None) -> "Corpus":
-        records = self.records
-        sources = [self.provenance]
-        for other in others:
-            records = records + other.records
-            sources.append(other.provenance)
+        corpora = (self, *others)
+        records = tuple(chain.from_iterable(c.records for c in corpora))
         if provenance is None:
-            provenance = " + ".join(s for s in sources if s)
+            provenance = " + ".join(c.provenance for c in corpora if c.provenance)
         return Corpus(records, provenance=provenance)
+
+
+def _check_unique_ids(ids: list[str]) -> None:
+    if len(set(ids)) != len(ids):
+        dup = next(i for i, c in Counter(ids).items() if c > 1)
+        raise ValueError(f"duplicate record id: {dup!r}")
+
+
+class CountTables:
+    """Papers per (author count, year) and per author name, folded one paper at a time.
+
+    These two counts determine the yearly series, the authorship matrix
+    and the productivity distribution.  ``record_ids`` keeps each paper's
+    id in the order added, for :meth:`check_unique_ids`;
+    ``skipped_lines`` collects the start lines of skipped export blocks.
+    """
+
+    def __init__(self):
+        self.cells: Counter[tuple[int, int]] = Counter()
+        self.papers_by_author: Counter[str] = Counter()
+        self.record_ids: list[str] = []
+        self.skipped_lines: list[int] = []
+
+    @classmethod
+    def from_corpus(cls, corpus: Corpus) -> "CountTables":
+        counts = cls()
+        for r in corpus.records:
+            counts.add(r.id, r.year, r.authors)
+        return counts
+
+    def add(self, record_id: str, year: int, authors: tuple[str, ...]) -> None:
+        """Count one paper; ``authors`` are its distinct, non-empty names."""
+        self.record_ids.append(record_id)
+        self.cells[len(authors), year] += 1
+        self.papers_by_author.update(authors)
+
+    def check_unique_ids(self) -> None:
+        """Raise ``ValueError`` naming the first id added more than once."""
+        _check_unique_ids(self.record_ids)
+
+    def yearly_series(self) -> YearlySeries:
+        """Papers per year, zero-filling gap years inside the span."""
+        if not self.cells:
+            raise DomainError("cannot build a yearly series from an empty corpus")
+        by_year = Counter()
+        for (_, year), papers in self.cells.items():
+            by_year[year] += papers
+        lo, hi = min(by_year), max(by_year)
+        return YearlySeries(tuple((y, by_year.get(y, 0)) for y in range(lo, hi + 1)))
+
+    def authorship_matrix(self, cap: int = 10, collapse: bool = True) -> AuthorshipMatrix:
+        """Papers by author-count class and year; see :func:`build_authorship_matrix`."""
+        if cap < 2:
+            raise DomainError("cap must be >= 2")
+        if not self.cells:
+            raise DomainError("cannot build an authorship matrix from an empty corpus")
+        top = cap if collapse else max(j for j, _ in self.cells)
+        cells = Counter()
+        for (j, year), papers in self.cells.items():
+            cells[min(j, top), year] += papers
+        years = tuple(range(min(y for _, y in cells), max(y for _, y in cells) + 1))
+        classes = tuple(range(1, top + 1))
+        counts = tuple(tuple(cells.get((j, y), 0) for y in years) for j in classes)
+        return AuthorshipMatrix(classes, years, counts, collapsed=collapse,
+                                cap=cap if collapse else max(2, top))
+
+    def productivity_distribution(self) -> ProductivityDistribution:
+        """Histogram of papers per author name."""
+        if not self.cells:
+            raise DomainError("cannot build a productivity distribution from an empty corpus")
+        histogram = Counter(self.papers_by_author.values())
+        return ProductivityDistribution(tuple(sorted(histogram.items())))
 
 
 def build_yearly_series(corpus: Corpus) -> YearlySeries:
     """Count papers per year, zero-filling gap years inside the span."""
-    if not corpus.records:
-        raise DomainError("cannot build a yearly series from an empty corpus")
-    by_year = Counter(r.year for r in corpus.records)
-    lo, hi = min(by_year), max(by_year)
-    return YearlySeries(tuple((y, by_year.get(y, 0)) for y in range(lo, hi + 1)))
+    return CountTables.from_corpus(corpus).yearly_series()
 
 
 def build_authorship_matrix(corpus: Corpus, cap: int = 10,
@@ -104,25 +171,4 @@ def build_authorship_matrix(corpus: Corpus, cap: int = 10,
     the top class; otherwise classes extend to the largest author count
     present and ``cap`` is ignored.
     """
-    if cap < 2:
-        raise DomainError("cap must be >= 2")
-    if not corpus.records:
-        raise DomainError("cannot build an authorship matrix from an empty corpus")
-    cells = Counter()
-    max_j = 1
-    for r in corpus.records:
-        j = r.author_count
-        max_j = max(max_j, j)
-        if collapse and j > cap:
-            j = cap
-        cells[(j, r.year)] += 1
-    lo = min(r.year for r in corpus.records)
-    hi = max(r.year for r in corpus.records)
-    years = tuple(range(lo, hi + 1))
-    top = cap if collapse else max_j
-    classes = tuple(range(1, top + 1))
-    counts = tuple(
-        tuple(cells.get((j, y), 0) for y in years) for j in classes
-    )
-    return AuthorshipMatrix(classes, years, counts, collapsed=collapse,
-                            cap=cap if collapse else max(2, top))
+    return CountTables.from_corpus(corpus).authorship_matrix(cap, collapse)

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
 
-from .corpus import Corpus
+from .corpus import Corpus, CountTables
 from .errors import DomainError
 from .tables import ProductivityDistribution
 
@@ -31,14 +30,7 @@ def productivity_distribution(corpus: Corpus) -> ProductivityDistribution:
     Author identity is the exact name string; the sum of x * y_x equals
     the corpus's total author slots.
     """
-    if not corpus.records:
-        raise DomainError("cannot build a productivity distribution from an empty corpus")
-    papers_by_author = Counter()
-    for record in corpus.records:
-        for name in record.authors:
-            papers_by_author[name] += 1
-    histogram = Counter(papers_by_author.values())
-    return ProductivityDistribution(tuple(sorted(histogram.items())))
+    return CountTables.from_corpus(corpus).productivity_distribution()
 
 
 @dataclass(frozen=True)

@@ -294,8 +294,18 @@ def write_counts_csv(table: CountTable) -> str:
     return table.to_csv()
 
 
+def split_lines(text: str) -> list[str]:
+    """The lines of ``text``, split at ``\\n``, ``\\r\\n`` and ``\\r`` only.
+
+    Unlike ``str.splitlines``, form feeds, U+2028 and the other Unicode
+    separators stay inside their line.  A final line end is followed by
+    one empty line.
+    """
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def _rows(text: str) -> Iterator[tuple[int, list[str]]]:
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(text), start=1):
         line = raw.lstrip("\ufeff").strip()
         if not line or line.startswith("#"):
             continue

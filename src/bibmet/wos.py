@@ -4,7 +4,8 @@ The format is line oriented.  Each field starts with a two-character tag
 in columns 1-2 (``PT``, ``AU``, ``PY``, ``UT``, ...) followed by a space
 and the value; additional values continue on lines indented by exactly
 three spaces.  A record ends at a line reading ``ER``, the file ends at
-``EF``.  Example record:
+``EF``.  A line ends at ``\\n``, ``\\r\\n`` or ``\\r`` and nowhere else.
+Example record:
 
     PT J
     AU Smith, A
@@ -17,19 +18,29 @@ Only ``AU`` (authors), ``PY`` (publication year) and ``UT`` (accession
 id) are interpreted; everything else is carried past.  Blocks missing a
 usable ``AU`` or ``PY`` are skipped and tallied rather than aborting the
 whole file, so one mangled export block cannot kill a batch run.
+
+One block scanner, :func:`scan_wos_export`, reads an export line by line
+and keeps only the ``AU``/``PY``/``UT`` values of the block in hand.  The
+analysis commands fold its blocks straight into
+:class:`~bibmet.corpus.CountTables` (:func:`count_wos_file`), so their
+memory grows with the number of distinct authors, not with the size of
+the file.  :func:`parse_wos_export` and :func:`parse_wos_file` (and
+``bibmet ingest --emit wos``) still build one
+:class:`~bibmet.corpus.PublicationRecord` per block.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import io
-import re
 from dataclasses import dataclass
-from typing import TextIO, Union
+from typing import Iterable, Iterator, TextIO, Union
 
-from .corpus import YEAR_MAX, YEAR_MIN, Corpus, PublicationRecord
+from .corpus import YEAR_MAX, YEAR_MIN, Corpus, CountTables, PublicationRecord
 from .errors import EmptyCorpusError
+from .tables import split_lines
 
-_TAG_RE = re.compile(r"^[A-Z][A-Z0-9](?: |$)")
 _CONTINUATION = "   "
 
 RECORD_END = "ER"
@@ -45,87 +56,134 @@ class WosParseResult:
     skipped_lines: tuple[int, ...]  # starting line of each skipped block
 
 
+def scan_wos_export(
+        lines: Iterable[str]) -> Iterator[tuple[int, int | None, tuple[str, ...], str | None]]:
+    """Scan one export block by block.
+
+    ``lines`` yields the export's lines, with or without their ``\\n``
+    (an open file in universal-newline mode, or :func:`split_lines`).  Each
+    block with at least one ``AU`` value and a parseable ``PY`` year
+    yields its start line, year, authors (stripped, empty names dropped,
+    first occurrence of a repeated name kept) and record id: the ``UT``
+    value, or the next free sequential synthetic id (``rec000001``, ...)
+    when the block has none or the file already used it.  Any other
+    block, and a block left open by ``EF`` or the end of input, yields
+    ``(start, None, (), None)``.  Raises :class:`EmptyCorpusError` after
+    the last block if none parsed, naming the first malformed block's
+    line number when there is one.
+    """
+    tag_of = _tag_prefixes().get
+    lines = iter(lines)
+    seen: set[str] = set()
+    synthetic = 0
+    first_skip: int | None = None
+    au: list[str] = []
+    py: list[str] = []
+    ut: list[str] = []
+    kept = {"AU": au, "PY": py, "UT": ut}
+    current: list[str] | None = None  # values that continuation lines extend
+    start: int | None = None
+
+    for lineno, raw in enumerate(lines, start=1):
+        tag = tag_of(raw[:3])
+        if tag is None:
+            # a continuation line or stray unindented text extends the
+            # current field; a blank line ends it
+            value = raw.strip()
+            if not value:
+                current = None
+            elif current is not None:
+                current.append(value)
+            continue
+        if tag == RECORD_END:
+            if start is not None:
+                authors = tuple(dict.fromkeys(filter(None, au)))
+                year = _parse_year(py)
+                if not authors or year is None:
+                    if first_skip is None:
+                        first_skip = start
+                    yield start, None, (), None
+                else:
+                    rid = next(filter(None, ut), None)
+                    if rid is None or rid in seen:
+                        synthetic += 1
+                        rid = f"rec{synthetic:06d}"
+                        while rid in seen:
+                            synthetic += 1
+                            rid = f"rec{synthetic:06d}"
+                    seen.add(rid)
+                    yield start, year, authors, rid
+            au.clear()
+            py.clear()
+            ut.clear()
+            current = start = None
+            continue
+        if tag == FILE_END:
+            # read on to the end, so that undecodable bytes after EF are
+            # still reported as they are when the whole file is read
+            for _ in lines:
+                pass
+            break
+        if start is None:
+            start = lineno
+        current = kept.get(tag)
+        if current is not None:
+            current.append(raw[3:].strip())
+
+    if start is not None:
+        # trailing block without an ER terminator is malformed
+        if first_skip is None:
+            first_skip = start
+        yield start, None, (), None
+    if not seen:
+        if first_skip is not None:
+            raise EmptyCorpusError(
+                "no parseable records; first malformed block starts here",
+                line=first_skip)
+        raise EmptyCorpusError("no records found in input")
+
+
 def parse_wos_export(source: Union[str, TextIO], provenance: str = "") -> WosParseResult:
     """Parse a tagged export into a corpus.
 
-    ``source`` may be the text itself or a readable text stream.  Records
-    with at least one ``AU`` value and a parseable ``PY`` year become
-    :class:`PublicationRecord` objects; the ``UT`` value is used as the
-    record id when present, otherwise a sequential synthetic id is
-    assigned.  Raises :class:`EmptyCorpusError` if nothing parses,
-    naming the first malformed block's line number when there is one.
+    ``source`` may be the text itself or a readable text stream.  Each
+    block :func:`scan_wos_export` keeps becomes a
+    :class:`PublicationRecord`.  Raises :class:`EmptyCorpusError` if
+    nothing parses.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = source
+    text = source.read() if hasattr(source, "read") else source
+    return _parse_lines(split_lines(text), provenance)
 
+
+def parse_wos_file(path, provenance: str | None = None) -> WosParseResult:
+    """Parse a tagged export file (UTF-8)."""
+    with _open_export(path) as fh:
+        return _parse_lines(fh, provenance if provenance is not None else str(path))
+
+
+def count_wos_file(path, counts: CountTables) -> None:
+    """Fold the blocks of a tagged export file (UTF-8) into ``counts``.
+
+    Builds no records: kept blocks go to :meth:`CountTables.add` and
+    skipped blocks' start lines to ``counts.skipped_lines``.  Raises
+    :class:`EmptyCorpusError` if nothing in the file parses.
+    """
+    with _open_export(path) as fh:
+        for line, year, authors, rid in scan_wos_export(fh):
+            if year is None:
+                counts.skipped_lines.append(line)
+            else:
+                counts.add(rid, year, authors)
+
+
+def _parse_lines(lines: Iterable[str], provenance: str) -> WosParseResult:
     records: list[PublicationRecord] = []
     skipped_lines: list[int] = []
-    seen_ids: set[str] = set()
-    synthetic = 0
-
-    fields: dict[str, list[str]] = {}
-    current_tag: str | None = None
-    block_start: int | None = None
-
-    def finalize(start_line: int) -> None:
-        nonlocal synthetic
-        authors = [a for a in fields.get("AU", []) if a.strip()]
-        year = _parse_year(fields.get("PY", []))
-        if not authors or year is None:
-            skipped_lines.append(start_line)
-            return
-        ut = next((v.strip() for v in fields.get("UT", []) if v.strip()), None)
-        if ut is None or ut in seen_ids:
-            synthetic += 1
-            rid = f"rec{synthetic:06d}"
-            while rid in seen_ids:
-                synthetic += 1
-                rid = f"rec{synthetic:06d}"
+    for line, year, authors, rid in scan_wos_export(lines):
+        if year is None:
+            skipped_lines.append(line)
         else:
-            rid = ut
-        seen_ids.add(rid)
-        records.append(PublicationRecord(rid, year, tuple(authors)))
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\r\n")
-        if not line.strip():
-            current_tag = None
-            continue
-        if line.startswith(_CONTINUATION) and not line[:2].strip():
-            if current_tag is not None and block_start is not None:
-                fields.setdefault(current_tag, []).append(line.strip())
-            continue
-        if not _TAG_RE.match(line):
-            # stray unindented text; treat as part of the current field
-            if current_tag is not None and block_start is not None:
-                fields.setdefault(current_tag, []).append(line.strip())
-            continue
-        tag, value = line[:2], line[3:].strip()
-        if tag == FILE_END:
-            break
-        if tag == RECORD_END:
-            if block_start is not None:
-                finalize(block_start)
-            fields, current_tag, block_start = {}, None, None
-            continue
-        if block_start is None:
-            block_start = lineno
-        current_tag = tag
-        fields.setdefault(tag, []).append(value)
-
-    if block_start is not None and fields:
-        # trailing block without an ER terminator is malformed
-        skipped_lines.append(block_start)
-
-    if not records:
-        if skipped_lines:
-            raise EmptyCorpusError(
-                "no parseable records; first malformed block starts here",
-                line=skipped_lines[0])
-        raise EmptyCorpusError("no records found in input")
-
+            records.append(PublicationRecord(rid, year, authors))
     return WosParseResult(
         corpus=Corpus(tuple(records), provenance=provenance),
         skipped=len(skipped_lines),
@@ -133,10 +191,31 @@ def parse_wos_export(source: Union[str, TextIO], provenance: str = "") -> WosPar
     )
 
 
-def parse_wos_file(path, provenance: str | None = None) -> WosParseResult:
-    """Parse a tagged export file (UTF-8)."""
+@functools.cache
+def _tag_prefixes() -> dict[str, str]:
+    """The first three characters of every tag line -> its tag.
+
+    A tag is an upper-case letter and an upper-case letter or digit,
+    followed by a space or the line's end.  Built on first use, so that
+    runs that read no export do not hold it.
+    """
+    upper = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+    tags = [a + b for a in upper for b in upper + "0123456789"]
+    return {tag + end: tag for tag in tags for end in (" ", "\n", "")}
+
+
+@contextlib.contextmanager
+def _open_export(path) -> Iterator[TextIO]:
+    # universal-newline mode ends lines at \n, \r\n and \r only
     with io.open(path, "r", encoding="utf-8") as fh:
-        return parse_wos_export(fh, provenance=provenance if provenance is not None else str(path))
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            # name the undecodable byte's offset from the start of the
+            # file, as a whole-file read does, not from the current chunk
+            fh.seek(0)
+            fh.read()
+            raise
 
 
 def write_wos_export(corpus: Corpus) -> str:
@@ -160,8 +239,8 @@ def write_wos_export(corpus: Corpus) -> str:
 
 
 def _parse_year(values: list[str]) -> int | None:
+    # the first non-empty value decides; values are already stripped
     for v in values:
-        v = v.strip()
         if v:
             try:
                 year = int(v)

@@ -1,0 +1,162 @@
+"""Frozen reference: the original record-building WoS parser and tabulators.
+
+This is the first release's ``parse_wos_export`` (with record
+construction and the duplicate-id check of ``Corpus``) and its three
+tabulators, kept as they were except for one rule: a line ends at
+``\\n``, ``\\r\\n`` or ``\\r`` and nowhere else, where the original used
+``str.splitlines``.  Records are plain ``(id, year, authors)`` tuples.
+The differential tests compare the streaming count tables and the
+record path against it.
+"""
+
+from __future__ import annotations
+
+import re
+from collections import Counter
+
+from bibmet.errors import EmptyCorpusError
+from bibmet.tables import AuthorshipMatrix, ProductivityDistribution, YearlySeries
+
+YEAR_MIN = 1000
+YEAR_MAX = 3000
+
+_TAG_RE = re.compile(r"^[A-Z][A-Z0-9](?: |$)")
+_CONTINUATION = "   "
+_LINE_END = re.compile(r"\r\n|\r|\n")
+
+
+def split_lines(text: str) -> list[str]:
+    lines = _LINE_END.split(text)
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+def _normalize_authors(authors) -> tuple[str, ...]:
+    seen = {}
+    for name in authors:
+        name = str(name).strip()
+        if name and name not in seen:
+            seen[name] = None
+    return tuple(seen)
+
+
+def parse_export(text: str):
+    """Return (records, skipped_lines) or raise EmptyCorpusError."""
+    records = []
+    skipped_lines: list[int] = []
+    seen_ids: set[str] = set()
+    synthetic = 0
+
+    fields: dict[str, list[str]] = {}
+    current_tag = None
+    block_start = None
+
+    def finalize(start_line):
+        nonlocal synthetic
+        authors = [a for a in fields.get("AU", []) if a.strip()]
+        year = _parse_year(fields.get("PY", []))
+        if not authors or year is None:
+            skipped_lines.append(start_line)
+            return
+        ut = next((v.strip() for v in fields.get("UT", []) if v.strip()), None)
+        if ut is None or ut in seen_ids:
+            synthetic += 1
+            rid = f"rec{synthetic:06d}"
+            while rid in seen_ids:
+                synthetic += 1
+                rid = f"rec{synthetic:06d}"
+        else:
+            rid = ut
+        seen_ids.add(rid)
+        records.append((rid, year, _normalize_authors(authors)))
+
+    for lineno, raw in enumerate(split_lines(text), start=1):
+        line = raw.rstrip("\r\n")
+        if not line.strip():
+            current_tag = None
+            continue
+        if line.startswith(_CONTINUATION) and not line[:2].strip():
+            if current_tag is not None and block_start is not None:
+                fields.setdefault(current_tag, []).append(line.strip())
+            continue
+        if not _TAG_RE.match(line):
+            if current_tag is not None and block_start is not None:
+                fields.setdefault(current_tag, []).append(line.strip())
+            continue
+        tag, value = line[:2], line[3:].strip()
+        if tag == "EF":
+            break
+        if tag == "ER":
+            if block_start is not None:
+                finalize(block_start)
+            fields, current_tag, block_start = {}, None, None
+            continue
+        if block_start is None:
+            block_start = lineno
+        current_tag = tag
+        fields.setdefault(tag, []).append(value)
+
+    if block_start is not None and fields:
+        skipped_lines.append(block_start)
+
+    if not records:
+        if skipped_lines:
+            raise EmptyCorpusError(
+                "no parseable records; first malformed block starts here",
+                line=skipped_lines[0])
+        raise EmptyCorpusError("no records found in input")
+    return records, skipped_lines
+
+
+def check_unique_ids(records) -> None:
+    ids = [rid for rid, _, _ in records]
+    if len(set(ids)) != len(ids):
+        dup = next(i for i, c in Counter(ids).items() if c > 1)
+        raise ValueError(f"duplicate record id: {dup!r}")
+
+
+def _parse_year(values):
+    for v in values:
+        v = v.strip()
+        if v:
+            try:
+                year = int(v)
+            except ValueError:
+                return None
+            return year if YEAR_MIN <= year <= YEAR_MAX else None
+    return None
+
+
+def yearly_series(records) -> YearlySeries:
+    by_year = Counter(year for _, year, _ in records)
+    lo, hi = min(by_year), max(by_year)
+    return YearlySeries(tuple((y, by_year.get(y, 0)) for y in range(lo, hi + 1)))
+
+
+def authorship_matrix(records, cap=10, collapse=True) -> AuthorshipMatrix:
+    cells = Counter()
+    max_j = 1
+    for _, year, authors in records:
+        j = len(authors)
+        max_j = max(max_j, j)
+        if collapse and j > cap:
+            j = cap
+        cells[(j, year)] += 1
+    lo = min(year for _, year, _ in records)
+    hi = max(year for _, year, _ in records)
+    years = tuple(range(lo, hi + 1))
+    top = cap if collapse else max_j
+    classes = tuple(range(1, top + 1))
+    counts = tuple(tuple(cells.get((j, y), 0) for y in years) for j in classes)
+    return AuthorshipMatrix(classes, years, counts, collapsed=collapse,
+                            cap=cap if collapse else max(2, top))
+
+
+def productivity_distribution(records) -> ProductivityDistribution:
+    papers_by_author = Counter()
+    for _, _, authors in records:
+        for name in authors:
+            papers_by_author[name] += 1
+    histogram = Counter(papers_by_author.values())
+    return ProductivityDistribution(tuple(sorted(histogram.items())))

@@ -137,6 +137,50 @@ def test_ingest_strict_fails_on_skips(capsys, tmp_path):
     assert "skipped" in err
 
 
+def test_ingest_line_separator_stays_inside_author_name(capsys, tmp_path):
+    path = tmp_path / "u2028.txt"
+    path.write_text("PT J\nAU A\u2028B\nPY 2015\nER\nEF\n", encoding="utf-8")
+    code, out, _ = run(capsys, "ingest", "--emit", "distribution", str(path))
+    assert code == 0
+    assert out == "x,y\n1,1\n"  # one author, not two
+
+
+# the analysis (counts) path and the record path of ingest
+LOADERS = [("ingest",), ("ingest", "--emit", "wos"), ("report", "--wos")]
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+@pytest.mark.parametrize("texts, dup", [
+    (["PT J\nAU A\nPY 2001\nUT WOS:1\nER\nEF\n",
+      "PT J\nAU B\nPY 2002\nUT WOS:1\nER\nEF\n"], "WOS:1"),
+    # synthetic ids restart in every file
+    (["PT J\nAU A\nPY 2001\nER\nEF\n", "PT J\nAU B\nPY 2002\nER\nEF\n"], "rec000001"),
+])
+def test_record_id_shared_by_two_files_is_input_error(capsys, tmp_path, loader, texts, dup):
+    paths = []
+    for i, text in enumerate(texts):
+        paths.append(tmp_path / f"export{i}.txt")
+        paths[-1].write_text(text, encoding="utf-8")
+    code, _, err = run(capsys, *loader, *map(str, paths))
+    assert code == 1
+    assert err.splitlines() == [
+        "bibmet: parsed 2 record(s) from 2 file(s), skipped 0 block(s)",
+        f"bibmet: input error: duplicate record id: '{dup}'"]
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+@pytest.mark.parametrize("tail", [b"", b"EF\n" + b"ignored\n" * 3000])
+def test_undecodable_byte_is_located_from_file_start(capsys, tmp_path, loader, tail):
+    data = b"PT J\nAU A\nPY 2001\nER\n" * 1000 + tail + b"\xff\n"
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as whole_file:
+        data.decode("utf-8")
+    code, _, err = run(capsys, *loader, str(path))
+    assert code == 1
+    assert err == f"bibmet: input error: {whole_file.value}\n"
+
+
 def test_ingest_source_comment_flag(capsys, wos_file):
     code, out, _ = run(capsys, "ingest", wos_file, "--source-comment")
     assert code == 0

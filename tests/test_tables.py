@@ -136,6 +136,12 @@ def test_parse_yearly_basic():
     assert s.entries == ((2020, 0),)
 
 
+def test_lines_end_only_at_lf_crlf_or_cr():
+    # a form feed inside a comment does not start a data row
+    text = "year,papers\r\n# note\x0c2001,5\r2000,3\n"
+    assert parse_counts_csv(text, "yearly").entries == ((2000, 3),)
+
+
 def test_parse_yearly_errors_carry_line_numbers():
     with pytest.raises(ParseError, match="line 1"):
         parse_counts_csv("bad,header\n2020,1\n", "yearly")
