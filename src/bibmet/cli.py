@@ -26,10 +26,11 @@ from pathlib import Path
 
 from . import __version__
 from .collab import PARTITIONS, authorship_pattern_report
-from .corpus import Corpus, CountTables, build_authorship_matrix, build_yearly_series
+from .corpus import CountTables, _check_unique_ids, build_authorship_matrix, build_yearly_series
 from .errors import DomainError, ParseError
 from .growth import build_growth_report
 from .lotka import (
+    TRUNCATION_MAX,
     KSReport,
     fit_lotka_least_squares,
     ks_test,
@@ -38,7 +39,8 @@ from .lotka import (
 )
 from .synth import PowerLawSpec, sample_corpus_from_spec, sample_productivity, spec_from_json
 from .tables import AuthorshipMatrix, ProductivityDistribution, YearlySeries, split_lines
-from .wos import count_wos_file, parse_wos_file, write_wos_export
+from .wos import FILE_END, count_wos_file, render_wos_file, write_wos_export
+from .wos import parse_wos_file  # noqa: F401  (not called; perfbench/spans.py patches it here)
 
 
 class _UsageError(Exception):
@@ -273,17 +275,6 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_corpus(files, strict: bool) -> Corpus:
-    """Parse exports into records; only ``ingest --emit wos`` needs them."""
-    results = [parse_wos_file(f) for f in files]
-    _report_ingest(sum(len(r.corpus) for r in results), len(files),
-                   sum(r.skipped for r in results), strict)
-    corpus = results[0].corpus
-    if len(results) > 1:
-        corpus = corpus.merge(*[r.corpus for r in results[1:]])
-    return corpus
-
-
 def _load_counts(files, strict: bool) -> CountTables:
     """Stream exports into count tables, the input of every analysis."""
     counts = CountTables()
@@ -340,7 +331,13 @@ def _fit_with_constant(dist, args):
 
 def _cmd_ingest(args) -> int:
     if args.emit == "wos":
-        _emit(write_wos_export(_load_corpus(args.files, args.strict)), args.output)
+        # every check passes before anything is written
+        blocks: list[str] = []
+        record_ids: list[str] = []
+        skipped = sum(render_wos_file(f, blocks, record_ids) for f in args.files)
+        _report_ingest(len(record_ids), len(args.files), skipped, args.strict)
+        _check_unique_ids(record_ids)
+        _emit("".join(blocks) + FILE_END + "\n", args.output)
         return 0
     counts = _load_counts(args.files, args.strict)
     if args.emit == "yearly":
@@ -412,6 +409,9 @@ def _cmd_report(args) -> int:
     if not (args.wos or args.series or args.matrix or args.dist):
         raise _UsageError("bibmet report: no inputs; provide --wos, --series, "
                           "--matrix and/or --dist")
+    if args.truncation > TRUNCATION_MAX:
+        # a flag beyond its limit fails the run, not just one section
+        raise DomainError(f"truncation must be <= {TRUNCATION_MAX}")
     counts = _load_counts(args.wos, args.strict) if args.wos else None
 
     series = matrix = dist = None

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .errors import DomainError
-from .tables import AuthorshipMatrix, ProductivityDistribution, YearlySeries
+from .tables import CAP_MAX, AuthorshipMatrix, ProductivityDistribution, YearlySeries
 
 YEAR_MIN = 1000
 YEAR_MAX = 3000
@@ -138,6 +138,8 @@ class CountTables:
         """Papers by author-count class and year; see :func:`build_authorship_matrix`."""
         if cap < 2:
             raise DomainError("cap must be >= 2")
+        if cap > CAP_MAX:
+            raise DomainError(f"cap must be <= {CAP_MAX}")
         if not self.cells:
             raise DomainError("cannot build an authorship matrix from an empty corpus")
         top = cap if collapse else max(j for j, _ in self.cells)

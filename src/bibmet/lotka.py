@@ -23,6 +23,9 @@ KS_COEFFICIENTS = {0.20: 1.07, 0.15: 1.14, 0.10: 1.22, 0.05: 1.36, 0.01: 1.63}
 
 CRITICAL_MODES = ("standard", "paper")
 
+#: Largest zeta truncation point: :func:`lotka_constant` sums that many terms.
+TRUNCATION_MAX = 10**6
+
 
 def productivity_distribution(corpus: Corpus) -> ProductivityDistribution:
     """Histogram of papers-per-author over the corpus.
@@ -125,8 +128,8 @@ def lotka_constant(n: float, method: str = "zeta_truncated",
         sum_{x=1}^{P-1} x^(-n) + P^(1-n)/(n-1) + P^(-n)/2
             + (n/24) (P-1)^(-(n+1))
 
-    with P = ``truncation``.  Requires n > 1 (the series diverges at or
-    below 1).
+    with P = ``truncation``, at most :data:`TRUNCATION_MAX`.  Requires
+    n > 1 (the series diverges at or below 1).
     """
     if method != "zeta_truncated":
         raise DomainError(f"unknown method {method!r}; expected 'zeta_truncated'")
@@ -134,6 +137,8 @@ def lotka_constant(n: float, method: str = "zeta_truncated",
         raise DomainError(f"normalizing constant undefined for exponent {n} <= 1")
     if truncation < 2:
         raise DomainError("truncation must be >= 2")
+    if truncation > TRUNCATION_MAX:
+        raise DomainError(f"truncation must be <= {TRUNCATION_MAX}")
     p = truncation
     head = math.fsum(x ** (-n) for x in range(1, p))
     tail = p ** (1 - n) / (n - 1) + 0.5 * p ** (-n) + (n / 24.0) * (p - 1) ** (-(n + 1))

@@ -18,9 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Literal, Mapping, Union
 
-from .errors import ParseError
+from .errors import DomainError, ParseError
 
 TableShape = Literal["yearly", "matrix", "distribution"]
+
+#: Largest author-class cap: a matrix collapsed at ``cap`` has ``cap`` rows.
+CAP_MAX = 10_000
 
 
 @dataclass(frozen=True)
@@ -181,6 +184,8 @@ class AuthorshipMatrix:
         """Fold all classes >= ``cap`` into a single top class."""
         if cap < 2:
             raise ValueError("cap must be >= 2")
+        if cap > CAP_MAX:
+            raise DomainError(f"cap must be <= {CAP_MAX}")
         if self.collapsed and cap > self.cap:
             raise ValueError(
                 f"cannot expand a matrix already collapsed at {self.cap} to {cap}")

@@ -24,8 +24,10 @@ and keeps only the ``AU``/``PY``/``UT`` values of the block in hand.  The
 analysis commands fold its blocks straight into
 :class:`~bibmet.corpus.CountTables` (:func:`count_wos_file`), so their
 memory grows with the number of distinct authors, not with the size of
-the file.  :func:`parse_wos_export` and :func:`parse_wos_file` (and
-``bibmet ingest --emit wos``) still build one
+the file.  ``bibmet ingest --emit wos`` renders each kept block straight
+back into export text (:func:`render_wos_file`), in the one record
+format that :func:`write_wos_export` also writes.  Only
+:func:`parse_wos_export` and :func:`parse_wos_file` build one
 :class:`~bibmet.corpus.PublicationRecord` per block.
 """
 
@@ -176,6 +178,25 @@ def count_wos_file(path, counts: CountTables) -> None:
                 counts.add(rid, year, authors)
 
 
+def render_wos_file(path, blocks: list[str], record_ids: list[str]) -> int:
+    """Render the kept blocks of a tagged export file (UTF-8) as export text.
+
+    Builds no records: each kept block is appended to ``blocks`` as
+    :func:`write_wos_export` writes its record, and its id to
+    ``record_ids``.  Returns the number of skipped blocks.  Raises
+    :class:`EmptyCorpusError` if nothing in the file parses.
+    """
+    skipped = 0
+    with _open_export(path) as fh:
+        for _, year, authors, rid in scan_wos_export(fh):
+            if year is None:
+                skipped += 1
+            else:
+                blocks.append(_render_record(rid, year, authors))
+                record_ids.append(rid)
+    return skipped
+
+
 def _parse_lines(lines: Iterable[str], provenance: str) -> WosParseResult:
     records: list[PublicationRecord] = []
     skipped_lines: list[int] = []
@@ -225,17 +246,15 @@ def write_wos_export(corpus: Corpus) -> str:
     :func:`parse_wos_export` (ids, years, author lists and order are
     preserved).
     """
-    lines: list[str] = []
-    for record in corpus.records:
-        lines.append("PT J")
-        for i, author in enumerate(record.authors):
-            lines.append(f"AU {author}" if i == 0 else f"{_CONTINUATION}{author}")
-        lines.append(f"PY {record.year}")
-        lines.append(f"UT {record.id}")
-        lines.append(RECORD_END)
-        lines.append("")
-    lines.append(FILE_END)
-    return "\n".join(lines) + "\n"
+    blocks = [_render_record(r.id, r.year, r.authors) for r in corpus.records]
+    return "".join(blocks) + FILE_END + "\n"
+
+
+def _render_record(rid: str, year: int, authors: tuple[str, ...]) -> str:
+    # PT, the first author on AU and the rest on continuation lines, PY,
+    # UT, ER, then a blank line before the next record or EF
+    authors = f"\n{_CONTINUATION}".join(authors)
+    return f"PT J\nAU {authors}\nPY {year}\nUT {rid}\n{RECORD_END}\n\n"
 
 
 def _parse_year(values: list[str]) -> int | None:

@@ -1,12 +1,13 @@
-"""Frozen reference: the original record-building WoS parser and tabulators.
+"""Frozen reference: the original record-building WoS parser, writer and tabulators.
 
 This is the first release's ``parse_wos_export`` (with record
-construction and the duplicate-id check of ``Corpus``) and its three
-tabulators, kept as they were except for one rule: a line ends at
-``\\n``, ``\\r\\n`` or ``\\r`` and nowhere else, where the original used
-``str.splitlines``.  Records are plain ``(id, year, authors)`` tuples.
-The differential tests compare the streaming count tables and the
-record path against it.
+construction and the duplicate-id check of ``Corpus``), its
+``write_wos_export`` and its three tabulators, kept as they were except
+for one rule: a line ends at ``\\n``, ``\\r\\n`` or ``\\r`` and nowhere
+else, where the original used ``str.splitlines``.  Records are plain
+``(id, year, authors)`` tuples.  The differential tests compare the
+streaming count tables, the record path and ``ingest --emit wos``
+against it.
 """
 
 from __future__ import annotations
@@ -114,6 +115,20 @@ def check_unique_ids(records) -> None:
     if len(set(ids)) != len(ids):
         dup = next(i for i, c in Counter(ids).items() if c > 1)
         raise ValueError(f"duplicate record id: {dup!r}")
+
+
+def write_export(records) -> str:
+    lines: list[str] = []
+    for rid, year, authors in records:
+        lines.append("PT J")
+        for i, author in enumerate(authors):
+            lines.append(f"AU {author}" if i == 0 else f"{_CONTINUATION}{author}")
+        lines.append(f"PY {year}")
+        lines.append(f"UT {rid}")
+        lines.append("ER")
+        lines.append("")
+    lines.append("EF")
+    return "\n".join(lines) + "\n"
 
 
 def _parse_year(values):

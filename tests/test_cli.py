@@ -4,7 +4,8 @@ import pytest
 
 from bibmet import fixtures
 from bibmet.cli import main
-from bibmet.tables import parse_counts_csv
+from bibmet.lotka import TRUNCATION_MAX
+from bibmet.tables import CAP_MAX, parse_counts_csv
 
 
 @pytest.fixture
@@ -179,6 +180,67 @@ def test_undecodable_byte_is_located_from_file_start(capsys, tmp_path, loader, t
     code, _, err = run(capsys, *loader, str(path))
     assert code == 1
     assert err == f"bibmet: input error: {whole_file.value}\n"
+
+
+@pytest.mark.parametrize("flags, texts", [
+    (["--strict"], [b"PT J\nAU A\nPY 2001\nER\nPT J\nPY 2002\nER\nEF\n"]),
+    ([], [b"PT J\nAU A\nPY 2001\nUT WOS:1\nER\nEF\n",
+          b"PT J\nAU B\nPY 2002\nUT WOS:1\nER\nEF\n"]),
+    ([], [b"PT J\nAU A\nPY 2001\nUT WOS:1\nER\nEF\n",
+          b"PT J\nAU B\nPY 2002\nUT WOS:2\nER\n\xff\n"]),
+], ids=["strict-skip", "shared-ut", "undecodable-second-file"])
+def test_ingest_emit_wos_failure_writes_nothing(capsys, tmp_path, flags, texts):
+    paths = []
+    for i, data in enumerate(texts):
+        paths.append(tmp_path / f"export{i}.txt")
+        paths[-1].write_bytes(data)
+    output = tmp_path / "merged.txt"
+    code, out, err = run(capsys, "ingest", "--emit", "wos", *map(str, paths),
+                         *flags, "--output", str(output))
+    assert code == 1
+    assert out == ""
+    assert "input error" in err
+    assert not output.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ("ingest", "--emit", "matrix", "{wos}"), ("collab", "--wos", "{wos}"),
+    ("report", "--wos", "{wos}"), ("collab", "--matrix", "{matrix}"),
+    ("report", "--matrix", "{matrix}"),
+])
+def test_cap_above_limit_is_domain_error(capsys, tmp_path, wos_file, command):
+    matrix = tmp_path / "uncollapsed.csv"
+    matrix.write_text("authors,2015,2016\n1,1,0\n2,1,0\n3,0,1\n", encoding="utf-8")
+    argv = [a.format(wos=wos_file, matrix=matrix) for a in command]
+    code, out, err = run(capsys, *argv, "--cap", str(CAP_MAX + 1))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == f"bibmet: domain error: cap must be <= {CAP_MAX}"
+
+
+def test_cap_at_limit_is_accepted(capsys, wos_file):
+    code, out, _ = run(capsys, "ingest", "--emit", "matrix", wos_file,
+                       "--cap", str(CAP_MAX))
+    assert code == 0
+    assert out.splitlines()[-1].startswith(f"{CAP_MAX}+,")
+
+
+@pytest.mark.parametrize("command", [
+    ("lotka", "--dist", DIST_REG), ("ks", "--dist", DIST_REG),
+    ("report", "--dist", DIST_REG),
+])
+def test_truncation_above_limit_is_domain_error(capsys, command):
+    code, out, err = run(capsys, *command, "--truncation", str(TRUNCATION_MAX + 1))
+    assert code == 2
+    assert out == ""
+    assert err == f"bibmet: domain error: truncation must be <= {TRUNCATION_MAX}\n"
+
+
+def test_truncation_at_limit_is_accepted(capsys):
+    code, out, _ = run(capsys, "lotka", "--dist", DIST_REG,
+                       "--truncation", str(TRUNCATION_MAX))
+    assert code == 0
+    assert json.loads(out)["c"] > 0
 
 
 def test_ingest_source_comment_flag(capsys, wos_file):

@@ -1,11 +1,15 @@
-"""The streaming count tables and the record path against the seed reference.
+"""The streaming count tables, the record path and ``ingest --emit wos`` against the seed reference.
 
 Hypothesis writes multi-file exports with blank lines, stray text, mixed
 line ends, 1-3-space indents, missing fields, out-of-range years, missing
 ``ER``, ``EF`` mid-file and repeated ``UT`` values.  Both ingest paths
-must give the reference's tables, skipped lines and errors exactly.
+must give the reference's tables, skipped lines and errors exactly, and
+``bibmet ingest --emit wos`` the reference writer's bytes, exit code and
+messages.
 """
 
+import contextlib
+import io
 import tempfile
 from pathlib import Path
 
@@ -13,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seed_reference as ref
+from bibmet.cli import main
 from bibmet.corpus import CountTables, build_authorship_matrix, build_yearly_series
 from bibmet.errors import EmptyCorpusError
 from bibmet.lotka import productivity_distribution
@@ -120,3 +125,51 @@ def test_both_ingest_paths_match_the_seed_reference(texts, cap):
             [parse_wos_file(p) for p in paths], cap)) == expected
     assert outcome(lambda: records_path(
         [parse_wos_export(t) for t in texts], cap)) == expected
+
+
+def reference_emit(texts, strict):
+    """Exit code, stdout and stderr of ``ingest --emit wos`` per the reference."""
+    records, skipped = [], 0
+    try:
+        for text in texts:
+            file_records, file_skipped = ref.parse_export(text)
+            records += file_records
+            skipped += len(file_skipped)
+    except EmptyCorpusError as exc:
+        return 1, "", f"bibmet: input error: {exc}\n"
+    err = (f"bibmet: parsed {len(records)} record(s) from {len(texts)} file(s), "
+           f"skipped {skipped} block(s)\n")
+    if strict and skipped:
+        return 1, "", err + f"bibmet: input error: strict mode: {skipped} block(s) skipped\n"
+    try:
+        ref.check_unique_ids(records)
+    except ValueError as exc:
+        return 1, "", err + f"bibmet: input error: {exc}\n"
+    return 0, ref.write_export(records), err
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts=st.lists(exports(), min_size=1, max_size=3), strict=st.booleans())
+def test_ingest_emit_wos_matches_the_seed_writer(texts, strict):
+    code, expected, err = reference_emit(texts, strict)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, text in enumerate(texts):
+            path = Path(tmp) / f"export{i}.txt"
+            path.write_bytes(text.encode("utf-8"))
+            paths.append(str(path))
+        argv = ["ingest", "--emit", "wos", *paths] + (["--strict"] if strict else [])
+        assert run_cli(argv) == (code, expected, err)
+        output = Path(tmp) / "merged.txt"
+        assert run_cli(argv + ["--output", str(output)]) == (code, "", err)
+        if code == 0:
+            assert output.read_bytes() == expected.encode("utf-8")
+        else:
+            assert not output.exists()

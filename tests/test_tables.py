@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from bibmet.errors import ParseError
+from bibmet.errors import DomainError, ParseError
 from bibmet.tables import (
+    CAP_MAX,
     AuthorshipMatrix,
     ProductivityDistribution,
     YearlySeries,
@@ -98,6 +99,14 @@ def test_collapse_cannot_expand_a_collapsed_matrix():
         m.collapse(8)
     assert m.collapse(3).class_counts(2000) == {1: 4, 2: 0, 3: 3}
 
+
+
+def test_collapse_cap_is_bounded():
+    m = AuthorshipMatrix((1, 5, 12), (2000,), ((4,), (2,), (1,)),
+                         collapsed=False, cap=12)
+    with pytest.raises(DomainError, match=f"<= {CAP_MAX}"):
+        m.collapse(CAP_MAX + 1)
+    assert m.collapse(CAP_MAX).classes[-1] == CAP_MAX
 
 def test_matrix_validation():
     with pytest.raises(ValueError):
