@@ -25,13 +25,15 @@ import warnings
 from pathlib import Path
 
 from . import __version__
-from .collab import PARTITIONS, authorship_pattern_report
+from .collab import PARTITIONS, CollabReport, authorship_pattern_report
 from .corpus import CountTables, _check_unique_ids, build_authorship_matrix, build_yearly_series
 from .errors import DomainError, ParseError
-from .growth import build_growth_report
+from .growth import GrowthReport, _check_block_split, build_growth_report
 from .lotka import (
-    TRUNCATION_MAX,
     KSReport,
+    LotkaFit,
+    _check_truncation,
+    _ks_coefficient,
     fit_lotka_least_squares,
     ks_test,
     lotka_constant,
@@ -292,38 +294,61 @@ def _report_ingest(records: int, files: int, skipped: int, strict: bool) -> None
         raise ParseError(f"strict mode: {skipped} block(s) skipped")
 
 
-def _need_series(args) -> YearlySeries:
-    if getattr(args, "series", None):
+def _counts(args, counts: CountTables | None, flag: str) -> CountTables:
+    # the tables shared by report, else those of the command's own --wos
+    if counts is not None:
+        return counts
+    if not args.wos:
+        raise _UsageError(f"bibmet: provide {flag} or --wos")
+    return _load_counts(args.wos, False)
+
+
+def _series(args, counts: CountTables | None = None) -> YearlySeries:
+    if args.series:
         return YearlySeries.from_csv(Path(args.series).read_text(encoding="utf-8"))
-    if getattr(args, "wos", None):
-        return _load_counts(args.wos, False).yearly_series()
-    raise _UsageError("bibmet: provide --series or --wos")
+    return _counts(args, counts, "--series").yearly_series()
 
 
-def _need_matrix(args) -> AuthorshipMatrix:
-    if getattr(args, "matrix", None):
+def _matrix(args, counts: CountTables | None = None) -> AuthorshipMatrix:
+    """The matrix, collapsed at ``--cap`` unless ``--no-collapse`` or a CSV already is."""
+    if args.matrix:
         matrix = AuthorshipMatrix.from_csv(Path(args.matrix).read_text(encoding="utf-8"))
         if not args.no_collapse and not matrix.collapsed:
             matrix = matrix.collapse(args.cap)
         return matrix
-    if getattr(args, "wos", None):
-        return _load_counts(args.wos, False).authorship_matrix(
-            cap=args.cap, collapse=not args.no_collapse)
-    raise _UsageError("bibmet: provide --matrix or --wos")
+    return _counts(args, counts, "--matrix").authorship_matrix(
+        cap=args.cap, collapse=not args.no_collapse)
 
 
-def _need_distribution(args) -> ProductivityDistribution:
-    if getattr(args, "dist", None):
+def _distribution(args, counts: CountTables | None = None) -> ProductivityDistribution:
+    if args.dist:
         return ProductivityDistribution.from_csv(
             Path(args.dist).read_text(encoding="utf-8"))
-    if getattr(args, "wos", None):
-        return _load_counts(args.wos, False).productivity_distribution()
-    raise _UsageError("bibmet: provide --dist or --wos")
+    return _counts(args, counts, "--dist").productivity_distribution()
 
 
-def _fit_with_constant(dist, args):
+def _growth(args, series: YearlySeries) -> GrowthReport:
+    return build_growth_report(series, convention=args.convention,
+                               block_split=args.block_split, exact_ln2=args.exact_ln2)
+
+
+def _collab(args, matrix: AuthorshipMatrix) -> CollabReport:
+    return authorship_pattern_report(matrix, partition=PARTITIONS[args.partition])
+
+
+def _fit(args, dist: ProductivityDistribution) -> LotkaFit:
     fit = fit_lotka_least_squares(dist, include_top_class=not args.exclude_top)
     return fit.with_constant(lotka_constant(fit.n, truncation=args.truncation))
+
+
+def _productivity(args, dist: ProductivityDistribution, n: float | None = None,
+                  c: float | None = None) -> tuple[LotkaFit | None, KSReport]:
+    """The Lotka fit of ``dist`` and its K-S test; no fit if ``n`` and ``c`` are given."""
+    fit = None
+    if n is None:
+        fit = _fit(args, dist)
+        n, c = fit.n, fit.c
+    return fit, ks_test(dist, n, c, alpha=args.alpha, mode=args.ks_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +379,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_growth(args) -> int:
-    report = build_growth_report(_need_series(args), convention=args.convention,
-                                 block_split=args.block_split,
-                                 exact_ln2=args.exact_ln2)
+    report = _growth(args, _series(args))
     if args.format == "csv":
         text = report.to_csv()
     elif args.format == "markdown":
@@ -368,8 +391,7 @@ def _cmd_growth(args) -> int:
 
 
 def _cmd_collab(args) -> int:
-    report = authorship_pattern_report(_need_matrix(args),
-                                       partition=PARTITIONS[args.partition])
+    report = _collab(args, _matrix(args))
     if args.format == "csv":
         text = report.to_csv()
     elif args.format == "markdown":
@@ -386,21 +408,16 @@ def _cmd_collab(args) -> int:
 
 
 def _cmd_lotka(args) -> int:
-    fit = _fit_with_constant(_need_distribution(args), args)
+    fit = _fit(args, _distribution(args))
     _emit(fit.to_json(), args.output)
     return 0
 
 
 def _cmd_ks(args) -> int:
-    dist = _need_distribution(args)
+    dist = _distribution(args)
     if (args.n is None) != (args.c is None):
         raise _UsageError("bibmet: provide both --n and --c, or neither")
-    if args.n is None:
-        fit = _fit_with_constant(dist, args)
-        n, c = fit.n, fit.c
-    else:
-        n, c = args.n, args.c
-    report = ks_test(dist, n, c, alpha=args.alpha, mode=args.ks_mode)
+    _, report = _productivity(args, dist, args.n, args.c)
     _emit(report.to_csv(), args.output)
     return 0
 
@@ -409,57 +426,30 @@ def _cmd_report(args) -> int:
     if not (args.wos or args.series or args.matrix or args.dist):
         raise _UsageError("bibmet report: no inputs; provide --wos, --series, "
                           "--matrix and/or --dist")
-    if args.truncation > TRUNCATION_MAX:
-        # a flag beyond its limit fails the run, not just one section
-        raise DomainError(f"truncation must be <= {TRUNCATION_MAX}")
+    # a flag out of range fails the run, as in the single command, instead
+    # of skipping its section; checked before any input is read
+    _check_block_split(args.block_split)
+    _check_truncation(args.truncation)
+    _ks_coefficient(args.alpha)
     counts = _load_counts(args.wos, args.strict) if args.wos else None
+    series = _series(args, counts) if args.series or args.wos else None
+    matrix = _matrix(args, counts) if args.matrix or args.wos else None
+    dist = _distribution(args, counts) if args.dist or args.wos else None
 
-    series = matrix = dist = None
-    if args.series:
-        series = YearlySeries.from_csv(Path(args.series).read_text(encoding="utf-8"))
-    elif counts is not None:
-        series = counts.yearly_series()
-    if args.matrix:
-        matrix = AuthorshipMatrix.from_csv(Path(args.matrix).read_text(encoding="utf-8"))
-        if not args.no_collapse and not matrix.collapsed:
-            matrix = matrix.collapse(args.cap)
-    elif counts is not None:
-        matrix = counts.authorship_matrix(cap=args.cap, collapse=not args.no_collapse)
-    if args.dist:
-        dist = ProductivityDistribution.from_csv(
-            Path(args.dist).read_text(encoding="utf-8"))
-    elif counts is not None:
-        dist = counts.productivity_distribution()
-
-    skipped_sections = []
-
-    def best_effort(name, compute):
+    def best_effort(name, section, table):
         # one undefined section (e.g. growth on a single-year corpus)
         # should not take down the whole report
+        if table is None:
+            return None
         try:
-            return compute()
+            return section(args, table)
         except DomainError as exc:
-            skipped_sections.append(name)
             print(f"bibmet: skipping {name} section: {exc}", file=sys.stderr)
             return None
 
-    growth_report = None
-    if series is not None:
-        growth_report = best_effort("growth", lambda: build_growth_report(
-            series, convention=args.convention, block_split=args.block_split,
-            exact_ln2=args.exact_ln2))
-    collab_report = None
-    if matrix is not None:
-        collab_report = best_effort("collaboration", lambda: authorship_pattern_report(
-            matrix, partition=PARTITIONS[args.partition]))
-    fit = ks_report = None
-    if dist is not None:
-        fit = best_effort("productivity", lambda: _fit_with_constant(dist, args))
-        if fit is not None:
-            ks_report = best_effort("productivity", lambda: ks_test(
-                dist, fit.n, fit.c, alpha=args.alpha, mode=args.ks_mode))
-            if ks_report is None:
-                fit = None
+    growth_report = best_effort("growth", _growth, series)
+    collab_report = best_effort("collaboration", _collab, matrix)
+    fit, ks_report = best_effort("productivity", _productivity, dist) or (None, None)
 
     if args.out_dir:
         out = Path(args.out_dir)

@@ -214,7 +214,9 @@ def authorship_pattern_report(matrix: AuthorshipMatrix,
         raise DomainError("authorship report needs a non-empty matrix")
     matrix = matrix.drop_empty_years()
     cai = coauthorship_index(matrix, partition)
-    cai_multi = coauthorship_index(matrix, MULTI_VS_SINGLE)
+    # the default partition is computed once, so its warnings print once
+    cai_multi = (cai if partition == MULTI_VS_SINGLE
+                 else coauthorship_index(matrix, MULTI_VS_SINGLE))
 
     def build_row(label: str, counts: Mapping[int, int],
                   cai_map: dict[str, float], multi_value: float | None) -> CollabRow:
@@ -250,10 +252,9 @@ def authorship_pattern_report(matrix: AuthorshipMatrix,
 
     grand = matrix.grand_total
     summary = tuple(
-        ClassSummary(authors=j, papers=matrix.class_total(j),
-                     author_slots=j * matrix.class_total(j),
-                     percent=100.0 * matrix.class_total(j) / grand)
-        for j in matrix.classes
+        ClassSummary(authors=j, papers=papers, author_slots=j * papers,
+                     percent=100.0 * papers / grand)
+        for j, papers in pooled.items()
     )
     return CollabReport(rows=tuple(rows), total=total,
                         class_summary=summary, partition=partition)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .errors import DomainError
-from .tables import CAP_MAX, AuthorshipMatrix, ProductivityDistribution, YearlySeries
+from .tables import AuthorshipMatrix, ProductivityDistribution, YearlySeries
 
 YEAR_MIN = 1000
 YEAR_MAX = 3000
@@ -135,22 +135,22 @@ class CountTables:
         return YearlySeries(tuple((y, by_year.get(y, 0)) for y in range(lo, hi + 1)))
 
     def authorship_matrix(self, cap: int = 10, collapse: bool = True) -> AuthorshipMatrix:
-        """Papers by author-count class and year; see :func:`build_authorship_matrix`."""
-        if cap < 2:
-            raise DomainError("cap must be >= 2")
-        if cap > CAP_MAX:
-            raise DomainError(f"cap must be <= {CAP_MAX}")
+        """Papers by author-count class and year; see :func:`build_authorship_matrix`.
+
+        Without ``collapse`` the matrix has a class for every author count
+        up to the largest present.  With it, the exact counts are folded by
+        :meth:`AuthorshipMatrix.collapse`, which checks ``cap``.
+        """
         if not self.cells:
             raise DomainError("cannot build an authorship matrix from an empty corpus")
-        top = cap if collapse else max(j for j, _ in self.cells)
-        cells = Counter()
-        for (j, year), papers in self.cells.items():
-            cells[min(j, top), year] += papers
-        years = tuple(range(min(y for _, y in cells), max(y for _, y in cells) + 1))
-        classes = tuple(range(1, top + 1))
-        counts = tuple(tuple(cells.get((j, y), 0) for y in years) for j in classes)
-        return AuthorshipMatrix(classes, years, counts, collapsed=collapse,
-                                cap=cap if collapse else max(2, top))
+        present = sorted({j for j, _ in self.cells})
+        # collapse needs only the classes present (it adds the empty ones below
+        # the cap), so one paper with a million authors costs no million rows
+        classes = tuple(present if collapse else range(1, present[-1] + 1))
+        years = tuple(range(min(y for _, y in self.cells), max(y for _, y in self.cells) + 1))
+        counts = tuple(tuple(self.cells.get((j, y), 0) for y in years) for j in classes)
+        matrix = AuthorshipMatrix(classes, years, counts, cap=max(2, present[-1]))
+        return matrix.collapse(cap) if collapse else matrix
 
     def productivity_distribution(self) -> ProductivityDistribution:
         """Histogram of papers per author name."""

@@ -221,13 +221,19 @@ def default_blocks(n_values: int, first: int = 4) -> tuple[tuple[int, int], ...]
     return ((0, first), (first, n_values))
 
 
+def _check_block_split(block_split: int) -> None:
+    if block_split < 1:
+        raise DomainError("empty block")
+
+
 def build_growth_report(series: YearlySeries, convention: str = "paper",
                         block_split: int = 4, exact_ln2: bool = False) -> GrowthReport:
     """Assemble the full growth table for a yearly series.
 
     ``block_split`` is the number of leading defined RGR entries in the
-    first averaging block; the remainder form the second block.
+    first averaging block, at least 1; the remainder form the second block.
     """
+    _check_block_split(block_split)
     ratios = growth_ratio_series(series)
     rgr = relative_growth_rate(series, convention=convention)
     ln2 = math.log(2) if exact_ln2 else LN2_APPROX

@@ -135,14 +135,18 @@ def lotka_constant(n: float, method: str = "zeta_truncated",
         raise DomainError(f"unknown method {method!r}; expected 'zeta_truncated'")
     if n <= 1:
         raise DomainError(f"normalizing constant undefined for exponent {n} <= 1")
-    if truncation < 2:
-        raise DomainError("truncation must be >= 2")
-    if truncation > TRUNCATION_MAX:
-        raise DomainError(f"truncation must be <= {TRUNCATION_MAX}")
+    _check_truncation(truncation)
     p = truncation
     head = math.fsum(x ** (-n) for x in range(1, p))
     tail = p ** (1 - n) / (n - 1) + 0.5 * p ** (-n) + (n / 24.0) * (p - 1) ** (-(n + 1))
     return 1.0 / (head + tail)
+
+
+def _check_truncation(truncation: int) -> None:
+    if truncation < 2:
+        raise DomainError("truncation must be >= 2")
+    if truncation > TRUNCATION_MAX:
+        raise DomainError(f"truncation must be <= {TRUNCATION_MAX}")
 
 
 def expected_frequencies(n: float, c: float, xs) -> tuple[float, ...]:

@@ -152,7 +152,7 @@ class AuthorshipMatrix:
     def class_counts(self, year: int | None = None) -> dict[int, int]:
         """Mapping class -> paper count, for one year or pooled over all."""
         if year is None:
-            return {j: self.class_total(j) for j in self.classes}
+            return {j: sum(row) for j, row in zip(self.classes, self.counts)}
         k = self.year_index(year)
         return {j: self.counts[i][k] for i, j in enumerate(self.classes)}
 
@@ -181,30 +181,28 @@ class AuthorshipMatrix:
                                 collapsed=self.collapsed, cap=self.cap)
 
     def collapse(self, cap: int) -> "AuthorshipMatrix":
-        """Fold all classes >= ``cap`` into a single top class."""
+        """Fold all classes >= ``cap`` into a single top class ``cap``.
+
+        Classes below the cap that the matrix lacks become zero rows.
+        This is the one place a cap is checked: outside ``[2, CAP_MAX]``
+        it raises :class:`DomainError`, and above the cap of an already
+        collapsed matrix ``ValueError``.
+        """
         if cap < 2:
-            raise ValueError("cap must be >= 2")
+            raise DomainError("cap must be >= 2")
         if cap > CAP_MAX:
             raise DomainError(f"cap must be <= {CAP_MAX}")
         if self.collapsed and cap > self.cap:
             raise ValueError(
                 f"cannot expand a matrix already collapsed at {self.cap} to {cap}")
-        classes = tuple(range(1, cap + 1))
-        rows = []
-        for j in classes:
-            if j < cap:
-                if j in self.classes:
-                    rows.append(self.counts[self.classes.index(j)])
-                else:
-                    rows.append(tuple(0 for _ in self.years))
-            else:
-                top = [0] * len(self.years)
-                for i, jj in enumerate(self.classes):
-                    if jj >= cap:
-                        for k, c in enumerate(self.counts[i]):
-                            top[k] += c
-                rows.append(tuple(top))
-        return AuthorshipMatrix(classes, self.years, tuple(rows),
+        rows = dict(zip(self.classes, self.counts))
+        zeros = (0,) * len(self.years)
+        top = [0] * len(self.years)
+        for j, row in rows.items():
+            if j >= cap:
+                top = [a + b for a, b in zip(top, row)]
+        counts = tuple(rows.get(j, zeros) for j in range(1, cap)) + (tuple(top),)
+        return AuthorshipMatrix(tuple(range(1, cap + 1)), self.years, counts,
                                 collapsed=True, cap=cap)
 
     def to_csv(self) -> str:

@@ -218,6 +218,36 @@ def test_cap_above_limit_is_domain_error(capsys, tmp_path, wos_file, command):
     assert err.splitlines()[-1] == f"bibmet: domain error: cap must be <= {CAP_MAX}"
 
 
+CAP_COMMANDS = [
+    ("ingest", "--emit", "matrix", "{wos}"), ("collab", "--wos", "{wos}"),
+    ("report", "--wos", "{wos}"), ("collab", "--matrix", "{matrix}"),
+    ("report", "--matrix", "{matrix}"),
+]
+
+
+def _cap_argv(tmp_path, wos_file, command):
+    matrix = tmp_path / "uncollapsed.csv"
+    matrix.write_text("authors,2015,2016\n1,1,0\n2,1,0\n3,0,1\n", encoding="utf-8")
+    return [a.format(wos=wos_file, matrix=matrix) for a in command]
+
+
+@pytest.mark.parametrize("command", CAP_COMMANDS)
+def test_cap_below_two_is_domain_error(capsys, tmp_path, wos_file, command):
+    # checked where the matrix is collapsed, the same way for --wos and --matrix
+    code, out, err = run(capsys, *_cap_argv(tmp_path, wos_file, command), "--cap", "1")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == "bibmet: domain error: cap must be >= 2"
+
+
+@pytest.mark.parametrize("command", CAP_COMMANDS)
+def test_cap_is_not_checked_without_collapsing(capsys, tmp_path, wos_file, command):
+    code, out, _ = run(capsys, *_cap_argv(tmp_path, wos_file, command),
+                       "--no-collapse", "--cap", "1")
+    assert code == 0
+    assert out
+
+
 def test_cap_at_limit_is_accepted(capsys, wos_file):
     code, out, _ = run(capsys, "ingest", "--emit", "matrix", wos_file,
                        "--cap", str(CAP_MAX))
@@ -234,6 +264,20 @@ def test_truncation_above_limit_is_domain_error(capsys, command):
     assert code == 2
     assert out == ""
     assert err == f"bibmet: domain error: truncation must be <= {TRUNCATION_MAX}\n"
+
+
+@pytest.mark.parametrize("flags, single", [
+    (["--truncation", "1"], ["lotka", "--dist", DIST]),
+    (["--alpha", "0.02"], ["ks", "--dist", DIST]),
+    (["--block-split", "0"], ["growth", "--series", SERIES]),
+], ids=["truncation", "alpha", "block-split"])
+def test_report_rejects_a_flag_like_the_single_command(capsys, tmp_path, flags, single):
+    code, _, expected = run(capsys, *single, *flags)
+    assert code == 2
+    # checked before any input is read: a missing file would exit 1
+    missing = str(tmp_path / "missing.csv")
+    code, out, err = run(capsys, "report", "--dist", missing, *flags)
+    assert (code, out, err) == (2, "", expected)
 
 
 def test_truncation_at_limit_is_accepted(capsys):
@@ -310,6 +354,19 @@ def test_report_survives_undefined_sections(capsys, tmp_path):
     names = sorted(p.name for p in out_dir.iterdir())
     assert names == ["authorship.csv", "collab.csv", "productivity.csv",
                      "yearly.csv"]
+
+
+@pytest.mark.parametrize("command, text", [
+    (["collab", "--matrix"], "authors,2015,2016\n1,3,2\n"),
+    (["report", "--matrix"], "authors,2015,2016\n1,3,2\n"),
+    (["report", "--wos"], "PT J\nAU One, A\nPY 2010\nER\nEF\n"),
+], ids=["collab-matrix", "report-matrix", "report-wos"])
+def test_cai_warning_is_printed_once(capsys, tmp_path, command, text):
+    path = tmp_path / "single-author.txt"
+    path.write_text(text, encoding="utf-8")
+    code, _, err = run(capsys, *command, str(path))
+    assert code == 0
+    assert err.count("bibmet: warning: CAI class 'multi' has no papers overall") == 1
 
 
 def test_report_markdown_to_stdout(capsys):

@@ -1,0 +1,280 @@
+"""Byte-for-byte goldens of every ``bibmet`` subcommand.
+
+Each case runs ``bibmet.cli.main`` in a fresh working directory that
+holds the inputs under relative names, so no machine path reaches the
+output.  Its standard output, standard error, exit code and every file
+it writes must equal ``tests/golden/<case>/``: ``stdout``, ``stderr``,
+``exit_code`` and ``files/<path>``.
+
+The synthetic export ``export.txt`` that the ``--wos`` cases read is
+itself a golden: the standard output of the ``synth-corpus`` case.
+
+After an intended change of output, regenerate every case with
+
+    PYTHONPATH=src python tests/test_golden.py --write
+
+and review the diff of ``tests/golden/``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import shlex
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from bibmet import fixtures
+from bibmet.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# small inputs, written into the working directory of every case
+INPUTS = {
+    "corpus.json": (
+        '{"kind": "corpus", "start_year": 2010, "papers_per_year": [6, 9, 12, 16, 22],\n'
+        ' "author_count_dist": {"1": 0.15, "2": 0.25, "3": 0.25, "4": 0.15,'
+        ' "6": 0.1, "12": 0.1},\n'
+        ' "author_pool": 150, "seed": 11}\n'),
+    "powerlaw.json": '{"kind": "productivity", "n0": 2.0, "total_authors": 1000,'
+                     ' "x_max": 20, "seed": 5}\n',
+    "second.txt": "PT J\nAU Author-00001\n   New, B\nPY 2015\nUT WOS:2\nER\nEF\n",
+    "one.txt": "PT J\nAU One, A\nPY 2010\nER\nEF\n",
+    "partial.txt": "PT J\nAU Ok, A\n   Two, B\nPY 2001\nUT WOS:1\nER\n"
+                   "PT J\nPY 2002\nER\nPT J\nAU Ok, A\nPY 2003\nUT WOS:3\nER\nEF\n",
+    "latin1.txt": b"PT J\nAU M\xfcller, A\nPY 2001\nER\nEF\n",
+    "one_year.csv": "year,papers\n2010,5\n",
+    "bad.csv": "wrong,header\n1,2\n",
+    "shallow.csv": "x,y\n1,100\n2,90\n4,80\n8,72\n",
+    "single.csv": "authors,2015,2016\n1,3,2\n",
+    "uncollapsed.csv": "authors,2015,2016\n1,1,0\n2,1,0\n3,0,1\n",
+    "collapsed.csv": "# already collapsed\nauthors,2015,2016\n1,2,1\n2,1,1\n3+,0,2\n",
+    "standard.conf": "convention = standard\nexact-ln2 = true\n",
+    "unknown.conf": "does-not-exist = 1\n",
+}
+
+BUNDLED = {
+    "yearly.csv": fixtures.YEARLY,
+    "authorship.csv": fixtures.AUTHORSHIP,
+    "productivity.csv": fixtures.PRODUCTIVITY,
+    "regression.csv": fixtures.PRODUCTIVITY_REGRESSION,
+}
+
+CSVS = "--series yearly.csv --matrix authorship.csv --dist productivity.csv"
+
+# (case, command line); synth-corpus comes first: it writes export.txt
+CASES = [
+    ("synth-corpus", "synth --spec corpus.json"),
+    ("synth-corpus-yearly", "synth --spec corpus.json --emit yearly"),
+    ("synth-corpus-matrix", "synth --spec corpus.json --emit matrix --cap 5"),
+    ("synth-corpus-matrix-no-collapse", "synth --spec corpus.json --emit matrix --no-collapse"),
+    ("synth-corpus-distribution", "synth --spec corpus.json --emit distribution"),
+    ("synth-productivity", "synth --spec powerlaw.json"),
+    ("synth-productivity-output", "synth --spec powerlaw.json --output dist.csv"),
+    ("synth-productivity-emit-wos", "synth --spec powerlaw.json --emit wos"),
+    ("synth-missing-spec", "synth --spec nope.json"),
+
+    ("ingest-yearly", "ingest export.txt"),
+    ("ingest-yearly-cap1", "ingest export.txt --cap 1"),
+    ("ingest-matrix", "ingest export.txt --emit matrix"),
+    ("ingest-matrix-cap5", "ingest export.txt --emit matrix --cap 5"),
+    ("ingest-matrix-no-collapse", "ingest export.txt --emit matrix --no-collapse"),
+    ("ingest-matrix-cap1", "ingest export.txt --emit matrix --cap 1"),
+    ("ingest-matrix-no-collapse-cap1", "ingest export.txt --emit matrix --no-collapse --cap 1"),
+    ("ingest-matrix-cap-above-limit", "ingest export.txt --emit matrix --cap 10001"),
+    ("ingest-distribution", "ingest export.txt --emit distribution"),
+    ("ingest-distribution-output", "ingest export.txt --emit distribution --output dist.csv"),
+    ("ingest-source-comment", "ingest export.txt second.txt --source-comment"),
+    ("ingest-wos", "ingest export.txt second.txt --emit wos"),
+    ("ingest-wos-output", "ingest partial.txt --emit wos --output merged.txt"),
+    ("ingest-wos-strict", "ingest partial.txt --emit wos --strict --output merged.txt"),
+    ("ingest-partial", "ingest partial.txt --emit matrix"),
+    ("ingest-partial-strict", "ingest partial.txt --strict"),
+    ("ingest-duplicate-files", "ingest export.txt export.txt"),
+    ("ingest-missing-file", "ingest nope.txt"),
+    ("ingest-undecodable", "ingest latin1.txt"),
+    ("ingest-no-files", "ingest"),
+
+    ("growth-csv", "growth --series yearly.csv"),
+    ("growth-json", "growth --series yearly.csv --format json"),
+    ("growth-markdown", "growth --series yearly.csv --format markdown"),
+    ("growth-standard-exact-ln2", "growth --series yearly.csv --convention standard --exact-ln2"),
+    ("growth-block-split-2", "growth --series yearly.csv --block-split 2 --format markdown"),
+    ("growth-block-split-0", "growth --series yearly.csv --block-split 0"),
+    ("growth-config", "growth --series yearly.csv --config standard.conf --format json"),
+    ("growth-config-unknown-key", "growth --series yearly.csv --config unknown.conf"),
+    ("growth-config-missing", "growth --series yearly.csv --config nope.conf"),
+    ("growth-output", "growth --series yearly.csv --output growth.csv"),
+    ("growth-wos", "growth --wos export.txt"),
+    ("growth-one-year", "growth --series one_year.csv"),
+    ("growth-malformed", "growth --series bad.csv"),
+    ("growth-missing-file", "growth --series nope.csv"),
+    ("growth-no-input", "growth"),
+    ("growth-unknown-flag", "growth --bogus"),
+
+    ("collab-csv", "collab --matrix authorship.csv"),
+    ("collab-json", "collab --matrix authorship.csv --format json"),
+    ("collab-markdown", "collab --matrix authorship.csv --format markdown"),
+    ("collab-cap5", "collab --matrix authorship.csv --cap 5"),
+    ("collab-no-collapse", "collab --matrix authorship.csv --no-collapse"),
+    ("collab-partition-team", "collab --matrix authorship.csv --partition team --format json"),
+    ("collab-collapsed", "collab --matrix collapsed.csv --format markdown"),
+    ("collab-collapsed-cap1", "collab --matrix collapsed.csv --cap 1"),
+    ("collab-wos-csv", "collab --wos export.txt"),
+    ("collab-wos-json", "collab --wos export.txt --format json --partition team"),
+    ("collab-wos-no-collapse", "collab --wos export.txt --no-collapse --format markdown"),
+    ("collab-matrix-cap1", "collab --matrix uncollapsed.csv --cap 1"),
+    ("collab-wos-cap1", "collab --wos export.txt --cap 1"),
+    ("collab-matrix-no-collapse-cap1", "collab --matrix uncollapsed.csv --no-collapse --cap 1"),
+    ("collab-wos-no-collapse-cap1", "collab --wos export.txt --no-collapse --cap 1"),
+    ("collab-matrix-cap-limit", "collab --matrix uncollapsed.csv --cap 10000"),
+    ("collab-matrix-cap-above-limit", "collab --matrix uncollapsed.csv --cap 10001"),
+    ("collab-wos-cap-above-limit", "collab --wos export.txt --cap 10001"),
+    ("collab-single-author", "collab --matrix single.csv"),
+    ("collab-single-author-team", "collab --matrix single.csv --partition team"),
+    ("collab-no-input", "collab"),
+
+    ("lotka-regression", "lotka --dist regression.csv"),
+    ("lotka-fit", "lotka --dist regression.csv --fit"),
+    ("lotka-counted", "lotka --dist productivity.csv"),
+    ("lotka-exclude-top", "lotka --dist productivity.csv --exclude-top"),
+    ("lotka-truncation-50", "lotka --dist productivity.csv --truncation 50"),
+    ("lotka-truncation-1", "lotka --dist productivity.csv --truncation 1"),
+    ("lotka-truncation-above-limit", "lotka --dist productivity.csv --truncation 1000001"),
+    ("lotka-output", "lotka --dist regression.csv --output lotka.json"),
+    ("lotka-wos", "lotka --wos export.txt"),
+    ("lotka-shallow", "lotka --dist shallow.csv"),
+    ("lotka-no-input", "lotka"),
+
+    ("ks-fitted", "ks --dist productivity.csv"),
+    ("ks-explicit-paper", "ks --dist productivity.csv --n 1.96913 --c 0.5974 --ks-mode paper"),
+    ("ks-fitted-paper", "ks --dist productivity.csv --ks-mode paper"),
+    ("ks-alpha-0.05", "ks --dist productivity.csv --alpha 0.05"),
+    ("ks-alpha-0.02", "ks --dist productivity.csv --alpha 0.02"),
+    ("ks-exclude-top-truncation", "ks --dist regression.csv --exclude-top --truncation 30"),
+    ("ks-truncation-1", "ks --dist productivity.csv --truncation 1"),
+    ("ks-output", "ks --dist productivity.csv --output ks.csv"),
+    ("ks-wos", "ks --wos export.txt"),
+    ("ks-n-only", "ks --dist productivity.csv --n 2.0"),
+    ("ks-no-input", "ks"),
+
+    ("report-csvs-markdown", f"report {CSVS}"),
+    ("report-csvs-out-dir", f"report {CSVS} --out-dir out"),
+    ("report-series-only", "report --series yearly.csv"),
+    ("report-wos-markdown", "report --wos export.txt"),
+    ("report-wos-out-dir", "report --wos export.txt --out-dir out"),
+    ("report-wos-flags", "report --wos export.txt --convention standard --block-split 2"
+                         " --partition team --no-collapse --ks-mode paper --exclude-top"
+                         " --truncation 30 --out-dir out"),
+    ("report-wos-and-dist", "report --wos export.txt --dist regression.csv --alpha 0.05"),
+    ("report-two-files", "report --wos export.txt second.txt --out-dir out"),
+    ("report-one-record", "report --wos one.txt"),
+    ("report-one-record-out-dir", "report --wos one.txt --out-dir out"),
+    ("report-single-author", "report --matrix single.csv"),
+    ("report-partial", "report --wos partial.txt"),
+    ("report-partial-strict", "report --wos partial.txt --strict"),
+    ("report-duplicate-files", "report --wos export.txt export.txt"),
+    ("report-truncation-1", "report --dist productivity.csv --truncation 1"),
+    ("report-truncation-above-limit", "report --dist productivity.csv --truncation 1000001"),
+    ("report-alpha-0.02", "report --dist productivity.csv --alpha 0.02"),
+    ("report-block-split-0", "report --series yearly.csv --block-split 0"),
+    ("report-matrix-cap1", "report --matrix uncollapsed.csv --cap 1"),
+    ("report-wos-cap1", "report --wos export.txt --cap 1"),
+    ("report-matrix-no-collapse-cap1", "report --matrix uncollapsed.csv --no-collapse --cap 1"),
+    ("report-wos-no-collapse-cap1", "report --wos export.txt --no-collapse --cap 1"),
+    ("report-matrix-cap-above-limit", "report --matrix uncollapsed.csv --cap 10001"),
+    ("report-no-inputs", "report"),
+
+    ("no-arguments", ""),
+    ("version", "--version"),
+]
+
+
+def _write_inputs(workdir: Path) -> None:
+    for name, content in INPUTS.items():
+        if isinstance(content, bytes):
+            (workdir / name).write_bytes(content)
+        else:
+            (workdir / name).write_text(content, encoding="utf-8")
+    for name, fixture in BUNDLED.items():
+        shutil.copyfile(fixtures.fixture_path(fixture), workdir / name)
+    export = GOLDEN / "synth-corpus" / "stdout"
+    if export.exists():
+        shutil.copyfile(export, workdir / "export.txt")
+
+
+def run_case(command: str) -> dict[str, bytes]:
+    """Run ``bibmet <command>`` in a fresh directory; every output by golden file name."""
+    inputs = {*INPUTS, *BUNDLED, "export.txt"}
+    out, err = io.StringIO(), io.StringIO()
+    cwd, columns = os.getcwd(), os.environ.get("COLUMNS")
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        _write_inputs(workdir)
+        os.chdir(workdir)
+        os.environ["COLUMNS"] = "80"  # argparse wraps usage lines at the terminal width
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(shlex.split(command))
+        finally:
+            os.chdir(cwd)
+            if columns is None:
+                del os.environ["COLUMNS"]
+            else:
+                os.environ["COLUMNS"] = columns
+        result = {
+            "exit_code": f"{code}\n".encode(),
+            "stdout": out.getvalue().encode("utf-8"),
+            "stderr": err.getvalue().encode("utf-8"),
+        }
+        for path in sorted(workdir.rglob("*")):
+            name = path.relative_to(workdir).as_posix()
+            if path.is_file() and name not in inputs:
+                result[f"files/{name}"] = path.read_bytes()
+    return result
+
+
+def _golden(case: str) -> dict[str, bytes]:
+    root = GOLDEN / case
+    return {path.relative_to(root).as_posix(): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.parametrize("case, command", CASES, ids=[case for case, _ in CASES])
+def test_golden(case, command):
+    expected = _golden(case)
+    assert expected, f"no golden for {case}; run this file with --write"
+    actual = run_case(command)
+    assert sorted(actual) == sorted(expected)
+    for name in expected:
+        # text first, for a readable diff; bytes decide
+        assert actual[name].decode("utf-8", "replace") == expected[name].decode("utf-8", "replace"), name
+        assert actual[name] == expected[name], name
+
+
+def test_case_names_are_unique():
+    assert len({case for case, _ in CASES}) == len(CASES)
+
+
+def _write_all() -> None:
+    for case, command in CASES:
+        root = GOLDEN / case
+        shutil.rmtree(root, ignore_errors=True)
+        for name, data in run_case(command).items():
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / name).write_bytes(data)
+    known = {case for case, _ in CASES}
+    for stale in GOLDEN.iterdir():
+        if stale.is_dir() and stale.name not in known:
+            shutil.rmtree(stale)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_golden.py --write")
+    _write_all()
