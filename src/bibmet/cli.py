@@ -50,6 +50,10 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def _get_formatter(self):
+        # the width COLUMNS=80 gives: usage and help text must not depend on the terminal
+        return self.formatter_class(prog=self.prog, width=78)
+
     def error(self, message):
         raise _UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
@@ -378,32 +382,24 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
+def _render(report: GrowthReport | CollabReport, fmt: str) -> str:
+    """A growth or collaboration report as ``--format`` text."""
+    if fmt == "csv":
+        return report.to_csv()
+    if fmt == "markdown":
+        return report.to_markdown()
+    return json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True) + "\n"
+
+
 def _cmd_growth(args) -> int:
     report = _growth(args, _series(args))
-    if args.format == "csv":
-        text = report.to_csv()
-    elif args.format == "markdown":
-        text = report.to_markdown()
-    else:
-        text = json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True) + "\n"
-    _emit(text, args.output)
+    _emit(_render(report, args.format), args.output)
     return 0
 
 
 def _cmd_collab(args) -> int:
     report = _collab(args, _matrix(args))
-    if args.format == "csv":
-        text = report.to_csv()
-    elif args.format == "markdown":
-        text = report.to_markdown()
-    else:
-        payload = {
-            "rows": [dataclasses.asdict(r) for r in report.rows],
-            "total": dataclasses.asdict(report.total),
-            "class_summary": [dataclasses.asdict(s) for s in report.class_summary],
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    _emit(text, args.output)
+    _emit(_render(report, args.format), args.output)
     return 0
 
 
@@ -454,26 +450,13 @@ def _cmd_report(args) -> int:
     if args.out_dir:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        written = []
-
-        def write(name, text):
+        tables = [("yearly.csv", series), ("growth.csv", growth_report),
+                  ("authorship.csv", matrix), ("collab.csv", collab_report),
+                  ("productivity.csv", dist), ("lotka.json", fit), ("ks.csv", ks_report)]
+        written = [(name, table) for name, table in tables if table is not None]
+        for name, table in written:
+            text = table.to_json() if name.endswith(".json") else table.to_csv()
             (out / name).write_text(text, encoding="utf-8")
-            written.append(name)
-
-        if series is not None:
-            write("yearly.csv", series.to_csv())
-        if growth_report is not None:
-            write("growth.csv", growth_report.to_csv())
-        if matrix is not None:
-            write("authorship.csv", matrix.to_csv())
-        if collab_report is not None:
-            write("collab.csv", collab_report.to_csv())
-        if dist is not None:
-            write("productivity.csv", dist.to_csv())
-        if fit is not None:
-            write("lotka.json", fit.to_json())
-        if ks_report is not None:
-            write("ks.csv", ks_report.to_csv())
         print(f"bibmet: wrote {len(written)} file(s) to {out}", file=sys.stderr)
         return 0
 

@@ -163,7 +163,6 @@ class CollabReport:
     rows: tuple[CollabRow, ...]
     total: CollabRow
     class_summary: tuple[ClassSummary, ...]
-    partition: ClassPartition = MULTI_VS_SINGLE
 
     def row(self, year: int) -> CollabRow:
         for r in self.rows:
@@ -257,4 +256,4 @@ def authorship_pattern_report(matrix: AuthorshipMatrix,
         for j, papers in pooled.items()
     )
     return CollabReport(rows=tuple(rows), total=total,
-                        class_summary=summary, partition=partition)
+                        class_summary=summary)

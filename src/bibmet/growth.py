@@ -223,7 +223,7 @@ def default_blocks(n_values: int, first: int = 4) -> tuple[tuple[int, int], ...]
 
 def _check_block_split(block_split: int) -> None:
     if block_split < 1:
-        raise DomainError("empty block")
+        raise DomainError("block split must be >= 1")
 
 
 def build_growth_report(series: YearlySeries, convention: str = "paper",

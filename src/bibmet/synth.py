@@ -21,6 +21,9 @@ from .corpus import Corpus, PublicationRecord
 from .errors import DomainError
 from .tables import ProductivityDistribution
 
+#: Largest ``x_max`` of a power-law spec: sampling allocates that many weights.
+X_MAX_LIMIT = 10**6
+
 
 @dataclass(frozen=True)
 class PowerLawSpec:
@@ -36,6 +39,8 @@ class PowerLawSpec:
             raise DomainError(f"power-law exponent must be > 1, got {self.n0}")
         if self.x_max < 2:
             raise DomainError("x_max must be >= 2")
+        if self.x_max > X_MAX_LIMIT:
+            raise DomainError(f"x_max must be <= {X_MAX_LIMIT}")
         if self.total_authors < 1:
             raise DomainError("total_authors must be >= 1")
         if not 0 <= int(self.seed) < 2 ** 64:

@@ -1,10 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from bibmet import fixtures
 from bibmet.cli import main
 from bibmet.lotka import TRUNCATION_MAX
+from bibmet.synth import X_MAX_LIMIT
 from bibmet.tables import CAP_MAX, parse_counts_csv
 
 
@@ -40,6 +42,14 @@ def test_unknown_flag_is_usage_error(capsys):
     code, _, err = run(capsys, "growth", "--bogus")
     assert code == 64
     assert "usage" in err
+
+
+@pytest.mark.parametrize("columns", ["40", "200"])
+def test_usage_text_does_not_depend_on_terminal_width(capsys, monkeypatch, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    code, out, err = run(capsys, "ingest")
+    golden = Path(__file__).parent / "golden" / "ingest-no-files" / "stderr"
+    assert (code, out, err) == (64, "", golden.read_text(encoding="utf-8"))
 
 
 def test_report_without_inputs_is_usage_error(capsys):
@@ -304,6 +314,16 @@ def test_synth_productivity(capsys, tmp_path):
     assert code == 0
     dist = parse_counts_csv(out, "distribution")
     assert dist.total_authors == 1000
+
+
+def test_synth_x_max_above_limit_is_domain_error(capsys, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "productivity", "n0": 2.0, "total_authors": 10,
+                                "x_max": X_MAX_LIMIT + 1, "seed": 5}),
+                    encoding="utf-8")
+    code, out, err = run(capsys, "synth", "--spec", str(spec))
+    assert (code, out) == (2, "")
+    assert err == f"bibmet: domain error: x_max must be <= {X_MAX_LIMIT}\n"
 
 
 def test_synth_corpus_roundtrips_through_ingest(capsys, tmp_path):

@@ -6,6 +6,7 @@ from bibmet.corpus import build_authorship_matrix, build_yearly_series
 from bibmet.errors import DomainError
 from bibmet.lotka import fit_lotka_least_squares
 from bibmet.synth import (
+    X_MAX_LIMIT,
     CorpusSpec,
     PowerLawSpec,
     sample_corpus,
@@ -62,6 +63,16 @@ def test_spec_validation():
         PowerLawSpec(2.0, 100, 1, 0)
     with pytest.raises(DomainError):
         PowerLawSpec(2.0, 0, 10, 0)
+
+
+def test_x_max_above_limit_is_rejected():
+    with pytest.raises(DomainError, match=f"x_max must be <= {X_MAX_LIMIT}"):
+        PowerLawSpec(2.0, 100, X_MAX_LIMIT + 1, 0)
+
+
+def test_x_max_at_limit_constructs():
+    # construction only: sampling would allocate X_MAX_LIMIT weights
+    assert PowerLawSpec(2.0, 100, X_MAX_LIMIT, 0).x_max == X_MAX_LIMIT
 
 
 # ---------------------------------------------------------------------------
