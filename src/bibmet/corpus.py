@@ -7,7 +7,7 @@ No attempt is made to disambiguate author names across records: a paper
 with j authors contributes j author slots, and the same name string on
 two papers counts as one author with two papers.
 
-:class:`CountTables` folds papers one at a time into the two counts that
+:class:`CountTables` folds papers a batch at a time into the two counts that
 the yearly series, the authorship matrix and the productivity
 distribution are built from, so records need not be kept to tabulate.
 """
@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
+from typing import Iterable
 
 from .errors import DomainError
 from .tables import AuthorshipMatrix, ProductivityDistribution, YearlySeries
@@ -93,7 +94,7 @@ def _check_unique_ids(ids: list[str]) -> None:
 
 
 class CountTables:
-    """Papers per (author count, year) and per author name, folded one paper at a time.
+    """Papers per (author count, year) and per author name, folded in batches of papers.
 
     These two counts determine the yearly series, the authorship matrix
     and the productivity distribution.  ``record_ids`` keeps each paper's
@@ -110,15 +111,20 @@ class CountTables:
     @classmethod
     def from_corpus(cls, corpus: Corpus) -> "CountTables":
         counts = cls()
-        for r in corpus.records:
-            counts.add(r.id, r.year, r.authors)
+        counts.add((r.id, r.year, r.authors) for r in corpus.records)
         return counts
 
-    def add(self, record_id: str, year: int, authors: tuple[str, ...]) -> None:
-        """Count one paper; ``authors`` are its distinct, non-empty names."""
-        self.record_ids.append(record_id)
-        self.cells[len(authors), year] += 1
-        self.papers_by_author.update(authors)
+    def add(self, papers: Iterable[tuple[str, int, tuple[str, ...]]]) -> None:
+        """Count papers given as (id, year, distinct non-empty names).
+
+        The names of all of them go into ``papers_by_author`` in one update.
+        """
+        names: list[str] = []
+        for record_id, year, authors in papers:
+            self.record_ids.append(record_id)
+            self.cells[len(authors), year] += 1
+            names += authors
+        self.papers_by_author.update(names)
 
     def check_unique_ids(self) -> None:
         """Raise ``ValueError`` naming the first id added more than once."""

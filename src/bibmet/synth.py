@@ -6,7 +6,8 @@ sample a corpus with known authorship-class probabilities and check the
 downstream metrics.  Randomness comes from numpy's PCG64
 (``numpy.random.default_rng``); the generator algorithm is part of the
 contract, so a given seed produces byte-identical output on every
-platform and release.
+platform and release.  numpy is imported inside the two samplers only,
+so that importing bibmet, and every run that samples nothing, skips it.
 """
 
 from __future__ import annotations
@@ -15,14 +16,17 @@ import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .corpus import Corpus, PublicationRecord
 from .errors import DomainError
 from .tables import ProductivityDistribution
 
 #: Largest ``x_max`` of a power-law spec: sampling allocates that many weights.
 X_MAX_LIMIT = 10**6
+#: Largest ``author_pool`` of a corpus spec.
+AUTHOR_POOL_LIMIT = 10**6
+#: Largest number of author names a corpus spec can ask for: its papers
+#: times its largest team size.  Sampling builds every name in memory.
+AUTHOR_SLOTS_LIMIT = 5 * 10**6
 
 
 @dataclass(frozen=True)
@@ -57,6 +61,15 @@ class CorpusSpec:
     seed: int
     author_pool: int = 10000
 
+    def __post_init__(self):
+        if self.author_pool > AUTHOR_POOL_LIMIT:
+            raise DomainError(f"author_pool must be <= {AUTHOR_POOL_LIMIT}")
+        papers = sum(p for p in self.papers_per_year if p > 0)
+        largest = max((j for j, _ in self.author_count_dist), default=0)
+        if papers * largest > AUTHOR_SLOTS_LIMIT:
+            raise DomainError(f"papers times the largest team size must be <= "
+                              f"{AUTHOR_SLOTS_LIMIT}, got {papers} x {largest}")
+
 
 def sample_productivity(spec: PowerLawSpec) -> ProductivityDistribution:
     """Draw authors with productivity x proportional to x^(-n0), x in [1, x_max].
@@ -64,6 +77,8 @@ def sample_productivity(spec: PowerLawSpec) -> ProductivityDistribution:
     The counts are a multinomial draw, so they sum to ``total_authors``
     exactly; zero-count productivities are omitted from the result.
     """
+    import numpy as np
+
     xs = np.arange(1, spec.x_max + 1)
     weights = xs.astype(float) ** (-spec.n0)
     probs = weights / weights.sum()
@@ -97,6 +112,8 @@ def sample_corpus(years: Sequence[int], papers_per_year: Sequence[int],
         raise DomainError(f"class probabilities sum to {sum(probs)}, expected 1")
     if author_pool < max(classes):
         raise DomainError("author pool smaller than the largest team size")
+
+    import numpy as np
 
     rng = np.random.default_rng(seed)
     records = []

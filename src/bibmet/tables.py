@@ -304,7 +304,12 @@ def split_lines(text: str) -> list[str]:
     separators stay inside their line.  A final line end is followed by
     one empty line.
     """
-    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return normalize_line_ends(text).split("\n")
+
+
+def normalize_line_ends(text: str) -> str:
+    """``text`` with every ``\\r\\n`` and ``\\r`` line end written as ``\\n``."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _rows(text: str) -> Iterator[tuple[int, list[str]]]:

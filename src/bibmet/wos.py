@@ -19,14 +19,23 @@ id) are interpreted; everything else is carried past.  Blocks missing a
 usable ``AU`` or ``PY`` are skipped and tallied rather than aborting the
 whole file, so one mangled export block cannot kill a batch run.
 
-One block scanner, :func:`scan_wos_export`, reads an export line by line
-and keeps only the ``AU``/``PY``/``UT`` values of the block in hand.  The
-analysis commands fold its blocks straight into
+One block scanner, :func:`scan_wos_export`, reads an export file
+``CHUNK_CHARS`` characters at a time, cuts the text after the last ``ER``
+line read and carries the rest into the next chunk (text that reaches
+``RUN_CHARS_MAX`` characters without an ``ER`` line is cut after its
+last line end instead).  Between blocks it first tries one regular
+expression for the block that :func:`write_wos_export` writes (``PT J``,
+``AU`` with three-space continuations, a four-digit ``PY``, ``UT``,
+``ER``, every value already stripped), which reads the whole block with
+no work per line.  Every other block goes through the line-by-line
+rules, which keep only the ``AU``/``PY``/``UT`` values of the block in
+hand; both give the same blocks, line numbers and ids.  The analysis
+commands fold its blocks straight into
 :class:`~bibmet.corpus.CountTables` (:func:`count_wos_file`), so their
-memory grows with the number of distinct authors, not with the size of
-the file.  ``bibmet ingest --emit wos`` renders each kept block straight
-back into export text (:func:`render_wos_file`), in the one record
-format that :func:`write_wos_export` also writes.  Only
+memory is bounded by a few chunks plus the distinct authors, not by the
+size of the file.  ``bibmet ingest --emit wos`` renders each kept block
+straight back into export text (:func:`render_wos_file`), in the one
+record format that :func:`write_wos_export` also writes.  Only
 :func:`parse_wos_export` and :func:`parse_wos_file` build one
 :class:`~bibmet.corpus.PublicationRecord` per block.
 """
@@ -36,17 +45,37 @@ from __future__ import annotations
 import contextlib
 import functools
 import io
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO, Union
 
 from .corpus import YEAR_MAX, YEAR_MIN, Corpus, CountTables, PublicationRecord
 from .errors import EmptyCorpusError
-from .tables import split_lines
+from .tables import normalize_line_ends
 
 _CONTINUATION = "   "
 
 RECORD_END = "ER"
 FILE_END = "EF"
+
+#: Characters read from an export file at a time.
+CHUNK_CHARS = 128 * 1024
+#: Characters carried without an ER line before they are scanned anyway.
+RUN_CHARS_MAX = 1024 * 1024
+# kept blocks that count_wos_file hands to CountTables.add at once, about
+# a chunk's worth of write_wos_export records
+_PAPERS_PER_FOLD = 1024
+
+# the record block that write_wos_export writes, after any blank lines.
+# Each value starts and ends with a non-space, so it equals its own strip()
+# and no line needs a look; its line end follows [^\n]* directly, so that
+# a block of another shape fails without retrying shorter values.
+_VALUE = r"\S[^\n]*"
+_VALUE_END = r"\n(?<!\s\n)"
+_CANONICAL_BLOCK = re.compile(
+    rf"(\n*)PT J\nAU ({_VALUE}{_VALUE_END}(?:{_CONTINUATION}{_VALUE}{_VALUE_END})*)"
+    rf"PY ([0-9]{{4}})\nUT ({_VALUE}){_VALUE_END}{RECORD_END}\n")
+_ER_LINE = "\n" + RECORD_END + "\n"
 
 
 @dataclass(frozen=True)
@@ -59,11 +88,12 @@ class WosParseResult:
 
 
 def scan_wos_export(
-        lines: Iterable[str]) -> Iterator[tuple[int, int | None, tuple[str, ...], str | None]]:
+        chunks: Iterable[str]) -> Iterator[tuple[int, int | None, tuple[str, ...], str | None]]:
     """Scan one export block by block.
 
-    ``lines`` yields the export's lines, with or without their ``\\n``
-    (an open file in universal-newline mode, or :func:`split_lines`).  Each
+    ``chunks`` yields the export's text in pieces of any size, with every
+    line end already written as ``\\n`` (an open file in universal-newline
+    mode read by :func:`_read_chunks`, or a whole normalized text).  Each
     block with at least one ``AU`` value and a parseable ``PY`` year
     yields its start line, year, authors (stripped, empty names dropped,
     first occurrence of a repeated name kept) and record id: the ``UT``
@@ -73,9 +103,16 @@ def scan_wos_export(
     ``(start, None, (), None)``.  Raises :class:`EmptyCorpusError` after
     the last block if none parsed, naming the first malformed block's
     line number when there is one.
+
+    Between blocks, one regular expression tries the block shape that
+    :func:`write_wos_export` writes; a match is the whole block, read with
+    no work per line.  Every other block goes through the line-by-line
+    rules, one run of lines up to the next ``ER`` line at a time.
     """
     tag_of = _tag_prefixes().get
-    lines = iter(lines)
+    match = _CANONICAL_BLOCK.match
+    next_name = "\n" + _CONTINUATION  # between two AU values of a matched block
+    chunks = iter(chunks)
     seen: set[str] = set()
     synthetic = 0
     first_skip: int | None = None
@@ -85,52 +122,78 @@ def scan_wos_export(
     kept = {"AU": au, "PY": py, "UT": ut}
     current: list[str] | None = None  # values that continuation lines extend
     start: int | None = None
+    lineno = 0  # lines before the current position
+    at_end = False
 
-    for lineno, raw in enumerate(lines, start=1):
-        tag = tag_of(raw[:3])
-        if tag is None:
-            # a continuation line or stray unindented text extends the
-            # current field; a blank line ends it
-            value = raw.strip()
-            if not value:
-                current = None
-            elif current is not None:
-                current.append(value)
-            continue
-        if tag == RECORD_END:
-            if start is not None:
-                authors = tuple(dict.fromkeys(filter(None, au)))
-                year = _parse_year(py)
-                if not authors or year is None:
-                    if first_skip is None:
-                        first_skip = start
-                    yield start, None, (), None
-                else:
-                    rid = next(filter(None, ut), None)
-                    if rid is None or rid in seen:
-                        synthetic += 1
-                        rid = f"rec{synthetic:06d}"
-                        while rid in seen:
-                            synthetic += 1
-                            rid = f"rec{synthetic:06d}"
-                    seen.add(rid)
-                    yield start, year, authors, rid
-            au.clear()
-            py.clear()
-            ut.clear()
-            current = start = None
-            continue
-        if tag == FILE_END:
+    def record_id(value: str | None) -> str:
+        nonlocal synthetic
+        if value is None or value in seen:
+            synthetic += 1
+            value = f"rec{synthetic:06d}"
+            while value in seen:
+                synthetic += 1
+                value = f"rec{synthetic:06d}"
+        seen.add(value)
+        return value
+
+    for text in _runs_of_lines(chunks):
+        pos = 0
+        while pos < len(text) and not at_end:
+            if start is None:
+                block = match(text, pos)
+                if block is not None and YEAR_MIN <= (year := int(block[3])) <= YEAR_MAX:
+                    end = block.end()
+                    authors = tuple(dict.fromkeys(block[2][:-1].split(next_name)))
+                    yield lineno + len(block[1]) + 1, year, authors, record_id(block[4])
+                    lineno += text.count("\n", pos, end)
+                    pos = end
+                    continue
+            stop = text.find(_ER_LINE, pos)
+            stop = len(text) if stop < 0 else stop + len(_ER_LINE)
+            lines = text[pos:stop].split("\n")
+            if not lines[-1]:
+                lines.pop()  # the run ended at a line end, not before one more line
+            pos = stop
+            for lineno, raw in enumerate(lines, start=lineno + 1):
+                tag = tag_of(raw[:3])
+                if tag is None:
+                    # a continuation line or stray unindented text extends the
+                    # current field; a blank line ends it
+                    value = raw.strip()
+                    if not value:
+                        current = None
+                    elif current is not None:
+                        current.append(value)
+                    continue
+                if tag == RECORD_END:
+                    if start is not None:
+                        authors = tuple(dict.fromkeys(filter(None, au)))
+                        year = _parse_year(py)
+                        if not authors or year is None:
+                            if first_skip is None:
+                                first_skip = start
+                            yield start, None, (), None
+                        else:
+                            yield start, year, authors, record_id(next(filter(None, ut), None))
+                    au.clear()
+                    py.clear()
+                    ut.clear()
+                    current = start = None
+                    continue
+                if tag == FILE_END:
+                    at_end = True
+                    break
+                if start is None:
+                    start = lineno
+                current = kept.get(tag)
+                if current is not None:
+                    current.append(raw[3:].strip())
+        if at_end:
             # read on to the end, so that undecodable bytes after EF are
             # still reported as they are when the whole file is read
-            for _ in lines:
+            for _ in chunks:
                 pass
             break
-        if start is None:
-            start = lineno
-        current = kept.get(tag)
-        if current is not None:
-            current.append(raw[3:].strip())
 
     if start is not None:
         # trailing block without an ER terminator is malformed
@@ -145,6 +208,37 @@ def scan_wos_export(
         raise EmptyCorpusError("no records found in input")
 
 
+def _runs_of_lines(chunks: Iterator[str]) -> Iterator[str]:
+    """The text of ``chunks`` again, cut after the last ``ER`` line read so far.
+
+    Text is carried into the next chunk until an ``ER`` line ends it, so a
+    block is never split between runs.  Text that reaches
+    ``RUN_CHARS_MAX`` without an ``ER`` line is cut after its last line
+    end instead, so an export without them is still read a bounded piece
+    at a time.  Every run but the last ends at a line end.
+    """
+    tail: list[str] = []
+    size = 0
+    for chunk in chunks:
+        tail.append(chunk)
+        size += len(chunk)
+        if "\n" not in chunk:
+            continue  # no ER line or line end ends in this chunk
+        text = "".join(tail)
+        cut = text.rfind(_ER_LINE) + len(_ER_LINE)
+        if cut < len(_ER_LINE):
+            if size < RUN_CHARS_MAX:
+                tail = [text]
+                continue
+            cut = text.rfind("\n") + 1
+        yield text[:cut]
+        tail = [text[cut:]]
+        size = len(tail[0])
+    text = "".join(tail)
+    if text:
+        yield text
+
+
 def parse_wos_export(source: Union[str, TextIO], provenance: str = "") -> WosParseResult:
     """Parse a tagged export into a corpus.
 
@@ -154,28 +248,34 @@ def parse_wos_export(source: Union[str, TextIO], provenance: str = "") -> WosPar
     nothing parses.
     """
     text = source.read() if hasattr(source, "read") else source
-    return _parse_lines(split_lines(text), provenance)
+    return _parse_blocks([normalize_line_ends(text)], provenance)
 
 
 def parse_wos_file(path, provenance: str | None = None) -> WosParseResult:
     """Parse a tagged export file (UTF-8)."""
     with _open_export(path) as fh:
-        return _parse_lines(fh, provenance if provenance is not None else str(path))
+        return _parse_blocks(_read_chunks(fh), provenance if provenance is not None else str(path))
 
 
 def count_wos_file(path, counts: CountTables) -> None:
     """Fold the blocks of a tagged export file (UTF-8) into ``counts``.
 
-    Builds no records: kept blocks go to :meth:`CountTables.add` and
-    skipped blocks' start lines to ``counts.skipped_lines``.  Raises
-    :class:`EmptyCorpusError` if nothing in the file parses.
+    Builds no records: kept blocks go to :meth:`CountTables.add`, one
+    batch of about a chunk's worth at a time, and skipped blocks' start
+    lines to ``counts.skipped_lines``.  Raises :class:`EmptyCorpusError`
+    if nothing in the file parses.
     """
+    papers: list[tuple[str, int, tuple[str, ...]]] = []
     with _open_export(path) as fh:
-        for line, year, authors, rid in scan_wos_export(fh):
+        for line, year, authors, rid in scan_wos_export(_read_chunks(fh)):
             if year is None:
                 counts.skipped_lines.append(line)
-            else:
-                counts.add(rid, year, authors)
+                continue
+            papers.append((rid, year, authors))
+            if len(papers) == _PAPERS_PER_FOLD:
+                counts.add(papers)
+                papers.clear()
+    counts.add(papers)
 
 
 def render_wos_file(path, blocks: list[str], record_ids: list[str]) -> int:
@@ -188,7 +288,7 @@ def render_wos_file(path, blocks: list[str], record_ids: list[str]) -> int:
     """
     skipped = 0
     with _open_export(path) as fh:
-        for _, year, authors, rid in scan_wos_export(fh):
+        for _, year, authors, rid in scan_wos_export(_read_chunks(fh)):
             if year is None:
                 skipped += 1
             else:
@@ -197,10 +297,10 @@ def render_wos_file(path, blocks: list[str], record_ids: list[str]) -> int:
     return skipped
 
 
-def _parse_lines(lines: Iterable[str], provenance: str) -> WosParseResult:
+def _parse_blocks(chunks: Iterable[str], provenance: str) -> WosParseResult:
     records: list[PublicationRecord] = []
     skipped_lines: list[int] = []
-    for line, year, authors, rid in scan_wos_export(lines):
+    for line, year, authors, rid in scan_wos_export(chunks):
         if year is None:
             skipped_lines.append(line)
         else:
@@ -222,7 +322,11 @@ def _tag_prefixes() -> dict[str, str]:
     """
     upper = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
     tags = [a + b for a in upper for b in upper + "0123456789"]
-    return {tag + end: tag for tag in tags for end in (" ", "\n", "")}
+    return {tag + end: tag for tag in tags for end in (" ", "")}
+
+
+def _read_chunks(fh: TextIO) -> Iterator[str]:
+    return iter(functools.partial(fh.read, CHUNK_CHARS), "")
 
 
 @contextlib.contextmanager

@@ -6,7 +6,7 @@ import pytest
 from bibmet import fixtures
 from bibmet.cli import main
 from bibmet.lotka import TRUNCATION_MAX
-from bibmet.synth import X_MAX_LIMIT
+from bibmet.synth import AUTHOR_POOL_LIMIT, AUTHOR_SLOTS_LIMIT, X_MAX_LIMIT
 from bibmet.tables import CAP_MAX, parse_counts_csv
 
 
@@ -324,6 +324,21 @@ def test_synth_x_max_above_limit_is_domain_error(capsys, tmp_path):
     code, out, err = run(capsys, "synth", "--spec", str(spec))
     assert (code, out) == (2, "")
     assert err == f"bibmet: domain error: x_max must be <= {X_MAX_LIMIT}\n"
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("author_pool", AUTHOR_POOL_LIMIT + 1, f"author_pool must be <= {AUTHOR_POOL_LIMIT}"),
+    ("papers_per_year", [AUTHOR_SLOTS_LIMIT // 2 + 1], "papers times the largest team size "
+     f"must be <= {AUTHOR_SLOTS_LIMIT}, got {AUTHOR_SLOTS_LIMIT // 2 + 1} x 2"),
+])
+def test_synth_corpus_spec_above_limit_is_domain_error(capsys, tmp_path, field, value, message):
+    payload = {"kind": "corpus", "start_year": 2010, "papers_per_year": [4],
+               "author_count_dist": {"1": 0.5, "2": 0.5}, "seed": 8}
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**payload, field: value}), encoding="utf-8")
+    code, out, err = run(capsys, "synth", "--spec", str(spec))
+    assert (code, out) == (2, "")
+    assert err == f"bibmet: domain error: {message}\n"
 
 
 def test_synth_corpus_roundtrips_through_ingest(capsys, tmp_path):

@@ -212,21 +212,16 @@ def run_case(command: str) -> dict[str, bytes]:
     """Run ``bibmet <command>`` in a fresh directory; every output by golden file name."""
     inputs = {*INPUTS, *BUNDLED, "export.txt"}
     out, err = io.StringIO(), io.StringIO()
-    cwd, columns = os.getcwd(), os.environ.get("COLUMNS")
+    cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         _write_inputs(workdir)
         os.chdir(workdir)
-        os.environ["COLUMNS"] = "80"  # argparse wraps usage lines at the terminal width
         try:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(shlex.split(command))
         finally:
             os.chdir(cwd)
-            if columns is None:
-                del os.environ["COLUMNS"]
-            else:
-                os.environ["COLUMNS"] = columns
         result = {
             "exit_code": f"{code}\n".encode(),
             "stdout": out.getvalue().encode("utf-8"),

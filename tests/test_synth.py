@@ -1,11 +1,20 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from pytest import approx
+
+import bibmet
 
 from bibmet.collab import collaborative_coefficient, degree_of_collaboration
 from bibmet.corpus import build_authorship_matrix, build_yearly_series
 from bibmet.errors import DomainError
 from bibmet.lotka import fit_lotka_least_squares
 from bibmet.synth import (
+    AUTHOR_POOL_LIMIT,
+    AUTHOR_SLOTS_LIMIT,
     X_MAX_LIMIT,
     CorpusSpec,
     PowerLawSpec,
@@ -17,6 +26,15 @@ from bibmet.synth import (
 from bibmet.wos import parse_wos_export, write_wos_export
 
 TABLE_COUNTS = (331, 477, 487, 583, 769, 862, 1026, 1125, 1332, 1494)
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    # only the samplers import numpy, so a run that samples nothing skips it
+    env = dict(os.environ, PYTHONPATH=str(Path(bibmet.__file__).parents[1]))
+    code = "import sys, bibmet.cli; print(sorted(m for m in sys.modules if m.startswith('numpy')))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def test_same_seed_is_byte_identical():
@@ -73,6 +91,33 @@ def test_x_max_above_limit_is_rejected():
 def test_x_max_at_limit_constructs():
     # construction only: sampling would allocate X_MAX_LIMIT weights
     assert PowerLawSpec(2.0, 100, X_MAX_LIMIT, 0).x_max == X_MAX_LIMIT
+
+
+# corpus specs are constructed only here, never sampled: sampling at the
+# limits builds millions of names
+
+def test_corpus_spec_author_pool_above_limit_is_rejected():
+    with pytest.raises(DomainError, match=f"author_pool must be <= {AUTHOR_POOL_LIMIT}"):
+        CorpusSpec(2000, (10,), ((1, 1.0),), 0, author_pool=AUTHOR_POOL_LIMIT + 1)
+
+
+def test_corpus_spec_author_slots_above_limit_are_rejected():
+    with pytest.raises(DomainError, match=f"must be <= {AUTHOR_SLOTS_LIMIT}, got "
+                                          f"{AUTHOR_SLOTS_LIMIT + 1} x 1"):
+        CorpusSpec(2000, (AUTHOR_SLOTS_LIMIT + 1,), ((1, 1.0),), 0)
+    with pytest.raises(DomainError, match="largest team size"):
+        CorpusSpec(2000, (AUTHOR_SLOTS_LIMIT // 50, 1), ((1, 0.99), (50, 0.01)), 0)
+    with pytest.raises(DomainError, match="largest team size"):
+        # a negative year does not offset the papers of the others
+        CorpusSpec(2000, (AUTHOR_SLOTS_LIMIT + 1, -AUTHOR_SLOTS_LIMIT), ((1, 1.0),), 0)
+
+
+def test_corpus_spec_at_the_limits_constructs():
+    assert CorpusSpec(2000, (AUTHOR_SLOTS_LIMIT,), ((1, 1.0),), 0,
+                      author_pool=AUTHOR_POOL_LIMIT).author_pool == AUTHOR_POOL_LIMIT
+    # the benchmark's shape: 100 000 papers, teams of up to 50 from 300 000 names
+    spec = CorpusSpec(2008, (10_000,) * 10, ((1, 0.5), (50, 0.5)), 0, author_pool=300_000)
+    assert sum(spec.papers_per_year) * 50 <= AUTHOR_SLOTS_LIMIT
 
 
 # ---------------------------------------------------------------------------
