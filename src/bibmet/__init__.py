@@ -56,7 +56,6 @@ from .tables import (
     ProductivityDistribution,
     YearlySeries,
     parse_counts_csv,
-    write_counts_csv,
 )
 from .wos import WosParseResult, parse_wos_export, parse_wos_file, write_wos_export
 
@@ -107,6 +106,5 @@ __all__ = [
     "relative_growth_rate",
     "sample_corpus",
     "sample_productivity",
-    "write_counts_csv",
     "write_wos_export",
 ]

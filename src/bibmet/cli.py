@@ -22,11 +22,12 @@ import dataclasses
 import json
 import sys
 import warnings
+from itertools import chain
 from pathlib import Path
 
 from . import __version__
 from .collab import PARTITIONS, CollabReport, authorship_pattern_report
-from .corpus import CountTables, _check_unique_ids, build_authorship_matrix, build_yearly_series
+from .corpus import CountTables, _check_unique_ids
 from .errors import DomainError, ParseError
 from .growth import GrowthReport, _check_block_split, build_growth_report
 from .lotka import (
@@ -37,12 +38,15 @@ from .lotka import (
     fit_lotka_least_squares,
     ks_test,
     lotka_constant,
-    productivity_distribution,
 )
-from .synth import PowerLawSpec, sample_corpus_from_spec, sample_productivity, spec_from_json
+from .synth import PowerLawSpec, sample_productivity, sample_spec_papers, spec_from_json
 from .tables import AuthorshipMatrix, ProductivityDistribution, YearlySeries, split_lines
-from .wos import FILE_END, count_wos_file, render_wos_file, write_wos_export
-from .wos import parse_wos_file  # noqa: F401  (not called; perfbench/spans.py patches it here)
+from .wos import export_text, scan_wos_file
+
+# not called: perfbench/spans.py patches these names here (see ROADMAP item 3)
+from .corpus import build_authorship_matrix, build_yearly_series  # noqa: F401
+from .lotka import productivity_distribution  # noqa: F401
+from .wos import parse_wos_file, write_wos_export  # noqa: F401
 
 
 class _UsageError(Exception):
@@ -195,8 +199,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("lotka", help="least-squares power-law fit of author productivity")
     p.add_argument("--dist", metavar="CSV", help="productivity distribution (x,y)")
     p.add_argument("--wos", nargs="+", metavar="FILE", help="tagged export(s)")
-    p.add_argument("--fit", action="store_true",
-                   help="fit the exponent (the default action)")
     _add_lotka_flags(p)
     add_output(p)
     p.set_defaults(func=_cmd_lotka)
@@ -281,21 +283,19 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_counts(files, strict: bool) -> CountTables:
-    """Stream exports into count tables, the input of every analysis."""
-    counts = CountTables()
-    for f in files:
-        count_wos_file(f, counts)
-    _report_ingest(len(counts.record_ids), len(files), len(counts.skipped_lines), strict)
-    counts.check_unique_ids()
-    return counts
+def _read_exports(files, strict: bool, sink):
+    """Feed the papers of exports to ``sink``, ``CountTables`` or ``export_text``.
 
-
-def _report_ingest(records: int, files: int, skipped: int, strict: bool) -> None:
-    print(f"bibmet: parsed {records} record(s) from {files} file(s), "
-          f"skipped {skipped} block(s)", file=sys.stderr)
+    Its result is returned once the ingest line is printed and every check passed."""
+    skipped: list[int] = []
+    record_ids: list[str] = []
+    result = sink(chain.from_iterable(scan_wos_file(f, skipped, record_ids) for f in files))
+    print(f"bibmet: parsed {len(record_ids)} record(s) from {len(files)} file(s), "
+          f"skipped {len(skipped)} block(s)", file=sys.stderr)
     if strict and skipped:
-        raise ParseError(f"strict mode: {skipped} block(s) skipped")
+        raise ParseError(f"strict mode: {len(skipped)} block(s) skipped")
+    _check_unique_ids(record_ids)
+    return result
 
 
 def _counts(args, counts: CountTables | None, flag: str) -> CountTables:
@@ -304,7 +304,7 @@ def _counts(args, counts: CountTables | None, flag: str) -> CountTables:
         return counts
     if not args.wos:
         raise _UsageError(f"bibmet: provide {flag} or --wos")
-    return _load_counts(args.wos, False)
+    return _read_exports(args.wos, False, CountTables)
 
 
 def _series(args, counts: CountTables | None = None) -> YearlySeries:
@@ -361,25 +361,24 @@ def _productivity(args, dist: ProductivityDistribution, n: float | None = None,
 def _cmd_ingest(args) -> int:
     if args.emit == "wos":
         # every check passes before anything is written
-        blocks: list[str] = []
-        record_ids: list[str] = []
-        skipped = sum(render_wos_file(f, blocks, record_ids) for f in args.files)
-        _report_ingest(len(record_ids), len(args.files), skipped, args.strict)
-        _check_unique_ids(record_ids)
-        _emit("".join(blocks) + FILE_END + "\n", args.output)
-        return 0
-    counts = _load_counts(args.files, args.strict)
+        text = _read_exports(args.files, args.strict, export_text)
+    else:
+        text = _table_csv(args, _read_exports(args.files, args.strict, CountTables))
+        if args.source_comment:
+            text = f"# source: {' '.join(args.files)}\n" + text
+    _emit(text, args.output)
+    return 0
+
+
+def _table_csv(args, counts: CountTables) -> str:
+    """The ``--emit yearly|matrix|distribution`` table of ``counts``, as CSV."""
     if args.emit == "yearly":
         table = counts.yearly_series()
     elif args.emit == "matrix":
         table = counts.authorship_matrix(cap=args.cap, collapse=not args.no_collapse)
     else:
         table = counts.productivity_distribution()
-    text = table.to_csv()
-    if args.source_comment:
-        text = f"# source: {' '.join(args.files)}\n" + text
-    _emit(text, args.output)
-    return 0
+    return table.to_csv()
 
 
 def _render(report: GrowthReport | CollabReport, fmt: str) -> str:
@@ -410,9 +409,9 @@ def _cmd_lotka(args) -> int:
 
 
 def _cmd_ks(args) -> int:
-    dist = _distribution(args)
     if (args.n is None) != (args.c is None):
         raise _UsageError("bibmet: provide both --n and --c, or neither")
+    dist = _distribution(args)
     _, report = _productivity(args, dist, args.n, args.c)
     _emit(report.to_csv(), args.output)
     return 0
@@ -427,7 +426,7 @@ def _cmd_report(args) -> int:
     _check_block_split(args.block_split)
     _check_truncation(args.truncation)
     _ks_coefficient(args.alpha)
-    counts = _load_counts(args.wos, args.strict) if args.wos else None
+    counts = _read_exports(args.wos, args.strict, CountTables) if args.wos else None
     series = _series(args, counts) if args.series or args.wos else None
     matrix = _matrix(args, counts) if args.matrix or args.wos else None
     dist = _distribution(args, counts) if args.dist or args.wos else None
@@ -496,18 +495,10 @@ def _cmd_synth(args) -> int:
         if args.emit not in (None, "distribution"):
             raise _UsageError("bibmet synth: productivity specs only emit a distribution")
         text = sample_productivity(spec).to_csv()
+    elif args.emit in (None, "wos"):
+        text = export_text(sample_spec_papers(spec))
     else:
-        corpus = sample_corpus_from_spec(spec)
-        emit = args.emit or "wos"
-        if emit == "wos":
-            text = write_wos_export(corpus)
-        elif emit == "yearly":
-            text = build_yearly_series(corpus).to_csv()
-        elif emit == "matrix":
-            text = build_authorship_matrix(corpus, cap=args.cap,
-                                           collapse=not args.no_collapse).to_csv()
-        else:
-            text = productivity_distribution(corpus).to_csv()
+        text = _table_csv(args, CountTables(sample_spec_papers(spec)))
     _emit(text, args.output)
     return 0
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterable
 
 from .errors import DomainError
@@ -24,6 +24,9 @@ from .tables import AuthorshipMatrix, ProductivityDistribution, YearlySeries
 
 YEAR_MIN = 1000
 YEAR_MAX = 3000
+# papers whose names CountTables.add folds into its Counter at once, about
+# a 128 KiB chunk's worth of write_wos_export records
+_PAPERS_PER_FOLD = 1024
 
 
 def _normalize_authors(authors) -> tuple[str, ...]:
@@ -97,34 +100,36 @@ class CountTables:
     """Papers per (author count, year) and per author name, folded in batches of papers.
 
     These two counts determine the yearly series, the authorship matrix
-    and the productivity distribution.  ``record_ids`` keeps each paper's
-    id in the order added, for :meth:`check_unique_ids`;
-    ``skipped_lines`` collects the start lines of skipped export blocks.
+    and the productivity distribution.  Export files read in
+    (:func:`~bibmet.wos.count_wos_file`) append each paper's id to
+    ``record_ids``, for :meth:`check_unique_ids`, and the start line of
+    each skipped block to ``skipped_lines``.
     """
 
-    def __init__(self):
+    def __init__(self, papers: Iterable[tuple[str, int, tuple[str, ...]]] = ()):
         self.cells: Counter[tuple[int, int]] = Counter()
         self.papers_by_author: Counter[str] = Counter()
         self.record_ids: list[str] = []
         self.skipped_lines: list[int] = []
+        self.add(papers)
 
     @classmethod
     def from_corpus(cls, corpus: Corpus) -> "CountTables":
-        counts = cls()
-        counts.add((r.id, r.year, r.authors) for r in corpus.records)
-        return counts
+        return cls((r.id, r.year, r.authors) for r in corpus.records)
 
     def add(self, papers: Iterable[tuple[str, int, tuple[str, ...]]]) -> None:
         """Count papers given as (id, year, distinct non-empty names).
 
-        The names of all of them go into ``papers_by_author`` in one update.
+        The names go into ``papers_by_author`` in one update per 1,024
+        papers, so a stream of papers is never held whole.
         """
-        names: list[str] = []
-        for record_id, year, authors in papers:
-            self.record_ids.append(record_id)
-            self.cells[len(authors), year] += 1
-            names += authors
-        self.papers_by_author.update(names)
+        papers = iter(papers)
+        while batch := list(islice(papers, _PAPERS_PER_FOLD)):
+            names: list[str] = []
+            for _, year, authors in batch:
+                self.cells[len(authors), year] += 1
+                names += authors
+            self.papers_by_author.update(names)
 
     def check_unique_ids(self) -> None:
         """Raise ``ValueError`` naming the first id added more than once."""

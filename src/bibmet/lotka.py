@@ -25,6 +25,9 @@ CRITICAL_MODES = ("standard", "paper")
 
 #: Largest zeta truncation point: :func:`lotka_constant` sums that many terms.
 TRUNCATION_MAX = 10**6
+#: Largest productivity x of a K-S test: :func:`ks_test` builds a row for
+#: every integer from 1 to the largest x.
+KS_X_MAX = 10**6
 
 
 def productivity_distribution(corpus: Corpus) -> ProductivityDistribution:
@@ -117,8 +120,7 @@ def fit_lotka_least_squares(dist: ProductivityDistribution,
     )
 
 
-def lotka_constant(n: float, method: str = "zeta_truncated",
-                   truncation: int = 20) -> float:
+def lotka_constant(n: float, truncation: int = 20) -> float:
     """Normalizing constant C = 1 / sum_{x>=1} x^(-n).
 
     The infinite sum is evaluated as an explicit sum of the first
@@ -128,11 +130,11 @@ def lotka_constant(n: float, method: str = "zeta_truncated",
         sum_{x=1}^{P-1} x^(-n) + P^(1-n)/(n-1) + P^(-n)/2
             + (n/24) (P-1)^(-(n+1))
 
-    with P = ``truncation``, at most :data:`TRUNCATION_MAX`.  Requires
-    n > 1 (the series diverges at or below 1).
+    with P = ``truncation``, at most :data:`TRUNCATION_MAX`.  Requires a
+    finite n > 1 (the series diverges at or below 1).
     """
-    if method != "zeta_truncated":
-        raise DomainError(f"unknown method {method!r}; expected 'zeta_truncated'")
+    if not math.isfinite(n):
+        raise DomainError(f"normalizing constant undefined for exponent {n}")
     if n <= 1:
         raise DomainError(f"normalizing constant undefined for exponent {n} <= 1")
     _check_truncation(truncation)
@@ -153,8 +155,8 @@ def expected_frequencies(n: float, c: float, xs) -> tuple[float, ...]:
     """Expected proportion of authors at each productivity: c / x^n."""
     if not 0 < c <= 1:
         raise DomainError(f"constant c must be in (0, 1], got {c}")
-    if n <= 0:
-        raise DomainError(f"exponent must be positive, got {n}")
+    if not 0 < n < math.inf:
+        raise DomainError(f"exponent must be positive and finite, got {n}")
     out = []
     for x in xs:
         if x < 1:
@@ -221,8 +223,8 @@ def ks_critical_value(total_authors: int, alpha: float = 0.01,
     if mode == "standard":
         return coeff / math.sqrt(total_authors)
     if mode == "paper":
-        if n is None or n <= 0:
-            raise DomainError("paper-mode critical value needs a positive exponent")
+        if n is None or not 0 < n < math.inf:
+            raise DomainError("paper-mode critical value needs a positive finite exponent")
         return n / math.sqrt(total_authors)
     raise DomainError(f"unknown critical-value mode {mode!r}; "
                       f"expected one of {CRITICAL_MODES}")
@@ -235,18 +237,22 @@ def ks_test(dist: ProductivityDistribution, n: float, c: float,
     The distribution is re-expressed on the contiguous integer grid
     1..max(x) (absent x values contribute zero observed counts), so the
     maximum deviation does not depend on how the input was written down.
+    Requires a finite n > 1 and max(x) at most :data:`KS_X_MAX`.
     """
-    if n <= 1:
-        raise DomainError(f"K-S test needs exponent > 1, got {n}")
+    if not 1 < n < math.inf:
+        raise DomainError(f"K-S test needs a finite exponent > 1, got {n}")
     if not 0 < c <= 1:
         raise DomainError(f"constant c must be in (0, 1], got {c}")
     _ks_coefficient(alpha)  # validate early
     total = dist.total_authors
     if total <= 0:
         raise DomainError("K-S test needs a distribution with authors in it")
+    x_max = max(dist.xs)
+    if x_max > KS_X_MAX:
+        raise DomainError(f"K-S test needs productivities x <= {KS_X_MAX}, got {x_max}")
 
     observed = dict(dist.pairs)
-    grid = range(1, max(dist.xs) + 1)
+    grid = range(1, x_max + 1)
     rows = []
     obs_cum = 0.0
     exp_cum = 0.0

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .corpus import Corpus, PublicationRecord
 from .errors import DomainError
@@ -25,7 +25,8 @@ X_MAX_LIMIT = 10**6
 #: Largest ``author_pool`` of a corpus spec.
 AUTHOR_POOL_LIMIT = 10**6
 #: Largest number of author names a corpus spec can ask for: its papers
-#: times its largest team size.  Sampling builds every name in memory.
+#: times its largest team size.  ``synth --emit wos`` holds every name in
+#: memory, in the export text.
 AUTHOR_SLOTS_LIMIT = 5 * 10**6
 
 
@@ -91,7 +92,16 @@ def sample_productivity(spec: PowerLawSpec) -> ProductivityDistribution:
 def sample_corpus(years: Sequence[int], papers_per_year: Sequence[int],
                   author_count_dist: Mapping[int, float], seed: int,
                   author_pool: int = 10000) -> Corpus:
-    """Build a deterministic synthetic corpus.
+    """Build a deterministic synthetic corpus of the papers :func:`sample_papers` draws."""
+    papers = sample_papers(years, papers_per_year, author_count_dist, seed, author_pool)
+    return Corpus(tuple(PublicationRecord(*paper) for paper in papers),
+                  provenance=f"synthetic seed={seed}")
+
+
+def sample_papers(years: Sequence[int], papers_per_year: Sequence[int],
+                  author_count_dist: Mapping[int, float], seed: int,
+                  author_pool: int = 10000) -> Iterator[tuple[str, int, tuple[str, ...]]]:
+    """Yield deterministic synthetic papers as ``(id, year, authors)``.
 
     Each paper's author count is drawn from ``author_count_dist`` (class
     probabilities must sum to 1 within 1e-9) and its authors are distinct
@@ -116,7 +126,6 @@ def sample_corpus(years: Sequence[int], papers_per_year: Sequence[int],
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    records = []
     serial = 0
     for year, paper_count in zip(years, papers_per_year):
         if paper_count < 0:
@@ -126,17 +135,16 @@ def sample_corpus(years: Sequence[int], papers_per_year: Sequence[int],
             serial += 1
             members = rng.choice(author_pool, size=int(size), replace=False)
             authors = tuple(f"Author-{int(k):05d}" for k in members)
-            records.append(PublicationRecord(f"SYN{serial:06d}", int(year), authors))
-    if not records:
+            yield f"SYN{serial:06d}", int(year), authors
+    if not serial:
         raise DomainError("cannot sample an empty corpus: zero papers requested")
-    return Corpus(tuple(records), provenance=f"synthetic seed={seed}")
 
 
-def sample_corpus_from_spec(spec: CorpusSpec) -> Corpus:
+def sample_spec_papers(spec: CorpusSpec) -> Iterator[tuple[str, int, tuple[str, ...]]]:
+    """The papers :func:`sample_papers` draws for a corpus spec."""
     years = range(spec.start_year, spec.start_year + len(spec.papers_per_year))
-    return sample_corpus(years, spec.papers_per_year,
-                         dict(spec.author_count_dist), spec.seed,
-                         author_pool=spec.author_pool)
+    return sample_papers(years, spec.papers_per_year, dict(spec.author_count_dist),
+                         spec.seed, author_pool=spec.author_pool)
 
 
 def spec_from_json(text: str) -> PowerLawSpec | CorpusSpec:

@@ -292,11 +292,6 @@ def parse_counts_csv(text: str, shape: TableShape) -> CountTable:
     raise ValueError(f"unknown table shape: {shape!r}")
 
 
-def write_counts_csv(table: CountTable) -> str:
-    """Serialize any of the three table types to its CSV dialect."""
-    return table.to_csv()
-
-
 def split_lines(text: str) -> list[str]:
     """The lines of ``text``, split at ``\\n``, ``\\r\\n`` and ``\\r`` only.
 

@@ -19,30 +19,30 @@ id) are interpreted; everything else is carried past.  Blocks missing a
 usable ``AU`` or ``PY`` are skipped and tallied rather than aborting the
 whole file, so one mangled export block cannot kill a batch run.
 
-One block scanner, :func:`scan_wos_export`, reads an export file
-``CHUNK_CHARS`` characters at a time, cuts the text after the last ``ER``
-line read and carries the rest into the next chunk (text that reaches
-``RUN_CHARS_MAX`` characters without an ``ER`` line is cut after its
-last line end instead).  Between blocks it first tries one regular
-expression for the block that :func:`write_wos_export` writes (``PT J``,
-``AU`` with three-space continuations, a four-digit ``PY``, ``UT``,
-``ER``, every value already stripped), which reads the whole block with
-no work per line.  Every other block goes through the line-by-line
-rules, which keep only the ``AU``/``PY``/``UT`` values of the block in
-hand; both give the same blocks, line numbers and ids.  The analysis
-commands fold its blocks straight into
-:class:`~bibmet.corpus.CountTables` (:func:`count_wos_file`), so their
-memory is bounded by a few chunks plus the distinct authors, not by the
-size of the file.  ``bibmet ingest --emit wos`` renders each kept block
-straight back into export text (:func:`render_wos_file`), in the one
-record format that :func:`write_wos_export` also writes.  Only
+One block scanner, :func:`scan_wos_export`, reads an export in chunks
+(:func:`scan_wos_file` reads ``CHUNK_CHARS`` characters of a file at a
+time), cuts the text after the last ``ER`` line read and carries the
+rest into the next chunk (text that reaches ``RUN_CHARS_MAX``
+characters without an ``ER`` line is cut after its last line end
+instead).  Between blocks it first tries one regular expression for the
+block that :func:`write_wos_export` writes (``PT J``, ``AU`` with
+three-space continuations, a four-digit ``PY``, ``UT``, ``ER``, every
+value already stripped), which reads the whole block with no work per
+line.  Every other block goes through the line-by-line rules, which keep
+only the ``AU``/``PY``/``UT`` values of the block in hand; both give the
+same blocks, line numbers and ids.  :func:`scan_wos_file` yields the
+kept blocks of a file as ``(id, year, authors)`` papers, the one shape
+every sink takes.  The analysis commands fold them straight into
+:class:`~bibmet.corpus.CountTables`, so their memory is bounded by a few
+chunks plus the distinct authors, not by the size of the file.
+:func:`export_text` renders papers as export text, for ``bibmet ingest
+--emit wos``, ``bibmet synth`` and :func:`write_wos_export`.  Only
 :func:`parse_wos_export` and :func:`parse_wos_file` build one
 :class:`~bibmet.corpus.PublicationRecord` per block.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import io
 import re
@@ -62,10 +62,6 @@ FILE_END = "EF"
 CHUNK_CHARS = 128 * 1024
 #: Characters carried without an ER line before they are scanned anyway.
 RUN_CHARS_MAX = 1024 * 1024
-# kept blocks that count_wos_file hands to CountTables.add at once, about
-# a chunk's worth of write_wos_export records
-_PAPERS_PER_FOLD = 1024
-
 # the record block that write_wos_export writes, after any blank lines.
 # Each value starts and ends with a non-space, so it equals its own strip()
 # and no line needs a look; its line end follows [^\n]* directly, so that
@@ -93,7 +89,7 @@ def scan_wos_export(
 
     ``chunks`` yields the export's text in pieces of any size, with every
     line end already written as ``\\n`` (an open file in universal-newline
-    mode read by :func:`_read_chunks`, or a whole normalized text).  Each
+    mode read by :func:`scan_wos_file`, or a whole normalized text).  Each
     block with at least one ``AU`` value and a parseable ``PY`` year
     yields its start line, year, authors (stripped, empty names dropped,
     first occurrence of a repeated name kept) and record id: the ``UT``
@@ -239,6 +235,32 @@ def _runs_of_lines(chunks: Iterator[str]) -> Iterator[str]:
         yield text
 
 
+def scan_wos_file(path, skipped_lines: list[int],
+                  record_ids: list[str]) -> Iterator[tuple[str, int, tuple[str, ...]]]:
+    """Yield the kept blocks of a tagged export file (UTF-8) as ``(id, year, authors)``.
+
+    Appends each kept block's id to ``record_ids`` and each skipped
+    block's start line to ``skipped_lines``.  Raises
+    :class:`EmptyCorpusError` if nothing in the file parses.
+    """
+    # universal-newline mode ends lines at \n, \r\n and \r only
+    with io.open(path, "r", encoding="utf-8") as fh:
+        try:
+            for line, year, authors, rid in scan_wos_export(
+                    iter(functools.partial(fh.read, CHUNK_CHARS), "")):
+                if year is None:
+                    skipped_lines.append(line)
+                else:
+                    record_ids.append(rid)
+                    yield rid, year, authors
+        except UnicodeDecodeError:
+            # name the undecodable byte's offset from the start of the
+            # file, as a whole-file read does, not from the current chunk
+            fh.seek(0)
+            fh.read()
+            raise
+
+
 def parse_wos_export(source: Union[str, TextIO], provenance: str = "") -> WosParseResult:
     """Parse a tagged export into a corpus.
 
@@ -248,65 +270,36 @@ def parse_wos_export(source: Union[str, TextIO], provenance: str = "") -> WosPar
     nothing parses.
     """
     text = source.read() if hasattr(source, "read") else source
-    return _parse_blocks([normalize_line_ends(text)], provenance)
+    blocks = list(scan_wos_export([normalize_line_ends(text)]))
+    papers = [(rid, year, authors) for _, year, authors, rid in blocks if year is not None]
+    return _parse_result(papers, [line for line, year, _, _ in blocks if year is None],
+                         provenance)
 
 
 def parse_wos_file(path, provenance: str | None = None) -> WosParseResult:
     """Parse a tagged export file (UTF-8)."""
-    with _open_export(path) as fh:
-        return _parse_blocks(_read_chunks(fh), provenance if provenance is not None else str(path))
+    skipped_lines: list[int] = []
+    return _parse_result(scan_wos_file(path, skipped_lines, []), skipped_lines,
+                         provenance if provenance is not None else str(path))
 
 
 def count_wos_file(path, counts: CountTables) -> None:
     """Fold the blocks of a tagged export file (UTF-8) into ``counts``.
 
-    Builds no records: kept blocks go to :meth:`CountTables.add`, one
-    batch of about a chunk's worth at a time, and skipped blocks' start
-    lines to ``counts.skipped_lines``.  Raises :class:`EmptyCorpusError`
-    if nothing in the file parses.
+    Builds no records: kept blocks go to :meth:`CountTables.add` and
+    their ids to ``counts.record_ids``, skipped blocks' start lines to
+    ``counts.skipped_lines``.  Raises :class:`EmptyCorpusError` if
+    nothing in the file parses.
     """
-    papers: list[tuple[str, int, tuple[str, ...]]] = []
-    with _open_export(path) as fh:
-        for line, year, authors, rid in scan_wos_export(_read_chunks(fh)):
-            if year is None:
-                counts.skipped_lines.append(line)
-                continue
-            papers.append((rid, year, authors))
-            if len(papers) == _PAPERS_PER_FOLD:
-                counts.add(papers)
-                papers.clear()
-    counts.add(papers)
+    counts.add(scan_wos_file(path, counts.skipped_lines, counts.record_ids))
 
 
-def render_wos_file(path, blocks: list[str], record_ids: list[str]) -> int:
-    """Render the kept blocks of a tagged export file (UTF-8) as export text.
-
-    Builds no records: each kept block is appended to ``blocks`` as
-    :func:`write_wos_export` writes its record, and its id to
-    ``record_ids``.  Returns the number of skipped blocks.  Raises
-    :class:`EmptyCorpusError` if nothing in the file parses.
-    """
-    skipped = 0
-    with _open_export(path) as fh:
-        for _, year, authors, rid in scan_wos_export(_read_chunks(fh)):
-            if year is None:
-                skipped += 1
-            else:
-                blocks.append(_render_record(rid, year, authors))
-                record_ids.append(rid)
-    return skipped
-
-
-def _parse_blocks(chunks: Iterable[str], provenance: str) -> WosParseResult:
-    records: list[PublicationRecord] = []
-    skipped_lines: list[int] = []
-    for line, year, authors, rid in scan_wos_export(chunks):
-        if year is None:
-            skipped_lines.append(line)
-        else:
-            records.append(PublicationRecord(rid, year, authors))
+def _parse_result(papers: Iterable[tuple[str, int, tuple[str, ...]]],
+                  skipped_lines: list[int], provenance: str) -> WosParseResult:
+    # one record per paper, built before skipped_lines is read
+    corpus = Corpus(tuple(PublicationRecord(*paper) for paper in papers), provenance=provenance)
     return WosParseResult(
-        corpus=Corpus(tuple(records), provenance=provenance),
+        corpus=corpus,
         skipped=len(skipped_lines),
         skipped_lines=tuple(skipped_lines),
     )
@@ -325,24 +318,6 @@ def _tag_prefixes() -> dict[str, str]:
     return {tag + end: tag for tag in tags for end in (" ", "")}
 
 
-def _read_chunks(fh: TextIO) -> Iterator[str]:
-    return iter(functools.partial(fh.read, CHUNK_CHARS), "")
-
-
-@contextlib.contextmanager
-def _open_export(path) -> Iterator[TextIO]:
-    # universal-newline mode ends lines at \n, \r\n and \r only
-    with io.open(path, "r", encoding="utf-8") as fh:
-        try:
-            yield fh
-        except UnicodeDecodeError:
-            # name the undecodable byte's offset from the start of the
-            # file, as a whole-file read does, not from the current chunk
-            fh.seek(0)
-            fh.read()
-            raise
-
-
 def write_wos_export(corpus: Corpus) -> str:
     """Serialize a corpus back to the tagged format.
 
@@ -350,8 +325,14 @@ def write_wos_export(corpus: Corpus) -> str:
     :func:`parse_wos_export` (ids, years, author lists and order are
     preserved).
     """
-    blocks = [_render_record(r.id, r.year, r.authors) for r in corpus.records]
-    return "".join(blocks) + FILE_END + "\n"
+    return export_text((r.id, r.year, r.authors) for r in corpus.records)
+
+
+def export_text(papers: Iterable[tuple[str, int, tuple[str, ...]]]) -> str:
+    """Export text of papers given as ``(id, year, authors)``, in order, then ``EF``."""
+    blocks = [_render_record(rid, year, authors) for rid, year, authors in papers]
+    blocks.append(FILE_END + "\n")
+    return "".join(blocks)
 
 
 def _render_record(rid: str, year: int, authors: tuple[str, ...]) -> str:

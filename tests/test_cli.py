@@ -3,9 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from bibmet import fixtures
+from bibmet import fixtures, lotka
 from bibmet.cli import main
-from bibmet.lotka import TRUNCATION_MAX
+from bibmet.lotka import KS_X_MAX, TRUNCATION_MAX
 from bibmet.synth import AUTHOR_POOL_LIMIT, AUTHOR_SLOTS_LIMIT, X_MAX_LIMIT
 from bibmet.tables import CAP_MAX, parse_counts_csv
 
@@ -88,7 +88,7 @@ def test_help_exits_zero(capsys):
 # subcommands
 
 def test_lotka_fit_json(capsys):
-    code, out, _ = run(capsys, "lotka", "--dist", DIST_REG, "--fit")
+    code, out, _ = run(capsys, "lotka", "--dist", DIST_REG)
     assert code == 0
     payload = json.loads(out)
     assert abs(payload["n"] - 1.9691) < 1e-3
@@ -127,6 +127,41 @@ def test_ks_with_explicit_parameters(capsys):
 def test_ks_requires_both_or_neither(capsys):
     code, _, err = run(capsys, "ks", "--dist", DIST, "--n", "2.0")
     assert code == 64
+
+
+def test_ks_checks_n_and_c_before_reading_input(capsys, tmp_path):
+    code, out, err = run(capsys, "ks", "--dist", str(tmp_path / "missing.csv"), "--n", "2")
+    assert (code, out) == (64, "")
+    assert err == "bibmet: provide both --n and --c, or neither\n"
+
+
+@pytest.mark.parametrize("flags", [["--n", "nan", "--c", "0.5"],
+                                   ["--n", "inf", "--c", "0.5", "--ks-mode", "paper"]],
+                         ids=["nan", "inf-paper"])
+def test_ks_non_finite_exponent_is_domain_error(capsys, flags):
+    code, out, err = run(capsys, "ks", "--dist", DIST, *flags)
+    assert (code, out) == (2, "")
+    assert "finite exponent" in err
+
+
+def test_ks_x_far_above_limit_is_domain_error(capsys, tmp_path):
+    # one row per integer up to 10**9 would never finish
+    path = tmp_path / "dist.csv"
+    path.write_text("x,y\n1,100\n2,30\n1000000000,1\n", encoding="utf-8")
+    code, out, err = run(capsys, "ks", "--dist", str(path), "--n", "2", "--c", "0.6")
+    assert (code, out) == (2, "")
+    assert err == (f"bibmet: domain error: K-S test needs productivities x <= {KS_X_MAX}, "
+                   "got 1000000000\n")
+
+
+def test_report_skips_productivity_above_ks_limit(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(lotka, "KS_X_MAX", 10)
+    path = tmp_path / "dist.csv"
+    path.write_text("x,y\n1,100\n2,30\n11,1\n", encoding="utf-8")
+    code, _, err = run(capsys, "report", "--dist", str(path))
+    assert code == 0
+    assert err == ("bibmet: skipping productivity section: "
+                   "K-S test needs productivities x <= 10, got 11\n")
 
 
 def test_ingest_emits_yearly(capsys, wos_file):

@@ -7,6 +7,7 @@ import scipy.special
 from hypothesis import given, strategies as st
 from pytest import approx
 
+from bibmet import lotka
 from bibmet.corpus import Corpus, PublicationRecord
 from bibmet.errors import DomainError
 from bibmet.lotka import (
@@ -159,8 +160,6 @@ def test_constant_domain():
     with pytest.raises(DomainError):
         lotka_constant(0.5)
     with pytest.raises(DomainError):
-        lotka_constant(2.0, method="table_lookup")
-    with pytest.raises(DomainError):
         lotka_constant(2.0, truncation=1)
 
 
@@ -286,3 +285,22 @@ def test_critical_value_domain():
         ks_critical_value(100, alpha=0.01, mode="paper", n=None)
     with pytest.raises(DomainError):
         ks_critical_value(100, alpha=0.01, mode="bogus")
+
+
+@pytest.mark.parametrize("n", [math.nan, math.inf])
+def test_non_finite_exponent_is_rejected(productivity_fixture, n):
+    with pytest.raises(DomainError, match="undefined for exponent"):
+        lotka_constant(n)
+    with pytest.raises(DomainError, match="finite"):
+        expected_frequencies(n, 0.5, [1])
+    with pytest.raises(DomainError, match="finite"):
+        ks_critical_value(100, alpha=0.01, mode="paper", n=n)
+    with pytest.raises(DomainError, match="finite"):
+        ks_test(productivity_fixture, n, 0.5)
+
+
+def test_ks_grid_is_bounded_before_any_row_is_built(monkeypatch):
+    monkeypatch.setattr(lotka, "KS_X_MAX", 10)
+    assert ks_test(dist((1, 100), (10, 1)), 2.0, 0.6).rows[-1].x == 10
+    with pytest.raises(DomainError, match="x <= 10, got 11"):
+        ks_test(dist((1, 100), (11, 1)), 2.0, 0.6)

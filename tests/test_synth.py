@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -8,10 +9,11 @@ from pytest import approx
 
 import bibmet
 
+from bibmet.cli import main
 from bibmet.collab import collaborative_coefficient, degree_of_collaboration
 from bibmet.corpus import build_authorship_matrix, build_yearly_series
 from bibmet.errors import DomainError
-from bibmet.lotka import fit_lotka_least_squares
+from bibmet.lotka import fit_lotka_least_squares, productivity_distribution
 from bibmet.synth import (
     AUTHOR_POOL_LIMIT,
     AUTHOR_SLOTS_LIMIT,
@@ -19,7 +21,7 @@ from bibmet.synth import (
     CorpusSpec,
     PowerLawSpec,
     sample_corpus,
-    sample_corpus_from_spec,
+    sample_spec_papers,
     sample_productivity,
     spec_from_json,
 )
@@ -187,9 +189,9 @@ def test_spec_from_json_corpus():
                           '"papers_per_year": [3, 4], '
                           '"author_count_dist": {"1": 0.5, "2": 0.5}, "seed": 9}')
     assert isinstance(spec, CorpusSpec)
-    corpus = sample_corpus_from_spec(spec)
-    assert len(corpus) == 7
-    assert {r.year for r in corpus} == {2008, 2009}
+    papers = list(sample_spec_papers(spec))
+    assert len(papers) == 7
+    assert {year for _, year, _ in papers} == {2008, 2009}
 
 
 def test_spec_from_json_errors():
@@ -199,3 +201,58 @@ def test_spec_from_json_errors():
         spec_from_json('{"kind": "nonsense"}')
     with pytest.raises(DomainError):
         spec_from_json('{"kind": "productivity", "n0": 2.0}')
+
+
+# ---------------------------------------------------------------------------
+# synth streams papers into the sinks that sample_corpus's records reach
+
+SYNTH_SPECS = {
+    "mixed-classes": {"start_year": 2010, "papers_per_year": [6, 9, 12],
+                      "author_count_dist": {"1": 0.2, "2": 0.3, "5": 0.3, "12": 0.2},
+                      "author_pool": 60, "seed": 3},
+    "zero-paper-year": {"start_year": 2000, "papers_per_year": [4, 0, 5],
+                        "author_count_dist": {"1": 0.5, "3": 0.5}, "seed": 8},
+    "one-paper": {"start_year": 2021, "papers_per_year": [1],
+                  "author_count_dist": {"2": 1.0}, "seed": 1},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYNTH_SPECS))
+def test_synth_output_equals_the_sampled_corpus_tables(capsys, tmp_path, name):
+    spec = SYNTH_SPECS[name]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": "corpus", **spec}), encoding="utf-8")
+    start, per_year = spec["start_year"], spec["papers_per_year"]
+    corpus = sample_corpus(range(start, start + len(per_year)), per_year,
+                           {int(j): p for j, p in spec["author_count_dist"].items()},
+                           spec["seed"], author_pool=spec.get("author_pool", 10000))
+    expected = {
+        (): write_wos_export(corpus),
+        ("--emit", "wos"): write_wos_export(corpus),
+        ("--emit", "yearly"): build_yearly_series(corpus).to_csv(),
+        ("--emit", "matrix"): build_authorship_matrix(corpus).to_csv(),
+        ("--emit", "matrix", "--no-collapse"):
+            build_authorship_matrix(corpus, collapse=False).to_csv(),
+        ("--emit", "matrix", "--cap", "3"): build_authorship_matrix(corpus, cap=3).to_csv(),
+        ("--emit", "distribution"): productivity_distribution(corpus).to_csv(),
+    }
+    for flags, text in expected.items():
+        assert main(["synth", "--spec", str(path), *flags]) == 0
+        assert capsys.readouterr() == (text, "")
+
+
+@pytest.mark.parametrize("args, message", [
+    (([], [], {1: 1.0}, 0), "cannot sample an empty corpus: no years given"),
+    (([2000], [1, 2], {1: 1.0}, 0), "papers_per_year must align with years"),
+    (([2000], [1], {}, 0), "author-count classes must be integers >= 1"),
+    (([2000], [1], {0: 1.0}, 0), "author-count classes must be integers >= 1"),
+    (([2000], [1], {1: 1.5, 2: -0.5}, 0), "class probabilities must be non-negative"),
+    (([2000], [1], {1: 0.5, 2: 0.25}, 0), "class probabilities sum to 0.75, expected 1"),
+    (([2000], [1], {3: 1.0}, 0, 2), "author pool smaller than the largest team size"),
+    (([2000, 2001], [1, -1], {1: 1.0}, 0), "paper counts must be non-negative"),
+    (([2000, 2001], [0, 0], {1: 1.0}, 0), "cannot sample an empty corpus: zero papers requested"),
+])
+def test_sample_corpus_errors(args, message):
+    with pytest.raises(DomainError) as raised:
+        sample_corpus(*args)
+    assert str(raised.value) == message
