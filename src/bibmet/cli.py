@@ -176,7 +176,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--strict", action="store_true",
                    help="fail if any export block had to be skipped")
     p.add_argument("--source-comment", action="store_true",
-                   help="prepend a '# source: ...' comment naming the inputs")
+                   help="prepend a '# source: ...' comment naming the inputs "
+                        "(not with --emit wos)")
     add_output(p)
     p.set_defaults(func=_cmd_ingest)
 
@@ -360,6 +361,8 @@ def _productivity(args, dist: ProductivityDistribution, n: float | None = None,
 
 def _cmd_ingest(args) -> int:
     if args.emit == "wos":
+        if args.source_comment:
+            raise _UsageError("bibmet ingest: --source-comment only applies to the CSV emits")
         # every check passes before anything is written
         text = _read_exports(args.files, args.strict, export_text)
     else:

@@ -25,8 +25,9 @@ CRITICAL_MODES = ("standard", "paper")
 
 #: Largest zeta truncation point: :func:`lotka_constant` sums that many terms.
 TRUNCATION_MAX = 10**6
-#: Largest productivity x of a K-S test: :func:`ks_test` builds a row for
-#: every integer from 1 to the largest x.
+#: Largest productivity x of a K-S test: :func:`ks_test` sums the expected
+#: share of every integer from 1 to the largest x, though it builds rows
+#: only where the deviation can peak.
 KS_X_MAX = 10**6
 
 
@@ -234,9 +235,18 @@ def ks_test(dist: ProductivityDistribution, n: float, c: float,
             alpha: float = 0.01, mode: str = "standard") -> KSReport:
     """Compare observed and expected cumulative productivity shares.
 
-    The distribution is re-expressed on the contiguous integer grid
-    1..max(x) (absent x values contribute zero observed counts), so the
-    maximum deviation does not depend on how the input was written down.
+    The comparison runs over the contiguous integer grid 1..max(x):
+    absent x values and x listed with no authors both contribute zero
+    observed counts, so the maximum deviation does not depend on how the
+    input was written down.  The expected cumulative share E sums every
+    integer of the grid, but rows are built only where |F - E| can peak:
+    at each x with authors and at the first and last x of each gap (a
+    maximal run of x without authors, leading and trailing runs
+    included).  Inside a gap the observed share F is flat while E rises,
+    so the deviation peaks at an end.  Where E stops rising in floating
+    point inside a gap, the row at ``x_at_dmax`` is kept as well.  Each
+    row equals the one a dense grid would have at that x.
+
     Requires a finite n > 1 and max(x) at most :data:`KS_X_MAX`.
     """
     if not 1 < n < math.inf:
@@ -251,24 +261,39 @@ def ks_test(dist: ProductivityDistribution, n: float, c: float,
     if x_max > KS_X_MAX:
         raise DomainError(f"K-S test needs productivities x <= {KS_X_MAX}, got {x_max}")
 
-    observed = dict(dist.pairs)
-    grid = range(1, x_max + 1)
     rows = []
     obs_cum = 0.0
-    exp_cum = 0.0
+    exp_cum = peak_cum = 0.0
     d_max = -1.0
-    x_at = grid[0]
-    for x in grid:
-        y = observed.get(x, 0)
-        obs_prop = y / total
-        obs_cum += obs_prop
-        exp_prop = c * x ** (-n)
-        exp_cum += exp_prop
-        diff = abs(obs_cum - exp_cum)
-        rows.append(KSRow(x, y, obs_prop, obs_cum, exp_prop, exp_cum, diff))
-        if diff > d_max:
-            d_max = diff
-            x_at = x
+    x_at = 1
+    start = 1
+    # the sentinel (x_max + 1, 0) closes the trailing gap
+    for x_obs, y in [*((x, y) for x, y in dist.pairs if y > 0), (x_max + 1, 0)]:
+        # start..x_obs-1 is a gap: F is flat while E sums every integer
+        for x in range(start, x_obs):
+            exp_prop = c * x ** (-n)
+            exp_cum += exp_prop
+            diff = abs(obs_cum - exp_cum)
+            if diff > d_max:
+                d_max, x_at, peak_cum = diff, x, exp_cum
+            if x == start:
+                rows.append(KSRow(x, 0, 0.0, obs_cum, exp_prop, exp_cum, diff))
+        end = x_obs - 1
+        if start < x_at < end:
+            # the deviation rose until E stopped rising, then stayed flat
+            rows.append(KSRow(x_at, 0, 0.0, obs_cum, c * x_at ** (-n), peak_cum, d_max))
+        if start < end:
+            rows.append(KSRow(end, 0, 0.0, obs_cum, exp_prop, exp_cum, diff))
+        if y:
+            obs_prop = y / total
+            obs_cum += obs_prop
+            exp_prop = c * x_obs ** (-n)
+            exp_cum += exp_prop
+            diff = abs(obs_cum - exp_cum)
+            rows.append(KSRow(x_obs, y, obs_prop, obs_cum, exp_prop, exp_cum, diff))
+            if diff > d_max:
+                d_max, x_at = diff, x_obs
+        start = x_obs + 1
     critical = ks_critical_value(total, alpha=alpha, mode=mode, n=n)
     return KSReport(rows=tuple(rows), d_max=d_max, x_at_dmax=x_at,
                     critical_value=critical, alpha=alpha, mode=mode,

@@ -8,14 +8,19 @@ else, where the original used ``str.splitlines``.  Records are plain
 ``(id, year, authors)`` tuples.  The differential tests compare the
 streaming count tables, the record path and ``ingest --emit wos``
 against it.
+
+It also keeps the dense ``ks_test``, which built one K-S row for every
+integer from 1 to the largest x; the sparse K-S test is compared with it.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from collections import Counter
 
-from bibmet.errors import EmptyCorpusError
+from bibmet.errors import DomainError, EmptyCorpusError
+from bibmet.lotka import KS_X_MAX, KSReport, KSRow, _ks_coefficient, ks_critical_value
 from bibmet.tables import AuthorshipMatrix, ProductivityDistribution, YearlySeries
 
 YEAR_MIN = 1000
@@ -175,3 +180,42 @@ def productivity_distribution(records) -> ProductivityDistribution:
             papers_by_author[name] += 1
     histogram = Counter(papers_by_author.values())
     return ProductivityDistribution(tuple(sorted(histogram.items())))
+
+
+def ks_test(dist: ProductivityDistribution, n: float, c: float,
+            alpha: float = 0.01, mode: str = "standard") -> KSReport:
+    """The K-S test with one row per integer of 1..max(x)."""
+    if not 1 < n < math.inf:
+        raise DomainError(f"K-S test needs a finite exponent > 1, got {n}")
+    if not 0 < c <= 1:
+        raise DomainError(f"constant c must be in (0, 1], got {c}")
+    _ks_coefficient(alpha)  # validate early
+    total = dist.total_authors
+    if total <= 0:
+        raise DomainError("K-S test needs a distribution with authors in it")
+    x_max = max(dist.xs)
+    if x_max > KS_X_MAX:
+        raise DomainError(f"K-S test needs productivities x <= {KS_X_MAX}, got {x_max}")
+
+    observed = dict(dist.pairs)
+    grid = range(1, x_max + 1)
+    rows = []
+    obs_cum = 0.0
+    exp_cum = 0.0
+    d_max = -1.0
+    x_at = grid[0]
+    for x in grid:
+        y = observed.get(x, 0)
+        obs_prop = y / total
+        obs_cum += obs_prop
+        exp_prop = c * x ** (-n)
+        exp_cum += exp_prop
+        diff = abs(obs_cum - exp_cum)
+        rows.append(KSRow(x, y, obs_prop, obs_cum, exp_prop, exp_cum, diff))
+        if diff > d_max:
+            d_max = diff
+            x_at = x
+    critical = ks_critical_value(total, alpha=alpha, mode=mode, n=n)
+    return KSReport(rows=tuple(rows), d_max=d_max, x_at_dmax=x_at,
+                    critical_value=critical, alpha=alpha, mode=mode,
+                    n=n, c=c, total_authors=total)

@@ -51,6 +51,8 @@ INPUTS = {
     "one_year.csv": "year,papers\n2010,5\n",
     "bad.csv": "wrong,header\n1,2\n",
     "shallow.csv": "x,y\n1,100\n2,90\n4,80\n8,72\n",
+    # gaps of 5 and 30 x, one of them with a listed zero: the K-S table is sparse
+    "gaps.csv": "x,y\n1,600\n2,150\n3,70\n9,8\n25,0\n40,2\n",
     "single.csv": "authors,2015,2016\n1,3,2\n",
     "uncollapsed.csv": "authors,2015,2016\n1,1,0\n2,1,0\n3,0,1\n",
     "collapsed.csv": "# already collapsed\nauthors,2015,2016\n1,2,1\n2,1,1\n3+,0,2\n",
@@ -93,6 +95,7 @@ CASES = [
     ("ingest-wos", "ingest export.txt second.txt --emit wos"),
     ("ingest-wos-output", "ingest partial.txt --emit wos --output merged.txt"),
     ("ingest-wos-strict", "ingest partial.txt --emit wos --strict --output merged.txt"),
+    ("ingest-wos-source-comment", "ingest nope.txt --emit wos --source-comment"),
     ("ingest-partial", "ingest partial.txt --emit matrix"),
     ("ingest-partial-strict", "ingest partial.txt --strict"),
     ("ingest-duplicate-files", "ingest export.txt export.txt"),
@@ -161,6 +164,7 @@ CASES = [
     ("ks-output", "ks --dist productivity.csv --output ks.csv"),
     ("ks-wos", "ks --wos export.txt"),
     ("ks-n-only", "ks --dist productivity.csv --n 2.0"),
+    ("ks-gaps", "ks --dist gaps.csv"),
     ("ks-no-input", "ks"),
 
     ("report-csvs-markdown", f"report {CSVS}"),
@@ -179,6 +183,7 @@ CASES = [
     ("report-partial", "report --wos partial.txt"),
     ("report-partial-strict", "report --wos partial.txt --strict"),
     ("report-duplicate-files", "report --wos export.txt export.txt"),
+    ("report-gaps", "report --dist gaps.csv"),
     ("report-truncation-1", "report --dist productivity.csv --truncation 1"),
     ("report-truncation-above-limit", "report --dist productivity.csv --truncation 1000001"),
     ("report-alpha-0.02", "report --dist productivity.csv --alpha 0.02"),

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from pytest import approx
 
+import seed_reference as ref
 from bibmet import lotka
 from bibmet.corpus import Corpus, PublicationRecord
 from bibmet.errors import DomainError
@@ -304,3 +305,104 @@ def test_ks_grid_is_bounded_before_any_row_is_built(monkeypatch):
     assert ks_test(dist((1, 100), (10, 1)), 2.0, 0.6).rows[-1].x == 10
     with pytest.raises(DomainError, match="x <= 10, got 11"):
         ks_test(dist((1, 100), (11, 1)), 2.0, 0.6)
+
+
+# ---------------------------------------------------------------------------
+# sparse K-S rows against the dense reference
+
+@st.composite
+def gappy_distributions(draw):
+    """Distributions over x up to a few thousand with gaps of every length.
+
+    Any listed x, the first and the last included, may have zero authors.
+    """
+    xs = []
+    for _ in range(draw(st.integers(1, 8))):
+        xs.append((xs[-1] if xs else 0) + draw(st.one_of(st.integers(1, 4), st.integers(5, 700))))
+    ys = [draw(st.sampled_from([0, 0, 1, 2, 7, 60, 1500])) for _ in xs]
+    ys[draw(st.integers(0, len(ys) - 1))] = draw(st.sampled_from([1, 2, 7, 60, 1500]))
+    return dist(*zip(xs, ys))
+
+
+exponents = st.floats(min_value=1.0, max_value=4.0, exclude_min=True)
+
+
+def gap_ends(d):
+    """The first and last x of each maximal run of 1..max(x) without authors."""
+    authors = {x for x, y in d.pairs if y > 0}
+    top = max(d.xs)
+    gap = [x not in authors for x in range(top + 2)]
+    gap[0] = gap[top + 1] = False
+    return {x for x in range(1, top + 1) if gap[x] and not (gap[x - 1] and gap[x + 1])}
+
+
+@settings(max_examples=200, deadline=None)
+@given(gappy_distributions(), exponents, st.one_of(st.none(), st.floats(0.05, 1.0)))
+def test_sparse_ks_matches_the_dense_reference(d, n, c):
+    c = lotka_constant(n) if c is None else c
+    sparse = ks_test(d, n, c)
+    dense = ref.ks_test(d, n, c)
+    assert sparse.d_max == dense.d_max
+    assert sparse.x_at_dmax == dense.x_at_dmax
+    assert sparse.critical_value == dense.critical_value
+    kept = {x for x, y in d.pairs if y > 0} | gap_ends(d) | {dense.x_at_dmax}
+    assert [r.x for r in sparse.rows] == sorted(kept)
+    assert list(sparse.rows) == [r for r in dense.rows if r.x in kept]
+    lines = dense.to_csv().splitlines()
+    expected = lines[:3] + [line for line in lines[3:] if int(line.split(",")[0]) in kept]
+    assert sparse.to_csv() == "\n".join(expected) + "\n"
+
+
+@given(gappy_distributions(), exponents)
+def test_sparse_ks_rows_are_bounded_by_the_x_with_authors(d, n):
+    rows = ks_test(d, n, lotka_constant(n)).rows
+    k = sum(1 for _, y in d.pairs if y > 0)
+    # k rows with authors, two ends for each of at most k + 1 gaps, and at
+    # most one row inside a gap, where E stops rising in floating point
+    assert len(rows) <= 3 * k + 3
+    if d.pairs[-1][1] > 0:
+        # no trailing gap, and E still rises at every drawn x (at most
+        # 5,600; at n = 4 it stops near 9,550)
+        assert len(rows) <= 3 * k
+
+
+@given(gappy_distributions(), exponents, st.data())
+def test_listed_zeros_inside_the_grid_leave_the_rows_unchanged(d, n, data):
+    free = sorted(set(range(1, max(d.xs))) - set(d.xs))
+    extra = data.draw(st.lists(st.sampled_from(free), unique=True, max_size=20)) if free else []
+    padded = dist(*sorted([*d.pairs, *((x, 0) for x in extra)]))
+    c = lotka_constant(n)
+    assert ks_test(padded, n, c) == ks_test(d, n, c)
+
+
+def test_listed_zeros_inside_a_long_gap_leave_the_rows_unchanged():
+    c = lotka_constant(2.0)
+    sparse = ks_test(dist((1, 500), (300, 2)), 2.0, c)
+    padded = ks_test(dist((1, 500), (50, 0), (120, 0), (299, 0), (300, 2)), 2.0, c)
+    assert padded == sparse
+    assert [r.x for r in sparse.rows] == [1, 2, 299, 300]
+
+
+@pytest.mark.parametrize("pairs", [((1, 100), (10**6, 1)), ((1, 1), (10**6, 100))])
+@pytest.mark.parametrize("n", [2.0, 4.0])
+def test_ks_at_the_x_limit_has_at_most_five_rows(pairs, n):
+    report = ks_test(dist(*pairs), n, lotka_constant(n))
+    assert len(report.rows) <= 5
+    assert report.rows[0].x == 1
+    assert report.rows[-1].x == lotka.KS_X_MAX
+    assert report.d_max == max(r.abs_diff for r in report.rows)
+    assert report.x_at_dmax in {r.x for r in report.rows}
+
+
+def test_ks_keeps_the_row_where_e_stops_rising_inside_a_gap():
+    # at n = 4 the terms c * x^-4 fall below half an ulp of E near x = 9,550;
+    # from there E, and so the deviation, stays flat up to the gap's end
+    d = dist((1, 1), (20000, 1000))
+    c = lotka_constant(4.0)
+    sparse = ks_test(d, 4.0, c)
+    dense = ref.ks_test(d, 4.0, c)
+    assert 2 < dense.x_at_dmax < 19999
+    assert sparse.x_at_dmax == dense.x_at_dmax
+    kept = [r.x for r in sparse.rows]
+    assert kept == [1, 2, dense.x_at_dmax, 19999, 20000]
+    assert list(sparse.rows) == [r for r in dense.rows if r.x in kept]
