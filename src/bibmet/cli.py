@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import __version__
 from .collab import PARTITIONS, CollabReport, authorship_pattern_report
-from .corpus import CountTables, _check_unique_ids
+from .corpus import CountTables, check_unique_ids
 from .errors import DomainError, ParseError
 from .growth import GrowthReport, _check_block_split, build_growth_report
 from .lotka import (
@@ -130,7 +130,7 @@ def _apply_config(argv: list[str]) -> list[str]:
         return rest
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"bibmet: cannot read config file: {exc}") from exc
     flags: list[str] = []
     for lineno, raw in enumerate(split_lines(text), start=1):
@@ -295,7 +295,7 @@ def _read_exports(files, strict: bool, sink):
           f"skipped {len(skipped)} block(s)", file=sys.stderr)
     if strict and skipped:
         raise ParseError(f"strict mode: {len(skipped)} block(s) skipped")
-    _check_unique_ids(record_ids)
+    check_unique_ids(record_ids)
     return result
 
 

@@ -69,7 +69,7 @@ class Corpus:
     provenance: str = ""
 
     def __post_init__(self):
-        _check_unique_ids([r.id for r in self.records])
+        check_unique_ids([r.id for r in self.records])
 
     def __len__(self) -> int:
         return len(self.records)
@@ -90,7 +90,8 @@ class Corpus:
         return Corpus(records, provenance=provenance)
 
 
-def _check_unique_ids(ids: list[str]) -> None:
+def check_unique_ids(ids: list[str]) -> None:
+    """Raise ``ValueError`` naming the first id that occurs more than once."""
     if len(set(ids)) != len(ids):
         dup = next(i for i, c in Counter(ids).items() if c > 1)
         raise ValueError(f"duplicate record id: {dup!r}")
@@ -100,17 +101,12 @@ class CountTables:
     """Papers per (author count, year) and per author name, folded in batches of papers.
 
     These two counts determine the yearly series, the authorship matrix
-    and the productivity distribution.  Export files read in
-    (:func:`~bibmet.wos.count_wos_file`) append each paper's id to
-    ``record_ids``, for :meth:`check_unique_ids`, and the start line of
-    each skipped block to ``skipped_lines``.
+    and the productivity distribution.
     """
 
     def __init__(self, papers: Iterable[tuple[str, int, tuple[str, ...]]] = ()):
         self.cells: Counter[tuple[int, int]] = Counter()
         self.papers_by_author: Counter[str] = Counter()
-        self.record_ids: list[str] = []
-        self.skipped_lines: list[int] = []
         self.add(papers)
 
     @classmethod
@@ -130,10 +126,6 @@ class CountTables:
                 self.cells[len(authors), year] += 1
                 names += authors
             self.papers_by_author.update(names)
-
-    def check_unique_ids(self) -> None:
-        """Raise ``ValueError`` naming the first id added more than once."""
-        _check_unique_ids(self.record_ids)
 
     def yearly_series(self) -> YearlySeries:
         """Papers per year, zero-filling gap years inside the span."""

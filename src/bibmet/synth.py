@@ -13,10 +13,11 @@ so that importing bibmet, and every run that samples nothing, skips it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
-from .corpus import Corpus, PublicationRecord
+from .corpus import YEAR_MAX, YEAR_MIN, Corpus, PublicationRecord
 from .errors import DomainError
 from .tables import ProductivityDistribution
 
@@ -40,14 +41,16 @@ class PowerLawSpec:
     seed: int
 
     def __post_init__(self):
+        if not math.isfinite(self.n0):
+            raise DomainError(f"power-law exponent n0 must be finite, got {self.n0}")
         if self.n0 <= 1:
             raise DomainError(f"power-law exponent must be > 1, got {self.n0}")
         if self.x_max < 2:
             raise DomainError("x_max must be >= 2")
         if self.x_max > X_MAX_LIMIT:
             raise DomainError(f"x_max must be <= {X_MAX_LIMIT}")
-        if self.total_authors < 1:
-            raise DomainError("total_authors must be >= 1")
+        if not 1 <= self.total_authors < 2 ** 63:  # numpy's multinomial takes an int64
+            raise DomainError("total_authors must be >= 1 and < 2**63")
         if not 0 <= int(self.seed) < 2 ** 64:
             raise DomainError("seed must fit in 64 bits")
 
@@ -63,6 +66,8 @@ class CorpusSpec:
     author_pool: int = 10000
 
     def __post_init__(self):
+        if not 0 <= self.seed < 2 ** 64:
+            raise DomainError("seed must fit in 64 bits")
         if self.author_pool > AUTHOR_POOL_LIMIT:
             raise DomainError(f"author_pool must be <= {AUTHOR_POOL_LIMIT}")
         papers = sum(p for p in self.papers_per_year if p > 0)
@@ -112,13 +117,16 @@ def sample_papers(years: Sequence[int], papers_per_year: Sequence[int],
         raise DomainError("cannot sample an empty corpus: no years given")
     if len(years) != len(papers_per_year):
         raise DomainError("papers_per_year must align with years")
+    if not YEAR_MIN <= min(years) <= max(years) <= YEAR_MAX:
+        raise DomainError(f"years must lie in [{YEAR_MIN}, {YEAR_MAX}], "
+                          f"got {min(years)} to {max(years)}")
     classes = sorted(author_count_dist)
     if not classes or any(j < 1 for j in classes):
         raise DomainError("author-count classes must be integers >= 1")
     probs = [author_count_dist[j] for j in classes]
     if any(p < 0 for p in probs):
         raise DomainError("class probabilities must be non-negative")
-    if abs(sum(probs) - 1.0) > 1e-9:
+    if not abs(sum(probs) - 1.0) <= 1e-9:  # NaN fails too
         raise DomainError(f"class probabilities sum to {sum(probs)}, expected 1")
     if author_pool < max(classes):
         raise DomainError("author pool smaller than the largest team size")
@@ -159,26 +167,34 @@ def spec_from_json(text: str) -> PowerLawSpec | CorpusSpec:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DomainError(f"invalid generator spec JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DomainError(f"generator spec must be a JSON object, got {type(payload).__name__}")
+
+    def field(name, convert, default=None):
+        if name not in payload and default is None:
+            raise DomainError(f"generator spec missing field: {name!r}")
+        try:
+            return convert(payload.get(name, default))
+        except (AttributeError, OverflowError, TypeError, ValueError) as exc:
+            raise DomainError(f"generator spec field {name!r}: {exc}") from exc
+
     kind = payload.get("kind")
-    try:
-        if kind == "productivity":
-            return PowerLawSpec(
-                n0=float(payload["n0"]),
-                total_authors=int(payload["total_authors"]),
-                x_max=int(payload["x_max"]),
-                seed=int(payload["seed"]),
-            )
-        if kind == "corpus":
-            dist = {int(j): float(p)
-                    for j, p in payload["author_count_dist"].items()}
-            return CorpusSpec(
-                start_year=int(payload["start_year"]),
-                papers_per_year=tuple(int(p) for p in payload["papers_per_year"]),
-                author_count_dist=tuple(sorted(dist.items())),
-                seed=int(payload["seed"]),
-                author_pool=int(payload.get("author_pool", 10000)),
-            )
-    except KeyError as exc:
-        raise DomainError(f"generator spec missing field: {exc}") from exc
+    if kind == "productivity":
+        return PowerLawSpec(
+            n0=field("n0", float),
+            total_authors=field("total_authors", int),
+            x_max=field("x_max", int),
+            seed=field("seed", int),
+        )
+    if kind == "corpus":
+        dist = field("author_count_dist",
+                     lambda d: {int(j): float(p) for j, p in d.items()})
+        return CorpusSpec(
+            start_year=field("start_year", int),
+            papers_per_year=field("papers_per_year", lambda ps: tuple(int(p) for p in ps)),
+            author_count_dist=tuple(sorted(dist.items())),
+            seed=field("seed", int),
+            author_pool=field("author_pool", int, 10000),
+        )
     raise DomainError(f"unknown generator kind {kind!r}; "
                       "expected 'productivity' or 'corpus'")

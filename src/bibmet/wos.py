@@ -30,9 +30,11 @@ three-space continuations, a four-digit ``PY``, ``UT``, ``ER``, every
 value already stripped), which reads the whole block with no work per
 line.  Every other block goes through the line-by-line rules, which keep
 only the ``AU``/``PY``/``UT`` values of the block in hand; both give the
-same blocks, line numbers and ids.  :func:`scan_wos_file` yields the
-kept blocks of a file as ``(id, year, authors)`` papers, the one shape
-every sink takes.  The analysis commands fold them straight into
+same papers, skipped lines and ids.  The scanner yields the kept blocks
+as ``(id, year, authors)`` papers, the one shape every sink takes, and
+appends their ids and the skipped blocks' start lines to the lists it
+is given; :func:`scan_wos_file` does the same for a file.  The analysis
+commands fold the papers straight into
 :class:`~bibmet.corpus.CountTables`, so their memory is bounded by a few
 chunks plus the distinct authors, not by the size of the file.
 :func:`export_text` renders papers as export text, for ``bibmet ingest
@@ -49,7 +51,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO, Union
 
-from .corpus import YEAR_MAX, YEAR_MIN, Corpus, CountTables, PublicationRecord
+from .corpus import YEAR_MAX, YEAR_MIN, Corpus, PublicationRecord
 from .errors import EmptyCorpusError
 from .tables import normalize_line_ends
 
@@ -69,7 +71,7 @@ RUN_CHARS_MAX = 1024 * 1024
 _VALUE = r"\S[^\n]*"
 _VALUE_END = r"\n(?<!\s\n)"
 _CANONICAL_BLOCK = re.compile(
-    rf"(\n*)PT J\nAU ({_VALUE}{_VALUE_END}(?:{_CONTINUATION}{_VALUE}{_VALUE_END})*)"
+    rf"\n*PT J\nAU ({_VALUE}{_VALUE_END}(?:{_CONTINUATION}{_VALUE}{_VALUE_END})*)"
     rf"PY ([0-9]{{4}})\nUT ({_VALUE}){_VALUE_END}{RECORD_END}\n")
 _ER_LINE = "\n" + RECORD_END + "\n"
 
@@ -79,26 +81,30 @@ class WosParseResult:
     """A parsed corpus plus the tally of skipped (unusable) blocks."""
 
     corpus: Corpus
-    skipped: int
     skipped_lines: tuple[int, ...]  # starting line of each skipped block
 
+    @property
+    def skipped(self) -> int:
+        return len(self.skipped_lines)
 
-def scan_wos_export(
-        chunks: Iterable[str]) -> Iterator[tuple[int, int | None, tuple[str, ...], str | None]]:
-    """Scan one export block by block.
+
+def scan_wos_export(chunks: Iterable[str], skipped_lines: list[int],
+                    record_ids: list[str]) -> Iterator[tuple[str, int, tuple[str, ...]]]:
+    """Yield the kept blocks of one export as ``(id, year, authors)``.
 
     ``chunks`` yields the export's text in pieces of any size, with every
     line end already written as ``\\n`` (an open file in universal-newline
-    mode read by :func:`scan_wos_file`, or a whole normalized text).  Each
-    block with at least one ``AU`` value and a parseable ``PY`` year
-    yields its start line, year, authors (stripped, empty names dropped,
-    first occurrence of a repeated name kept) and record id: the ``UT``
+    mode read by :func:`scan_wos_file`, or a whole normalized text).  A
+    block is kept if it has at least one ``AU`` value and a parseable
+    ``PY`` year; its authors are stripped, empty names dropped and the
+    first occurrence of a repeated name kept, and its id is the ``UT``
     value, or the next free sequential synthetic id (``rec000001``, ...)
-    when the block has none or the file already used it.  Any other
-    block, and a block left open by ``EF`` or the end of input, yields
-    ``(start, None, (), None)``.  Raises :class:`EmptyCorpusError` after
-    the last block if none parsed, naming the first malformed block's
-    line number when there is one.
+    when the block has none or the export already used it.  Each kept
+    id is appended to ``record_ids``.  Any other block, and a block left
+    open by ``EF`` or the end of input, is skipped: its start line is
+    appended to ``skipped_lines``.  Raises :class:`EmptyCorpusError`
+    after the last block if none was kept, naming the start line of the
+    first block this export skipped when there is one.
 
     Between blocks, one regular expression tries the block shape that
     :func:`write_wos_export` writes; a match is the whole block, read with
@@ -111,7 +117,7 @@ def scan_wos_export(
     chunks = iter(chunks)
     seen: set[str] = set()
     synthetic = 0
-    first_skip: int | None = None
+    skips_before = len(skipped_lines)  # skipped lines of earlier exports
     au: list[str] = []
     py: list[str] = []
     ut: list[str] = []
@@ -130,6 +136,7 @@ def scan_wos_export(
                 synthetic += 1
                 value = f"rec{synthetic:06d}"
         seen.add(value)
+        record_ids.append(value)
         return value
 
     for text in _runs_of_lines(chunks):
@@ -137,10 +144,10 @@ def scan_wos_export(
         while pos < len(text) and not at_end:
             if start is None:
                 block = match(text, pos)
-                if block is not None and YEAR_MIN <= (year := int(block[3])) <= YEAR_MAX:
+                if block is not None and YEAR_MIN <= (year := int(block[2])) <= YEAR_MAX:
                     end = block.end()
-                    authors = tuple(dict.fromkeys(block[2][:-1].split(next_name)))
-                    yield lineno + len(block[1]) + 1, year, authors, record_id(block[4])
+                    authors = tuple(dict.fromkeys(block[1][:-1].split(next_name)))
+                    yield record_id(block[3]), year, authors
                     lineno += text.count("\n", pos, end)
                     pos = end
                     continue
@@ -166,11 +173,9 @@ def scan_wos_export(
                         authors = tuple(dict.fromkeys(filter(None, au)))
                         year = _parse_year(py)
                         if not authors or year is None:
-                            if first_skip is None:
-                                first_skip = start
-                            yield start, None, (), None
+                            skipped_lines.append(start)
                         else:
-                            yield start, year, authors, record_id(next(filter(None, ut), None))
+                            yield record_id(next(filter(None, ut), None)), year, authors
                     au.clear()
                     py.clear()
                     ut.clear()
@@ -193,14 +198,12 @@ def scan_wos_export(
 
     if start is not None:
         # trailing block without an ER terminator is malformed
-        if first_skip is None:
-            first_skip = start
-        yield start, None, (), None
+        skipped_lines.append(start)
     if not seen:
-        if first_skip is not None:
+        if len(skipped_lines) > skips_before:
             raise EmptyCorpusError(
                 "no parseable records; first malformed block starts here",
-                line=first_skip)
+                line=skipped_lines[skips_before])
         raise EmptyCorpusError("no records found in input")
 
 
@@ -237,22 +240,12 @@ def _runs_of_lines(chunks: Iterator[str]) -> Iterator[str]:
 
 def scan_wos_file(path, skipped_lines: list[int],
                   record_ids: list[str]) -> Iterator[tuple[str, int, tuple[str, ...]]]:
-    """Yield the kept blocks of a tagged export file (UTF-8) as ``(id, year, authors)``.
-
-    Appends each kept block's id to ``record_ids`` and each skipped
-    block's start line to ``skipped_lines``.  Raises
-    :class:`EmptyCorpusError` if nothing in the file parses.
-    """
+    """:func:`scan_wos_export` of a tagged export file (UTF-8)."""
     # universal-newline mode ends lines at \n, \r\n and \r only
     with io.open(path, "r", encoding="utf-8") as fh:
         try:
-            for line, year, authors, rid in scan_wos_export(
-                    iter(functools.partial(fh.read, CHUNK_CHARS), "")):
-                if year is None:
-                    skipped_lines.append(line)
-                else:
-                    record_ids.append(rid)
-                    yield rid, year, authors
+            yield from scan_wos_export(iter(functools.partial(fh.read, CHUNK_CHARS), ""),
+                                       skipped_lines, record_ids)
         except UnicodeDecodeError:
             # name the undecodable byte's offset from the start of the
             # file, as a whole-file read does, not from the current chunk
@@ -270,10 +263,9 @@ def parse_wos_export(source: Union[str, TextIO], provenance: str = "") -> WosPar
     nothing parses.
     """
     text = source.read() if hasattr(source, "read") else source
-    blocks = list(scan_wos_export([normalize_line_ends(text)]))
-    papers = [(rid, year, authors) for _, year, authors, rid in blocks if year is not None]
-    return _parse_result(papers, [line for line, year, _, _ in blocks if year is None],
-                         provenance)
+    skipped_lines: list[int] = []
+    return _parse_result(scan_wos_export([normalize_line_ends(text)], skipped_lines, []),
+                         skipped_lines, provenance)
 
 
 def parse_wos_file(path, provenance: str | None = None) -> WosParseResult:
@@ -283,26 +275,11 @@ def parse_wos_file(path, provenance: str | None = None) -> WosParseResult:
                          provenance if provenance is not None else str(path))
 
 
-def count_wos_file(path, counts: CountTables) -> None:
-    """Fold the blocks of a tagged export file (UTF-8) into ``counts``.
-
-    Builds no records: kept blocks go to :meth:`CountTables.add` and
-    their ids to ``counts.record_ids``, skipped blocks' start lines to
-    ``counts.skipped_lines``.  Raises :class:`EmptyCorpusError` if
-    nothing in the file parses.
-    """
-    counts.add(scan_wos_file(path, counts.skipped_lines, counts.record_ids))
-
-
 def _parse_result(papers: Iterable[tuple[str, int, tuple[str, ...]]],
                   skipped_lines: list[int], provenance: str) -> WosParseResult:
     # one record per paper, built before skipped_lines is read
     corpus = Corpus(tuple(PublicationRecord(*paper) for paper in papers), provenance=provenance)
-    return WosParseResult(
-        corpus=corpus,
-        skipped=len(skipped_lines),
-        skipped_lines=tuple(skipped_lines),
-    )
+    return WosParseResult(corpus=corpus, skipped_lines=tuple(skipped_lines))
 
 
 @functools.cache

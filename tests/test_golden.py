@@ -43,6 +43,13 @@ INPUTS = {
         ' "author_pool": 150, "seed": 11}\n'),
     "powerlaw.json": '{"kind": "productivity", "n0": 2.0, "total_authors": 1000,'
                      ' "x_max": 20, "seed": 5}\n',
+    "list.json": "[1, 2]\n",
+    "nan.json": '{"kind": "productivity", "n0": NaN, "total_authors": 1000,'
+                ' "x_max": 20, "seed": 5}\n',
+    "wrong_type.json": '{"kind": "corpus", "start_year": 2010, "papers_per_year": 5,'
+                       ' "author_count_dist": {"1": 1.0}, "seed": 11}\n',
+    "far_year.json": '{"kind": "corpus", "start_year": 99999, "papers_per_year": [2, 3],'
+                     ' "author_count_dist": {"1": 1.0}, "seed": 11}\n',
     "second.txt": "PT J\nAU Author-00001\n   New, B\nPY 2015\nUT WOS:2\nER\nEF\n",
     "one.txt": "PT J\nAU One, A\nPY 2010\nER\nEF\n",
     "partial.txt": "PT J\nAU Ok, A\n   Two, B\nPY 2001\nUT WOS:1\nER\n"
@@ -58,6 +65,7 @@ INPUTS = {
     "collapsed.csv": "# already collapsed\nauthors,2015,2016\n1,2,1\n2,1,1\n3+,0,2\n",
     "standard.conf": "convention = standard\nexact-ln2 = true\n",
     "unknown.conf": "does-not-exist = 1\n",
+    "undecodable.conf": b"convention = standard\n# \xff\n",
 }
 
 BUNDLED = {
@@ -80,6 +88,10 @@ CASES = [
     ("synth-productivity-output", "synth --spec powerlaw.json --output dist.csv"),
     ("synth-productivity-emit-wos", "synth --spec powerlaw.json --emit wos"),
     ("synth-missing-spec", "synth --spec nope.json"),
+    ("synth-spec-not-object", "synth --spec list.json"),
+    ("synth-spec-nan", "synth --spec nan.json"),
+    ("synth-spec-wrong-type", "synth --spec wrong_type.json"),
+    ("synth-spec-year-range", "synth --spec far_year.json"),
 
     ("ingest-yearly", "ingest export.txt"),
     ("ingest-yearly-cap1", "ingest export.txt --cap 1"),
@@ -112,6 +124,7 @@ CASES = [
     ("growth-config", "growth --series yearly.csv --config standard.conf --format json"),
     ("growth-config-unknown-key", "growth --series yearly.csv --config unknown.conf"),
     ("growth-config-missing", "growth --series yearly.csv --config nope.conf"),
+    ("growth-config-undecodable", "growth --series yearly.csv --config undecodable.conf"),
     ("growth-output", "growth --series yearly.csv --output growth.csv"),
     ("growth-wos", "growth --wos export.txt"),
     ("growth-one-year", "growth --series one_year.csv"),

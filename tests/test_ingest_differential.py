@@ -18,10 +18,15 @@ from hypothesis import strategies as st
 
 import seed_reference as ref
 from bibmet.cli import main
-from bibmet.corpus import CountTables, build_authorship_matrix, build_yearly_series
+from bibmet.corpus import (
+    CountTables,
+    build_authorship_matrix,
+    build_yearly_series,
+    check_unique_ids,
+)
 from bibmet.errors import EmptyCorpusError
 from bibmet.lotka import productivity_distribution
-from bibmet.wos import count_wos_file, parse_wos_export, parse_wos_file
+from bibmet.wos import parse_wos_export, parse_wos_file, scan_wos_file
 
 NAMES = st.sampled_from(["Smith, A", "Jones, B", "Lee, C", "Kim, D", "Smith, A ", "",
                          "A\u2028B", "x\x0cy", "Ng\x85", "\x1c"])
@@ -91,13 +96,14 @@ def reference(texts, cap):
 
 
 def counts_path(paths, cap):
+    skipped, ids = [], []
     counts = CountTables()
     for path in paths:
-        count_wos_file(path, counts)
-    counts.check_unique_ids()
+        counts.add(scan_wos_file(path, skipped, ids))
+    check_unique_ids(ids)
     return tables(counts.yearly_series(), counts.authorship_matrix(cap, True),
                   counts.authorship_matrix(cap, False),
-                  counts.productivity_distribution(), counts.skipped_lines)
+                  counts.productivity_distribution(), skipped)
 
 
 def records_path(results, cap):

@@ -83,6 +83,13 @@ def test_spec_validation():
         PowerLawSpec(2.0, 100, 1, 0)
     with pytest.raises(DomainError):
         PowerLawSpec(2.0, 0, 10, 0)
+    with pytest.raises(DomainError, match="total_authors must be >= 1 and < 2"):
+        PowerLawSpec(2.0, 2 ** 63, 10, 0)
+    with pytest.raises(DomainError, match="seed must fit in 64 bits"):
+        CorpusSpec(2010, (3,), ((1, 1.0),), seed=-1)
+    for n0 in (float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="n0 must be finite"):
+            PowerLawSpec(n0, 100, 10, 0)
 
 
 def test_x_max_above_limit_is_rejected():
@@ -251,6 +258,9 @@ def test_synth_output_equals_the_sampled_corpus_tables(capsys, tmp_path, name):
     (([2000], [1], {3: 1.0}, 0, 2), "author pool smaller than the largest team size"),
     (([2000, 2001], [1, -1], {1: 1.0}, 0), "paper counts must be non-negative"),
     (([2000, 2001], [0, 0], {1: 1.0}, 0), "cannot sample an empty corpus: zero papers requested"),
+    (([2000], [1], {1: float("nan")}, 0), "class probabilities sum to nan, expected 1"),
+    (([999, 1000], [1, 1], {1: 1.0}, 0), "years must lie in [1000, 3000], got 999 to 1000"),
+    (([3000, 3001], [1, 1], {1: 1.0}, 0), "years must lie in [1000, 3000], got 3000 to 3001"),
 ])
 def test_sample_corpus_errors(args, message):
     with pytest.raises(DomainError) as raised:

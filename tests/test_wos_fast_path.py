@@ -12,7 +12,7 @@ place, or of the default size; text without an ``ER`` line is scanned
 at the default bound or after 16 characters, in the middle of a block.
 The count tables, skipped lines, errors and the bytes of
 ``bibmet ingest --emit wos`` must equal the reference's, and the scanner
-must yield the same blocks, start lines included, with its fast path
+must yield the same papers, skipped lines and ids with its fast path
 switched off.
 """
 
@@ -125,13 +125,19 @@ def test_chunked_fast_path_matches_the_seed_reference(texts, chunk, run_max, str
         assert outcome(lambda: records_path([parse_wos_file(p) for p in paths], 3)) == expected
         argv = ["ingest", "--emit", "wos", *paths] + (["--strict"] if strict else [])
         assert run_cli(argv) == (code, emitted, err)
-        # every block, kept ones with their start lines too, as without the fast path
+        # the papers, skipped lines and ids of each export, as without the fast path
         for text in texts:
             text = normalize_line_ends(text)
             chunks = [text[i:i + chunk] for i in range(0, len(text), chunk)]
-            scanned = outcome(lambda: list(wos.scan_wos_export(chunks)))
+            scanned = outcome(lambda: scan(chunks))
             with mock.patch.object(wos, "_CANONICAL_BLOCK", re.compile("(?!)")):
-                assert outcome(lambda: list(wos.scan_wos_export(chunks))) == scanned
+                assert outcome(lambda: scan(chunks)) == scanned
+
+
+def scan(chunks):
+    skipped_lines, record_ids = [], []
+    papers = list(wos.scan_wos_export(chunks, skipped_lines, record_ids))
+    return papers, skipped_lines, record_ids
 
 
 def test_every_block_write_wos_export_writes_is_canonical():
