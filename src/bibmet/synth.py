@@ -161,7 +161,9 @@ def spec_from_json(text: str) -> PowerLawSpec | CorpusSpec:
     ``{"kind": "productivity", "n0": 2.0, "total_authors": 1000,
     "x_max": 50, "seed": 7}`` or ``{"kind": "corpus", "start_year": 2008,
     "papers_per_year": [...], "author_count_dist": {"1": 0.1, ...},
-    "seed": 7}``.
+    "seed": 7}``.  Counts, sizes, years and seeds must be JSON integers,
+    ``n0`` and the class probabilities JSON numbers; a bool, a string or
+    (for an integer field) a fraction is a :class:`DomainError`.
     """
     try:
         payload = json.loads(text)
@@ -181,20 +183,33 @@ def spec_from_json(text: str) -> PowerLawSpec | CorpusSpec:
     kind = payload.get("kind")
     if kind == "productivity":
         return PowerLawSpec(
-            n0=field("n0", float),
-            total_authors=field("total_authors", int),
-            x_max=field("x_max", int),
-            seed=field("seed", int),
+            n0=field("n0", _number),
+            total_authors=field("total_authors", _integer),
+            x_max=field("x_max", _integer),
+            seed=field("seed", _integer),
         )
     if kind == "corpus":
         dist = field("author_count_dist",
-                     lambda d: {int(j): float(p) for j, p in d.items()})
+                     lambda d: {int(j): _number(p) for j, p in d.items()})
         return CorpusSpec(
-            start_year=field("start_year", int),
-            papers_per_year=field("papers_per_year", lambda ps: tuple(int(p) for p in ps)),
+            start_year=field("start_year", _integer),
+            papers_per_year=field("papers_per_year", lambda ps: tuple(map(_integer, ps))),
             author_count_dist=tuple(sorted(dist.items())),
-            seed=field("seed", int),
-            author_pool=field("author_pool", int, 10000),
+            seed=field("seed", _integer),
+            author_pool=field("author_pool", _integer, 10000),
         )
     raise DomainError(f"unknown generator kind {kind!r}; "
                       "expected 'productivity' or 'corpus'")
+
+
+def _integer(value) -> int:
+    # json.loads gives an int for a JSON integer only; a bool is an int too
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {type(value).__name__}")
+    return value
+
+
+def _number(value) -> float:
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {type(value).__name__}")
+    return float(value)

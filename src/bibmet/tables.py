@@ -16,7 +16,7 @@ class that absorbs all larger author counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Literal, Mapping, Union
+from typing import Iterator, Literal, Union
 
 from .errors import DomainError, ParseError
 

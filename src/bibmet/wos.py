@@ -20,17 +20,16 @@ usable ``AU`` or ``PY`` are skipped and tallied rather than aborting the
 whole file, so one mangled export block cannot kill a batch run.
 
 One block scanner, :func:`scan_wos_export`, reads an export in chunks
-(:func:`scan_wos_file` reads ``CHUNK_CHARS`` characters of a file at a
-time), cuts the text after the last ``ER`` line read and carries the
-rest into the next chunk (text that reaches ``RUN_CHARS_MAX``
-characters without an ``ER`` line is cut after its last line end
-instead).  Between blocks it first tries one regular expression for the
+that end at a line end (:func:`scan_wos_file` reads ``CHUNK_CHARS``
+characters of a file at a time and completes each read to the next line
+end).  Between blocks it first tries one regular expression for the
 block that :func:`write_wos_export` writes (``PT J``, ``AU`` with
 three-space continuations, a four-digit ``PY``, ``UT``, ``ER``, every
 value already stripped), which reads the whole block with no work per
 line.  Every other block goes through the line-by-line rules, which keep
-only the ``AU``/``PY``/``UT`` values of the block in hand; both give the
-same papers, skipped lines and ids.  The scanner yields the kept blocks
+only the ``AU``/``PY``/``UT`` values of the block in hand, so a block
+cut by a chunk's end goes on in the next chunk; both give the same
+papers, skipped lines and ids.  The scanner yields the kept blocks
 as ``(id, year, authors)`` papers, the one shape every sink takes, and
 appends their ids and the skipped blocks' start lines to the lists it
 is given; :func:`scan_wos_file` does the same for a file.  The analysis
@@ -60,10 +59,8 @@ _CONTINUATION = "   "
 RECORD_END = "ER"
 FILE_END = "EF"
 
-#: Characters read from an export file at a time.
+#: Characters read from an export file at a time, before the rest of the line.
 CHUNK_CHARS = 128 * 1024
-#: Characters carried without an ER line before they are scanned anyway.
-RUN_CHARS_MAX = 1024 * 1024
 # the record block that write_wos_export writes, after any blank lines.
 # Each value starts and ends with a non-space, so it equals its own strip()
 # and no line needs a look; its line end follows [^\n]* directly, so that
@@ -92,9 +89,10 @@ def scan_wos_export(chunks: Iterable[str], skipped_lines: list[int],
                     record_ids: list[str]) -> Iterator[tuple[str, int, tuple[str, ...]]]:
     """Yield the kept blocks of one export as ``(id, year, authors)``.
 
-    ``chunks`` yields the export's text in pieces of any size, with every
-    line end already written as ``\\n`` (an open file in universal-newline
-    mode read by :func:`scan_wos_file`, or a whole normalized text).  A
+    ``chunks`` yields the export's text in pieces of any size, each
+    ending at a line end except the last, with every line end already
+    written as ``\\n`` (an open file in universal-newline mode read by
+    :func:`scan_wos_file`, or a whole normalized text).  A
     block is kept if it has at least one ``AU`` value and a parseable
     ``PY`` year; its authors are stripped, empty names dropped and the
     first occurrence of a repeated name kept, and its id is the ``UT``
@@ -109,7 +107,8 @@ def scan_wos_export(chunks: Iterable[str], skipped_lines: list[int],
     Between blocks, one regular expression tries the block shape that
     :func:`write_wos_export` writes; a match is the whole block, read with
     no work per line.  Every other block goes through the line-by-line
-    rules, one run of lines up to the next ``ER`` line at a time.
+    rules, up to the next ``ER`` line or the chunk's end at a time; a block
+    open at a chunk's end goes on in the next chunk.
     """
     tag_of = _tag_prefixes().get
     match = _CANONICAL_BLOCK.match
@@ -139,7 +138,7 @@ def scan_wos_export(chunks: Iterable[str], skipped_lines: list[int],
         record_ids.append(value)
         return value
 
-    for text in _runs_of_lines(chunks):
+    for text in chunks:
         pos = 0
         while pos < len(text) and not at_end:
             if start is None:
@@ -155,7 +154,7 @@ def scan_wos_export(chunks: Iterable[str], skipped_lines: list[int],
             stop = len(text) if stop < 0 else stop + len(_ER_LINE)
             lines = text[pos:stop].split("\n")
             if not lines[-1]:
-                lines.pop()  # the run ended at a line end, not before one more line
+                lines.pop()  # the chunk ended at a line end, not before one more line
             pos = stop
             for lineno, raw in enumerate(lines, start=lineno + 1):
                 tag = tag_of(raw[:3])
@@ -207,45 +206,14 @@ def scan_wos_export(chunks: Iterable[str], skipped_lines: list[int],
         raise EmptyCorpusError("no records found in input")
 
 
-def _runs_of_lines(chunks: Iterator[str]) -> Iterator[str]:
-    """The text of ``chunks`` again, cut after the last ``ER`` line read so far.
-
-    Text is carried into the next chunk until an ``ER`` line ends it, so a
-    block is never split between runs.  Text that reaches
-    ``RUN_CHARS_MAX`` without an ``ER`` line is cut after its last line
-    end instead, so an export without them is still read a bounded piece
-    at a time.  Every run but the last ends at a line end.
-    """
-    tail: list[str] = []
-    size = 0
-    for chunk in chunks:
-        tail.append(chunk)
-        size += len(chunk)
-        if "\n" not in chunk:
-            continue  # no ER line or line end ends in this chunk
-        text = "".join(tail)
-        cut = text.rfind(_ER_LINE) + len(_ER_LINE)
-        if cut < len(_ER_LINE):
-            if size < RUN_CHARS_MAX:
-                tail = [text]
-                continue
-            cut = text.rfind("\n") + 1
-        yield text[:cut]
-        tail = [text[cut:]]
-        size = len(tail[0])
-    text = "".join(tail)
-    if text:
-        yield text
-
-
 def scan_wos_file(path, skipped_lines: list[int],
                   record_ids: list[str]) -> Iterator[tuple[str, int, tuple[str, ...]]]:
     """:func:`scan_wos_export` of a tagged export file (UTF-8)."""
     # universal-newline mode ends lines at \n, \r\n and \r only
     with io.open(path, "r", encoding="utf-8") as fh:
         try:
-            yield from scan_wos_export(iter(functools.partial(fh.read, CHUNK_CHARS), ""),
-                                       skipped_lines, record_ids)
+            chunks = iter(lambda: fh.read(CHUNK_CHARS) + fh.readline(), "")
+            yield from scan_wos_export(chunks, skipped_lines, record_ids)
         except UnicodeDecodeError:
             # name the undecodable byte's offset from the start of the
             # file, as a whole-file read does, not from the current chunk

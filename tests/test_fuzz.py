@@ -70,8 +70,9 @@ def specs(draw, values=JSON_VALUES):
 def test_export_text_raises_only_parse_errors(text, chunk):
     with contextlib.suppress(ParseError):
         parse_wos_export(text)
-    text = normalize_line_ends(text)
-    chunks = [text[i:i + chunk] for i in range(0, len(text), chunk)]
+    # chunks end at a line end, as scan_wos_file reads them
+    fh = io.StringIO(normalize_line_ends(text))
+    chunks = list(iter(lambda: fh.read(chunk) + fh.readline(), ""))
     skipped_lines, record_ids = [], []
     with contextlib.suppress(ParseError):
         for _ in scan_wos_export(chunks, skipped_lines, record_ids):

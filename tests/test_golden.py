@@ -48,6 +48,8 @@ INPUTS = {
                 ' "x_max": 20, "seed": 5}\n',
     "wrong_type.json": '{"kind": "corpus", "start_year": 2010, "papers_per_year": 5,'
                        ' "author_count_dist": {"1": 1.0}, "seed": 11}\n',
+    "fraction.json": '{"kind": "productivity", "n0": 2.0, "total_authors": 1000,'
+                     ' "x_max": 20.9, "seed": 5}\n',
     "far_year.json": '{"kind": "corpus", "start_year": 99999, "papers_per_year": [2, 3],'
                      ' "author_count_dist": {"1": 1.0}, "seed": 11}\n',
     "second.txt": "PT J\nAU Author-00001\n   New, B\nPY 2015\nUT WOS:2\nER\nEF\n",
@@ -92,6 +94,7 @@ CASES = [
     ("synth-spec-nan", "synth --spec nan.json"),
     ("synth-spec-wrong-type", "synth --spec wrong_type.json"),
     ("synth-spec-year-range", "synth --spec far_year.json"),
+    ("synth-spec-fraction", "synth --spec fraction.json"),
 
     ("ingest-yearly", "ingest export.txt"),
     ("ingest-yearly-cap1", "ingest export.txt --cap 1"),

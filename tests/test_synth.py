@@ -210,6 +210,46 @@ def test_spec_from_json_errors():
         spec_from_json('{"kind": "productivity", "n0": 2.0}')
 
 
+POWER_LAW = {"kind": "productivity", "n0": 2.0, "total_authors": 100, "x_max": 20, "seed": 1}
+CORPUS = {"kind": "corpus", "start_year": 2008, "papers_per_year": [2, 1],
+          "author_count_dist": {"1": 0.5, "2": 0.5}, "author_pool": 50, "seed": 1}
+
+
+@pytest.mark.parametrize("spec, field, message", [
+    ({**POWER_LAW, "x_max": 20.9}, "x_max", "expected an integer, got float"),
+    ({**POWER_LAW, "seed": 1.7}, "seed", "expected an integer, got float"),
+    ({**POWER_LAW, "total_authors": True}, "total_authors", "expected an integer, got bool"),
+    ({**POWER_LAW, "total_authors": "100"}, "total_authors", "expected an integer, got str"),
+    ({**POWER_LAW, "n0": True}, "n0", "expected a number, got bool"),
+    ({**POWER_LAW, "n0": "2.0"}, "n0", "expected a number, got str"),
+    ({**CORPUS, "papers_per_year": [2.5, 1]}, "papers_per_year", "expected an integer, got float"),
+    ({**CORPUS, "papers_per_year": [2, True]}, "papers_per_year", "expected an integer, got bool"),
+    ({**CORPUS, "start_year": 2008.5}, "start_year", "expected an integer, got float"),
+    ({**CORPUS, "seed": 1.0}, "seed", "expected an integer, got float"),
+    ({**CORPUS, "author_pool": "50"}, "author_pool", "expected an integer, got str"),
+    ({**CORPUS, "author_count_dist": {"1": "0.5", "2": 0.5}}, "author_count_dist",
+     "expected a number, got str"),
+    ({**CORPUS, "author_count_dist": {"1": True}}, "author_count_dist",
+     "expected a number, got bool"),
+])
+def test_spec_from_json_rejects_coerced_values(capsys, tmp_path, spec, field, message):
+    # each of these was once truncated or coerced and sampled with exit 0
+    with pytest.raises(DomainError, match=f"^generator spec field '{field}': {message}$"):
+        spec_from_json(json.dumps(spec))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["synth", "--spec", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"bibmet: domain error: generator spec field "
+                                       f"'{field}': {message}\n")
+
+
+def test_spec_from_json_takes_integers_for_numbers():
+    spec = spec_from_json(json.dumps({**POWER_LAW, "n0": 3}))
+    assert spec.n0 == 3.0 and isinstance(spec.n0, float)
+    spec = spec_from_json(json.dumps({**CORPUS, "author_count_dist": {"2": 1}}))
+    assert spec.author_count_dist == ((2, 1.0),)
+
+
 # ---------------------------------------------------------------------------
 # synth streams papers into the sinks that sample_corpus's records reach
 
