@@ -43,7 +43,7 @@ from .synth import PowerLawSpec, sample_productivity, sample_spec_papers, spec_f
 from .tables import AuthorshipMatrix, ProductivityDistribution, YearlySeries, split_lines
 from .wos import export_text, scan_wos_file
 
-# not called: perfbench/spans.py patches these names here (see ROADMAP item 3)
+# not called: perfbench/spans.py patches these names here (see tests/test_tracer_targets.py)
 from .corpus import build_authorship_matrix, build_yearly_series  # noqa: F401
 from .lotka import productivity_distribution  # noqa: F401
 from .wos import parse_wos_file, write_wos_export  # noqa: F401

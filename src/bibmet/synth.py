@@ -190,7 +190,7 @@ def spec_from_json(text: str) -> PowerLawSpec | CorpusSpec:
         )
     if kind == "corpus":
         dist = field("author_count_dist",
-                     lambda d: {int(j): _number(p) for j, p in d.items()})
+                     lambda d: {_class_key(j): _number(p) for j, p in d.items()})
         return CorpusSpec(
             start_year=field("start_year", _integer),
             papers_per_year=field("papers_per_year", lambda ps: tuple(map(_integer, ps))),
@@ -207,6 +207,13 @@ def _integer(value) -> int:
     if type(value) is not int:
         raise TypeError(f"expected an integer, got {type(value).__name__}")
     return value
+
+
+def _class_key(key: str) -> int:
+    # digits 0-9 only: int() also takes spaces, a sign, "_" and other scripts' digits
+    if not (key.isascii() and key.isdigit()):
+        raise ValueError(f"class keys must be digits 0-9, got {key!r}")
+    return int(key)
 
 
 def _number(value) -> float:

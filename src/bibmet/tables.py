@@ -11,11 +11,17 @@ lines ignored, LF line endings, rows in ascending key order):
 In the matrix dialect the first column holds the author-count class; a
 trailing ``+`` on the last class label (``10+``) marks a collapsed top
 class that absorbs all larger author counts.
+
+Each table's ``__post_init__`` holds its rules (keys strictly increasing,
+counts non-negative, ``x >= 1``, classes ``>= 1``, a collapsed class
+``>= 2``).  The CSV reader checks only the header, the integer cells and
+the ``+`` marker, and reports a rule at the line of the first row breaking it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Literal, Union
 
 from .errors import DomainError, ParseError
@@ -26,6 +32,14 @@ TableShape = Literal["yearly", "matrix", "distribution"]
 CAP_MAX = 10_000
 
 
+class _RowError(ValueError):
+    """A table rule broken at data row ``row`` (``-1``: header, ``None``: whole table)."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
+
+
 @dataclass(frozen=True)
 class YearlySeries:
     """Publication counts per year, with cumulative and percentage views."""
@@ -34,15 +48,15 @@ class YearlySeries:
 
     def __post_init__(self):
         if not self.entries:
-            raise ValueError("a yearly series needs at least one entry")
+            raise _RowError("a yearly series needs at least one entry")
         prev = None
-        for year, papers in self.entries:
+        for i, (year, papers) in enumerate(self.entries):
             if not isinstance(year, int) or not isinstance(papers, int):
-                raise ValueError("years and counts must be integers")
+                raise _RowError("years and counts must be integers", i)
             if papers < 0:
-                raise ValueError(f"negative paper count for {year}")
+                raise _RowError(f"negative paper count for {year}", i)
             if prev is not None and year <= prev:
-                raise ValueError("years must be strictly increasing")
+                raise _RowError("years must be strictly increasing", i)
             prev = year
 
     @property
@@ -92,7 +106,7 @@ class YearlySeries:
 
     @classmethod
     def from_csv(cls, text: str) -> "YearlySeries":
-        return _parse_yearly(text)
+        return _read_csv(cls, text, "year,papers", "year", "paper count")
 
 
 @dataclass(frozen=True)
@@ -112,24 +126,26 @@ class AuthorshipMatrix:
 
     def __post_init__(self):
         if not self.classes or not self.years:
-            raise ValueError("matrix needs at least one class and one year")
-        if any(not isinstance(j, int) or j < 1 for j in self.classes):
-            raise ValueError("author-count classes must be integers >= 1")
-        if list(self.classes) != sorted(set(self.classes)):
-            raise ValueError("classes must be strictly increasing")
+            raise _RowError("matrix needs at least one class and one year")
         if list(self.years) != sorted(set(self.years)):
-            raise ValueError("years must be strictly increasing")
-        if self.cap < 2:
-            raise ValueError("cap must be >= 2")
-        if self.collapsed and self.classes[-1] != self.cap:
-            raise ValueError("collapsed matrix must end at the cap class")
+            raise _RowError("years must be strictly increasing", -1)
         if len(self.counts) != len(self.classes):
             raise ValueError("one count row per class required")
-        for row in self.counts:
+        for i, (j, row) in enumerate(zip(self.classes, self.counts)):
+            if not isinstance(j, int) or j < 1:
+                raise _RowError("author-count classes must be integers >= 1", i)
+            if i and j <= self.classes[i - 1]:
+                raise _RowError("classes must be strictly increasing", i)
             if len(row) != len(self.years):
-                raise ValueError("one count per year required in each row")
+                raise _RowError("one count per year required in each row", i)
             if any(not isinstance(c, int) or c < 0 for c in row):
-                raise ValueError("counts must be non-negative integers")
+                raise _RowError("counts must be non-negative integers", i)
+        if self.cap < 2:
+            # the cap of a collapsed matrix is its last class
+            raise _RowError("cap must be >= 2",
+                            len(self.classes) - 1 if self.collapsed else None)
+        if self.collapsed and self.classes[-1] != self.cap:
+            raise ValueError("collapsed matrix must end at the cap class")
 
     def year_index(self, year: int) -> int:
         try:
@@ -215,7 +231,7 @@ class AuthorshipMatrix:
 
     @classmethod
     def from_csv(cls, text: str) -> "AuthorshipMatrix":
-        return _parse_matrix(text)
+        return _read_csv(cls, text, "authors,<year>,...", "author-count class", "count")
 
 
 @dataclass(frozen=True)
@@ -226,17 +242,17 @@ class ProductivityDistribution:
 
     def __post_init__(self):
         if not self.pairs:
-            raise ValueError("a productivity distribution needs at least one pair")
+            raise _RowError("a productivity distribution needs at least one pair")
         prev = None
-        for x, y in self.pairs:
+        for i, (x, y) in enumerate(self.pairs):
             if not isinstance(x, int) or not isinstance(y, int):
-                raise ValueError("x and y must be integers")
+                raise _RowError("x and y must be integers", i)
             if x < 1:
-                raise ValueError("papers-per-author count x must be >= 1")
+                raise _RowError("papers-per-author count x must be >= 1", i)
             if y < 0:
-                raise ValueError("author count y must be >= 0")
+                raise _RowError("author count y must be >= 0", i)
             if prev is not None and x <= prev:
-                raise ValueError("x values must be strictly increasing")
+                raise _RowError("x values must be strictly increasing", i)
             prev = x
 
     @property
@@ -269,7 +285,7 @@ class ProductivityDistribution:
 
     @classmethod
     def from_csv(cls, text: str) -> "ProductivityDistribution":
-        return _parse_distribution(text)
+        return _read_csv(cls, text, "x,y", "x", "y")
 
 
 CountTable = Union[YearlySeries, AuthorshipMatrix, ProductivityDistribution]
@@ -280,16 +296,16 @@ def parse_counts_csv(text: str, shape: TableShape) -> CountTable:
 
     ``shape`` selects the expected header: ``yearly`` (``year,papers``),
     ``matrix`` (``authors,<year>,...``) or ``distribution`` (``x,y``).
-    Raises :class:`ParseError` with the offending line number on header
-    mismatch, non-integer cells, or out-of-order keys.
+    Raises :class:`ParseError` at the line of the first row the reader
+    cannot read, else of the first row that breaks a rule of the table's
+    ``__post_init__``; a rule on the whole table (no data rows) is
+    reported at the header.
     """
-    if shape == "yearly":
-        return _parse_yearly(text)
-    if shape == "matrix":
-        return _parse_matrix(text)
-    if shape == "distribution":
-        return _parse_distribution(text)
-    raise ValueError(f"unknown table shape: {shape!r}")
+    table = {"yearly": YearlySeries, "matrix": AuthorshipMatrix,
+             "distribution": ProductivityDistribution}.get(shape)
+    if table is None:
+        raise ValueError(f"unknown table shape: {shape!r}")
+    return table.from_csv(text)
 
 
 def split_lines(text: str) -> list[str]:
@@ -322,102 +338,49 @@ def _int_cell(cell: str, lineno: int, what: str) -> int:
         raise ParseError(f"{what} is not an integer: {cell!r}", line=lineno) from None
 
 
-def _parse_yearly(text: str) -> YearlySeries:
+def _read_csv(cls, text: str, expected: str, key: str, count: str) -> CountTable:
+    """The table ``cls`` read from CSV ``text``, checking only what no table can.
+
+    That is the header ``expected``, the cells per row, the integer ``key``
+    and ``count`` cells and, in a matrix, the header years and the ``+`` on
+    the last class.  A rule that ``cls`` finds broken is reported at its row.
+    """
+    matrix = cls is AuthorshipMatrix
     rows = _rows(text)
-    lineno, header = _header(rows, "year,papers")
-    entries = []
-    prev = None
+    lineno, header = next(rows, (1, None))
+    if header is None:
+        raise ParseError(f"empty input, expected {expected!r} header", line=1)
+    if matrix:
+        if len(header) < 2 or header[0] != "authors":
+            raise ParseError(f"expected header {expected!r}", line=lineno)
+        years = tuple(_int_cell(c, lineno, "header year") for c in header[1:])
+    elif header != expected.split(","):
+        raise ParseError(
+            f"expected header {expected!r}, got {','.join(header)!r}", line=lineno)
+    table, collapsed = [], False
     for lineno, cells in rows:
-        if len(cells) != 2:
-            raise ParseError(f"expected 2 cells, got {len(cells)}", line=lineno)
-        year = _int_cell(cells[0], lineno, "year")
-        papers = _int_cell(cells[1], lineno, "paper count")
-        if papers < 0:
-            raise ParseError(f"negative paper count {papers}", line=lineno)
-        if prev is not None and year <= prev:
-            raise ParseError(f"year {year} out of increasing order", line=lineno)
-        prev = year
-        entries.append((year, papers))
-    if not entries:
-        raise ParseError("no data rows", line=lineno)
-    return YearlySeries(tuple(entries))
-
-
-def _parse_matrix(text: str) -> AuthorshipMatrix:
-    rows = _rows(text)
-    try:
-        lineno, header = next(rows)
-    except StopIteration:
-        raise ParseError("empty input, expected 'authors,<year>,...' header", line=1) from None
-    if len(header) < 2 or header[0] != "authors":
-        raise ParseError("expected header 'authors,<year>,...'", line=lineno)
-    years = tuple(_int_cell(c, lineno, "header year") for c in header[1:])
-    if list(years) != sorted(set(years)):
-        raise ParseError("header years must be strictly increasing", line=lineno)
-
-    classes: list[int] = []
-    counts: list[tuple[int, ...]] = []
-    collapsed_at: int | None = None
-    for lineno, cells in rows:
-        if collapsed_at is not None:
+        if collapsed:
             raise ParseError("collapsed class marker '+' must be on the last row",
                              line=lineno)
-        if len(cells) != len(years) + 1:
-            raise ParseError(
-                f"expected {len(years) + 1} cells, got {len(cells)}", line=lineno)
-        label = cells[0]
-        if label.endswith("+"):
-            collapsed_at = lineno
-            label = label[:-1]
-        j = _int_cell(label, lineno, "author-count class")
-        if j < 1:
-            raise ParseError(f"author-count class {j} must be >= 1", line=lineno)
-        if classes and j <= classes[-1]:
-            raise ParseError(f"class {j} out of increasing order", line=lineno)
-        row = tuple(_int_cell(c, lineno, "count") for c in cells[1:])
-        if any(c < 0 for c in row):
-            raise ParseError("negative count", line=lineno)
-        classes.append(j)
-        counts.append(row)
-    if not classes:
-        raise ParseError("no data rows", line=lineno)
-    collapsed = collapsed_at is not None
-    if collapsed and classes[-1] < 2:
-        raise ParseError("collapsed top class must be >= 2", line=collapsed_at)
-    cap = classes[-1] if collapsed else max(2, classes[-1])
-    return AuthorshipMatrix(tuple(classes), years, tuple(counts),
-                            collapsed=collapsed, cap=cap)
-
-
-def _parse_distribution(text: str) -> ProductivityDistribution:
-    rows = _rows(text)
-    lineno, header = _header(rows, "x,y")
-    pairs = []
-    prev = None
-    for lineno, cells in rows:
-        if len(cells) != 2:
-            raise ParseError(f"expected 2 cells, got {len(cells)}", line=lineno)
-        x = _int_cell(cells[0], lineno, "x")
-        y = _int_cell(cells[1], lineno, "y")
-        if x < 1:
-            raise ParseError(f"x must be >= 1, got {x}", line=lineno)
-        if y < 0:
-            raise ParseError(f"y must be >= 0, got {y}", line=lineno)
-        if prev is not None and x <= prev:
-            raise ParseError(f"x {x} out of increasing order", line=lineno)
-        prev = x
-        pairs.append((x, y))
-    if not pairs:
-        raise ParseError("no data rows", line=lineno)
-    return ProductivityDistribution(tuple(pairs))
-
-
-def _header(rows: Iterator[tuple[int, list[str]]], expected: str) -> tuple[int, list[str]]:
+        if len(cells) != len(header):
+            raise ParseError(f"expected {len(header)} cells, got {len(cells)}", line=lineno)
+        collapsed = matrix and cells[0].endswith("+")
+        if collapsed:
+            cells[0] = cells[0][:-1]
+        try:
+            table.append(tuple(map(int, cells)))
+        except ValueError:  # report the first cell that is not an integer
+            for cell, what in zip(cells, [key] + [count] * len(cells)):
+                _int_cell(cell, lineno, what)
     try:
-        lineno, cells = next(rows)
-    except StopIteration:
-        raise ParseError(f"empty input, expected {expected!r} header", line=1) from None
-    if cells != expected.split(","):
-        raise ParseError(
-            f"expected header {expected!r}, got {','.join(cells)!r}", line=lineno)
-    return lineno, cells
+        if not matrix:
+            return cls(tuple(table))
+        classes = tuple(row[0] for row in table)
+        top = classes[-1] if classes else 2
+        return cls(classes, years, tuple(row[1:] for row in table),
+                   collapsed=collapsed, cap=top if collapsed else max(2, top))
+    except _RowError as exc:
+        # read text again, so that valid input keeps no line numbers
+        index = 0 if exc.row is None else exc.row + 1  # the header is row 0
+        lineno, _ = next(islice(_rows(text), index, None))
+        raise ParseError(str(exc), line=lineno) from None

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from bibmet.cli import main
 from bibmet.errors import DomainError, ParseError
 from bibmet.synth import spec_from_json
-from bibmet.tables import normalize_line_ends, parse_counts_csv
+from bibmet.tables import normalize_line_ends, parse_counts_csv, split_lines
 from bibmet.wos import parse_wos_export, scan_wos_export
 
 # text near each input dialect, so that the parsers get past their first line
@@ -82,8 +82,11 @@ def test_export_text_raises_only_parse_errors(text, chunk):
 @settings(max_examples=150, deadline=None)
 @given(text=TEXTS, shape=st.sampled_from(["yearly", "matrix", "distribution"]))
 def test_counts_csv_raises_only_parse_errors(text, shape):
-    with contextlib.suppress(ParseError):
+    try:
         parse_counts_csv(text, shape)
+    except ParseError as exc:
+        # the error names a line of the input
+        assert exc.line is not None and 1 <= exc.line <= len(split_lines(text))
 
 
 @settings(max_examples=150, deadline=None)

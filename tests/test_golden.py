@@ -50,6 +50,8 @@ INPUTS = {
                        ' "author_count_dist": {"1": 1.0}, "seed": 11}\n',
     "fraction.json": '{"kind": "productivity", "n0": 2.0, "total_authors": 1000,'
                      ' "x_max": 20.9, "seed": 5}\n',
+    "class_key.json": '{"kind": "corpus", "start_year": 2010, "papers_per_year": [2],'
+                      ' "author_count_dist": {" +1_0 ": 1.0}, "seed": 11}\n',
     "far_year.json": '{"kind": "corpus", "start_year": 99999, "papers_per_year": [2, 3],'
                      ' "author_count_dist": {"1": 1.0}, "seed": 11}\n',
     "second.txt": "PT J\nAU Author-00001\n   New, B\nPY 2015\nUT WOS:2\nER\nEF\n",
@@ -95,6 +97,7 @@ CASES = [
     ("synth-spec-wrong-type", "synth --spec wrong_type.json"),
     ("synth-spec-year-range", "synth --spec far_year.json"),
     ("synth-spec-fraction", "synth --spec fraction.json"),
+    ("synth-spec-class-key", "synth --spec class_key.json --emit matrix"),
 
     ("ingest-yearly", "ingest export.txt"),
     ("ingest-yearly-cap1", "ingest export.txt --cap 1"),

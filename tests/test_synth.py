@@ -250,6 +250,15 @@ def test_spec_from_json_takes_integers_for_numbers():
     assert spec.author_count_dist == ((2, 1.0),)
 
 
+@pytest.mark.parametrize("key", [" +1_0 ", "10 ", "+2", "-1", "1_0", "٢", "2.0", "²", ""])
+def test_spec_class_keys_are_ascii_digits(key):
+    # int() reads the first six of these keys
+    with pytest.raises(DomainError, match="^generator spec field 'author_count_dist': "):
+        spec_from_json(json.dumps({**CORPUS, "author_count_dist": {key: 1.0}}))
+    spec = spec_from_json(json.dumps({**CORPUS, "author_count_dist": {"007": 1.0}}))
+    assert spec.author_count_dist == ((7, 1.0),)
+
+
 # ---------------------------------------------------------------------------
 # synth streams papers into the sinks that sample_corpus's records reach
 

@@ -8,6 +8,7 @@ from bibmet.tables import (
     ProductivityDistribution,
     YearlySeries,
     parse_counts_csv,
+    split_lines,
 )
 
 
@@ -214,3 +215,83 @@ def test_csv_output_is_lf_and_ascending(yearly_fixture):
     assert "\r" not in text
     years = [int(line.split(",")[0]) for line in text.splitlines()[1:]]
     assert years == sorted(years)
+
+
+# ---------------------------------------------------------------------------
+# where a CSV error is reported
+
+@pytest.mark.parametrize("text, shape, line", [
+    # header only: the rule on the whole table is reported at the header
+    ("year,papers\n", "yearly", 1),
+    ("authors,2008\n", "matrix", 1),
+    ("x,y\n", "distribution", 1),
+    ("\n# only a header\r\nauthors,2008,2009\r", "matrix", 3),
+    ("# only a header\n\nx,y", "distribution", 3),
+    ("authors,2009,2008\n1,1,1\n", "matrix", 1),
+    ("authors,2008\n1,1\n0,1\n", "matrix", 3),
+    ("authors,2008\n2,1\n1,1\n", "matrix", 3),
+    ("authors,2008\n1,-1\n", "matrix", 2),
+    ("authors,2008\n1+,1\n", "matrix", 2),
+    ("x,y\n0,1\n", "distribution", 2),
+    ("x,y\n1,-1\n", "distribution", 2),
+    ("\n\nyear,papers\n\n2020,-1\n", "yearly", 5),
+    ("year,papers\n#c\n", "yearly", 1),
+])
+def test_csv_error_lines(text, shape, line):
+    with pytest.raises(ParseError) as info:
+        parse_counts_csv(text, shape)
+    assert info.value.line == line
+
+
+@st.composite
+def broken_tables(draw):
+    """CSV text of a valid table with one data row broken, and that row's line.
+
+    A ``+`` marker before the last row is reported at the row after it,
+    the first row that a collapsed class cannot precede.
+    """
+    shape = draw(st.sampled_from(["yearly", "matrix", "distribution"]))
+    table = draw({"yearly": yearly_series(), "matrix": matrices(),
+                  "distribution": distributions()}[shape])
+    if shape == "matrix" and draw(st.booleans()):
+        table = table.collapse(draw(st.integers(2, 12)))
+    header, *rows = table.to_csv().splitlines()
+    rows = [row.split(",") for row in rows]
+    kinds = ["negative count"]
+    if len(rows) > 1:
+        kinds += ["key out of order"] + (["early +"] if shape == "matrix" else [])
+    kinds += {"matrix": ["class 0"], "distribution": ["x = 0"]}.get(shape, [])
+    kind = draw(st.sampled_from(kinds))
+    last = len(rows) - 1 if kind == "early +" else len(rows)
+    k = draw(st.integers(1 if kind == "key out of order" else 0, last - 1))
+    row, reported = rows[k], k
+    plus = "+" if row[0].endswith("+") else ""
+    if kind == "negative count":
+        row[draw(st.integers(1, len(row) - 1))] = str(-draw(st.integers(1, 10**6)))
+    elif kind == "key out of order":
+        prev = int(rows[k - 1][0])
+        row[0] = str(draw(st.integers(max(1, prev - 5), prev))) + plus
+    elif kind == "early +":
+        row[0] += "+"
+        reported = k + 1
+    else:
+        row[0] = "0" + plus
+
+    junk = st.lists(st.sampled_from(["", "  ", "# note", " #1,2"]), max_size=2)
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    text, line = "", None
+    for i, cells in enumerate([header.split(",")] + rows):
+        for note in draw(junk):
+            text += note + draw(ends)
+        if i - 1 == reported:
+            line = len(split_lines(text))
+        text += ",".join(cells) + draw(ends)
+    return shape, text, line
+
+
+@given(broken_tables())
+def test_csv_error_is_reported_at_the_broken_row(case):
+    shape, text, line = case
+    with pytest.raises(ParseError) as info:
+        parse_counts_csv(text, shape)
+    assert info.value.line == line
