@@ -22,12 +22,11 @@ import dataclasses
 import json
 import sys
 import warnings
-from itertools import chain
 from pathlib import Path
 
 from . import __version__
 from .collab import PARTITIONS, CollabReport, authorship_pattern_report
-from .corpus import CountTables, check_unique_ids
+from .corpus import CountTables
 from .errors import DomainError, ParseError
 from .growth import GrowthReport, _check_block_split, build_growth_report
 from .lotka import (
@@ -41,7 +40,7 @@ from .lotka import (
 )
 from .synth import PowerLawSpec, sample_productivity, sample_spec_papers, spec_from_json
 from .tables import AuthorshipMatrix, ProductivityDistribution, YearlySeries, split_lines
-from .wos import export_text, scan_wos_file
+from .wos import ExportRun, export_text, scan_wos_file
 
 # not called: perfbench/spans.py patches these names here (see tests/test_tracer_targets.py)
 from .corpus import build_authorship_matrix, build_yearly_series  # noqa: F401
@@ -92,8 +91,8 @@ def main(argv=None) -> int:
         print(f"bibmet: domain error: {exc}", file=sys.stderr)
         return 2
     except (ParseError, OSError, UnicodeDecodeError, ValueError) as exc:
-        # ValueError covers type-level validation of loaded data, e.g.
-        # duplicate record ids when merging exports
+        # ValueError covers the checks Python itself makes on loaded data,
+        # e.g. a NUL byte in a path that a --config file gives
         print(f"bibmet: input error: {exc}", file=sys.stderr)
         return 1
 
@@ -288,14 +287,13 @@ def _read_exports(files, strict: bool, sink):
     """Feed the papers of exports to ``sink``, ``CountTables`` or ``export_text``.
 
     Its result is returned once the ingest line is printed and every check passed."""
-    skipped: list[int] = []
-    record_ids: list[str] = []
-    result = sink(chain.from_iterable(scan_wos_file(f, skipped, record_ids) for f in files))
-    print(f"bibmet: parsed {len(record_ids)} record(s) from {len(files)} file(s), "
-          f"skipped {len(skipped)} block(s)", file=sys.stderr)
-    if strict and skipped:
-        raise ParseError(f"strict mode: {len(skipped)} block(s) skipped")
-    check_unique_ids(record_ids)
+    run = ExportRun()
+    result = sink(scan_wos_file(files, run))
+    merges = f", merged {len(run.merged_lines)} duplicate(s)" if run.merged_lines else ""
+    print(f"bibmet: parsed {run.records} record(s) from {len(files)} file(s), "
+          f"skipped {len(run.skipped_lines)} block(s){merges}", file=sys.stderr)
+    if strict and run.skipped_lines:
+        raise ParseError(f"strict mode: {len(run.skipped_lines)} block(s) skipped")
     return result
 
 

@@ -66,10 +66,12 @@ class Corpus:
     """An immutable collection of publication records with unique ids."""
 
     records: tuple[PublicationRecord, ...]
-    provenance: str = ""
 
     def __post_init__(self):
-        check_unique_ids([r.id for r in self.records])
+        ids = [r.id for r in self.records]
+        if len(set(ids)) != len(ids):
+            dup = next(i for i, c in Counter(ids).items() if c > 1)
+            raise ValueError(f"duplicate record id: {dup!r}")
 
     def __len__(self) -> int:
         return len(self.records)
@@ -82,19 +84,8 @@ class Corpus:
         """Total (paper, author-position) occurrences."""
         return sum(r.author_count for r in self.records)
 
-    def merge(self, *others: "Corpus", provenance: str | None = None) -> "Corpus":
-        corpora = (self, *others)
-        records = tuple(chain.from_iterable(c.records for c in corpora))
-        if provenance is None:
-            provenance = " + ".join(c.provenance for c in corpora if c.provenance)
-        return Corpus(records, provenance=provenance)
-
-
-def check_unique_ids(ids: list[str]) -> None:
-    """Raise ``ValueError`` naming the first id that occurs more than once."""
-    if len(set(ids)) != len(ids):
-        dup = next(i for i, c in Counter(ids).items() if c > 1)
-        raise ValueError(f"duplicate record id: {dup!r}")
+    def merge(self, *others: "Corpus") -> "Corpus":
+        return Corpus(tuple(chain.from_iterable(c.records for c in (self, *others))))
 
 
 class CountTables:

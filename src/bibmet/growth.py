@@ -57,10 +57,6 @@ class RgrSeries:
     def value(self, year: int) -> float | None:
         return dict(self.entries)[year]
 
-    @property
-    def defined(self) -> tuple[float, ...]:
-        return tuple(v for _, v in self.entries if v is not None)
-
 
 @dataclass(frozen=True)
 class BlockMeans:

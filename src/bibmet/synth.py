@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .corpus import YEAR_MAX, YEAR_MIN, Corpus, PublicationRecord
 from .errors import DomainError
@@ -99,8 +99,7 @@ def sample_corpus(years: Sequence[int], papers_per_year: Sequence[int],
                   author_pool: int = 10000) -> Corpus:
     """Build a deterministic synthetic corpus of the papers :func:`sample_papers` draws."""
     papers = sample_papers(years, papers_per_year, author_count_dist, seed, author_pool)
-    return Corpus(tuple(PublicationRecord(*paper) for paper in papers),
-                  provenance=f"synthetic seed={seed}")
+    return Corpus(tuple(PublicationRecord(*paper) for paper in papers))
 
 
 def sample_papers(years: Sequence[int], papers_per_year: Sequence[int],
@@ -162,12 +161,12 @@ def spec_from_json(text: str) -> PowerLawSpec | CorpusSpec:
     "x_max": 50, "seed": 7}`` or ``{"kind": "corpus", "start_year": 2008,
     "papers_per_year": [...], "author_count_dist": {"1": 0.1, ...},
     "seed": 7}``.  Counts, sizes, years and seeds must be JSON integers,
-    ``n0`` and the class probabilities JSON numbers; a bool, a string or
-    (for an integer field) a fraction is a :class:`DomainError`.
+    ``n0`` and the class probabilities JSON numbers, and no key or class
+    may be named twice; anything else is a :class:`DomainError`.
     """
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+        payload = json.loads(text, object_pairs_hook=_unique)
+    except ValueError as exc:  # a JSONDecodeError, a repeated key or an over-long integer
         raise DomainError(f"invalid generator spec JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise DomainError(f"generator spec must be a JSON object, got {type(payload).__name__}")
@@ -189,8 +188,8 @@ def spec_from_json(text: str) -> PowerLawSpec | CorpusSpec:
             seed=field("seed", _integer),
         )
     if kind == "corpus":
-        dist = field("author_count_dist",
-                     lambda d: {_class_key(j): _number(p) for j, p in d.items()})
+        dist = field("author_count_dist", lambda d: _unique(
+            ((_class_key(j), _number(p)) for j, p in d.items()), "author-count class"))
         return CorpusSpec(
             start_year=field("start_year", _integer),
             papers_per_year=field("papers_per_year", lambda ps: tuple(map(_integer, ps))),
@@ -207,6 +206,17 @@ def _integer(value) -> int:
     if type(value) is not int:
         raise TypeError(f"expected an integer, got {type(value).__name__}")
     return value
+
+
+def _unique(pairs: Iterable[tuple], what: str = "key") -> dict:
+    # dict() would let the later value of a key named twice win without a
+    # word: a key repeated in a JSON object, or the classes "1" and "01"
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"{what} {key!r} is named twice")
+        out[key] = value
+    return out
 
 
 def _class_key(key: str) -> int:

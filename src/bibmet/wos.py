@@ -19,27 +19,27 @@ id) are interpreted; everything else is carried past.  Blocks missing a
 usable ``AU`` or ``PY`` are skipped and tallied rather than aborting the
 whole file, so one mangled export block cannot kill a batch run.
 
-One block scanner, :func:`scan_wos_export`, reads an export in chunks
-that end at a line end (:func:`scan_wos_file` reads ``CHUNK_CHARS``
-characters of a file at a time and completes each read to the next line
-end).  Between blocks it first tries one regular expression for the
-block that :func:`write_wos_export` writes (``PT J``, ``AU`` with
-three-space continuations, a four-digit ``PY``, ``UT``, ``ER``, every
-value already stripped), which reads the whole block with no work per
-line.  Every other block goes through the line-by-line rules, which keep
-only the ``AU``/``PY``/``UT`` values of the block in hand, so a block
-cut by a chunk's end goes on in the next chunk; both give the same
-papers, skipped lines and ids.  The scanner yields the kept blocks
-as ``(id, year, authors)`` papers, the one shape every sink takes, and
-appends their ids and the skipped blocks' start lines to the lists it
-is given; :func:`scan_wos_file` does the same for a file.  The analysis
-commands fold the papers straight into
-:class:`~bibmet.corpus.CountTables`, so their memory is bounded by a few
-chunks plus the distinct authors, not by the size of the file.
-:func:`export_text` renders papers as export text, for ``bibmet ingest
---emit wos``, ``bibmet synth`` and :func:`write_wos_export`.  Only
-:func:`parse_wos_export` and :func:`parse_wos_file` build one
-:class:`~bibmet.corpus.PublicationRecord` per block.
+Batch exports overlap, so one id rule, kept in an :class:`ExportRun`,
+holds for a whole run of exports: a later usable block with the ``UT``
+of an earlier one is merged (dropped and tallied), and a block without
+a ``UT``, or with one that equals a synthetic id given out before, takes
+the next synthetic id (``rec000001``, ...) that no ``UT`` of the run holds.
+
+One block scanner, :func:`scan_wos_export`, reads a run's exports in
+chunks that end at a line end (:func:`scan_wos_file` reads
+``CHUNK_CHARS`` characters of a file at a time, then the rest of the
+line).  Between blocks it first tries one regular expression for the
+block :func:`write_wos_export` writes, which reads the whole block with
+no work per line; every other block goes through the line-by-line rules,
+which keep only the block's ``AU``/``PY``/``UT`` values in hand, so that
+a block cut by a chunk's end goes on in the next chunk.  Both give the
+same papers, ids and tallies.  The scanner yields the kept blocks as
+``(id, year, authors)`` papers, which the analysis commands fold straight
+into :class:`~bibmet.corpus.CountTables`, so their memory is bounded by
+a few chunks plus the distinct authors and ids, not by the size of the
+files.  :func:`export_text` renders papers as export text.  Only
+:func:`parse_wos_export` and :func:`parse_wos_file`, one export each,
+build one :class:`~bibmet.corpus.PublicationRecord` per block.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from __future__ import annotations
 import functools
 import io
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, TextIO, Union
 
 from .corpus import YEAR_MAX, YEAR_MIN, Corpus, PublicationRecord
@@ -85,135 +85,148 @@ class WosParseResult:
         return len(self.skipped_lines)
 
 
-def scan_wos_export(chunks: Iterable[str], skipped_lines: list[int],
-                    record_ids: list[str]) -> Iterator[tuple[str, int, tuple[str, ...]]]:
-    """Yield the kept blocks of one export as ``(id, year, authors)``.
+@dataclass
+class ExportRun:
+    """What the exports of one run share: ids, tallies and block start lines."""
 
-    ``chunks`` yields the export's text in pieces of any size, each
-    ending at a line end except the last, with every line end already
+    uts: set[str] = field(default_factory=set)  # of every usable block read
+    skipped_lines: list[int] = field(default_factory=list)  # from the export's start
+    merged_lines: list[int] = field(default_factory=list)
+    records: int = 0  # kept blocks
+
+
+def scan_wos_export(exports: Iterable[Iterable[str]],
+                    run: ExportRun) -> Iterator[tuple[str, int, tuple[str, ...]]]:
+    """Yield the kept blocks of a run's exports, in order, as ``(id, year, authors)``.
+
+    ``exports`` yields one chunk iterable per export, whose pieces each
+    end at a line end except the last, with every line end already
     written as ``\\n`` (an open file in universal-newline mode read by
-    :func:`scan_wos_file`, or a whole normalized text).  A
-    block is kept if it has at least one ``AU`` value and a parseable
-    ``PY`` year; its authors are stripped, empty names dropped and the
-    first occurrence of a repeated name kept, and its id is the ``UT``
-    value, or the next free sequential synthetic id (``rec000001``, ...)
-    when the block has none or the export already used it.  Each kept
-    id is appended to ``record_ids``.  Any other block, and a block left
-    open by ``EF`` or the end of input, is skipped: its start line is
-    appended to ``skipped_lines``.  Raises :class:`EmptyCorpusError`
-    after the last block if none was kept, naming the start line of the
-    first block this export skipped when there is one.
-
-    Between blocks, one regular expression tries the block shape that
-    :func:`write_wos_export` writes; a match is the whole block, read with
-    no work per line.  Every other block goes through the line-by-line
-    rules, up to the next ``ER`` line or the chunk's end at a time; a block
-    open at a chunk's end goes on in the next chunk.
+    :func:`scan_wos_file`, or a whole normalized text).  A block is
+    usable if it has at least one ``AU`` value and a parseable ``PY``
+    year; its authors are stripped, empty names dropped and the first
+    occurrence of a repeated name kept; its id follows the module's id
+    rule.  Any other block, and a block left open by ``EF`` or an
+    export's end, is skipped; ``run`` takes the tallies.  After an
+    export's last block, raises :class:`EmptyCorpusError` if it had no
+    usable block, naming the start line of the first block it skipped.
     """
     tag_of = _tag_prefixes().get
     match = _CANONICAL_BLOCK.match
     next_name = "\n" + _CONTINUATION  # between two AU values of a matched block
-    chunks = iter(chunks)
-    seen: set[str] = set()
-    synthetic = 0
-    skips_before = len(skipped_lines)  # skipped lines of earlier exports
-    au: list[str] = []
-    py: list[str] = []
-    ut: list[str] = []
-    kept = {"AU": au, "PY": py, "UT": ut}
-    current: list[str] | None = None  # values that continuation lines extend
-    start: int | None = None
-    lineno = 0  # lines before the current position
-    at_end = False
-
-    def record_id(value: str | None) -> str:
-        nonlocal synthetic
-        if value is None or value in seen:
-            synthetic += 1
-            value = f"rec{synthetic:06d}"
-            while value in seen:
-                synthetic += 1
-                value = f"rec{synthetic:06d}"
-        seen.add(value)
-        record_ids.append(value)
-        return value
-
-    for text in chunks:
-        pos = 0
-        while pos < len(text) and not at_end:
-            if start is None:
-                block = match(text, pos)
-                if block is not None and YEAR_MIN <= (year := int(block[2])) <= YEAR_MAX:
-                    end = block.end()
-                    authors = tuple(dict.fromkeys(block[1][:-1].split(next_name)))
-                    yield record_id(block[3]), year, authors
-                    lineno += text.count("\n", pos, end)
-                    pos = end
-                    continue
-            stop = text.find(_ER_LINE, pos)
-            stop = len(text) if stop < 0 else stop + len(_ER_LINE)
-            lines = text[pos:stop].split("\n")
-            if not lines[-1]:
-                lines.pop()  # the chunk ended at a line end, not before one more line
-            pos = stop
-            for lineno, raw in enumerate(lines, start=lineno + 1):
-                tag = tag_of(raw[:3])
-                if tag is None:
-                    # a continuation line or stray unindented text extends the
-                    # current field; a blank line ends it
-                    value = raw.strip()
-                    if not value:
-                        current = None
-                    elif current is not None:
-                        current.append(value)
-                    continue
-                if tag == RECORD_END:
-                    if start is not None:
-                        authors = tuple(dict.fromkeys(filter(None, au)))
-                        year = _parse_year(py)
-                        if not authors or year is None:
-                            skipped_lines.append(start)
-                        else:
-                            yield record_id(next(filter(None, ut), None)), year, authors
-                    au.clear()
-                    py.clear()
-                    ut.clear()
-                    current = start = None
-                    continue
-                if tag == FILE_END:
-                    at_end = True
-                    break
+    uts, skipped_lines, merged_lines = run.uts, run.skipped_lines, run.merged_lines
+    records = run.records
+    synthetic = 0  # the number of the last synthetic id given out
+    for chunks in exports:
+        chunks = iter(chunks)
+        usable_before = records + len(merged_lines)
+        skips_before = len(skipped_lines)  # skipped lines of earlier exports
+        kept: dict[str, list[str]] = {"AU": [], "PY": [], "UT": []}
+        au, py, ut = kept.values()
+        current: list[str] | None = None  # values that continuation lines extend
+        start: int | None = None
+        lineno = 0  # lines before the current position
+        at_end = False
+        for text in chunks:
+            pos = 0
+            while pos < len(text) and not at_end:
                 if start is None:
-                    start = lineno
-                current = kept.get(tag)
-                if current is not None:
-                    current.append(raw[3:].strip())
-        if at_end:
-            # read on to the end, so that undecodable bytes after EF are
-            # still reported as they are when the whole file is read
-            for _ in chunks:
-                pass
-            break
+                    block = match(text, pos)
+                    # a UT read before or given out as a synthetic id goes on
+                    # to the line-by-line rules, which merge or rename it
+                    if (block is not None and YEAR_MIN <= (year := int(block[2])) <= YEAR_MAX
+                            and (rid := block[3]) not in uts
+                            and not (synthetic and _given_out(rid, synthetic))):
+                        end = block.end()
+                        uts.add(rid)
+                        records += 1
+                        yield rid, year, tuple(dict.fromkeys(block[1][:-1].split(next_name)))
+                        lineno += text.count("\n", pos, end)
+                        pos = end
+                        continue
+                stop = text.find(_ER_LINE, pos)
+                stop = len(text) if stop < 0 else stop + len(_ER_LINE)
+                lines = text[pos:stop].split("\n")
+                if not lines[-1]:
+                    lines.pop()  # the chunk ended at a line end, not before one more line
+                pos = stop
+                for lineno, raw in enumerate(lines, start=lineno + 1):
+                    tag = tag_of(raw[:3])
+                    if tag is None:
+                        # a continuation line or stray unindented text extends the
+                        # current field; a blank line ends it
+                        value = raw.strip()
+                        if not value:
+                            current = None
+                        elif current is not None:
+                            current.append(value)
+                        continue
+                    if tag == RECORD_END:
+                        if start is not None:
+                            authors = tuple(dict.fromkeys(filter(None, au)))
+                            year = _parse_year(py)
+                            rid = next(filter(None, ut), None)
+                            if not authors or year is None:
+                                skipped_lines.append(start)
+                            elif rid in uts:
+                                merged_lines.append(start)
+                            else:
+                                if rid is not None:
+                                    uts.add(rid)
+                                if rid is None or _given_out(rid, synthetic):
+                                    # the next synthetic id that no UT of the run holds
+                                    synthetic += 1
+                                    while (rid := f"rec{synthetic:06d}") in uts:
+                                        synthetic += 1
+                                records += 1
+                                yield rid, year, authors
+                        del au[:], py[:], ut[:]
+                        current = start = None
+                        continue
+                    if tag == FILE_END:
+                        at_end = True
+                        break
+                    if start is None:
+                        start = lineno
+                    current = kept.get(tag)
+                    if current is not None:
+                        current.append(raw[3:].strip())
+            if at_end:
+                # read on to the end, so that undecodable bytes after EF are
+                # still reported as they are when the whole file is read
+                for _ in chunks:
+                    pass
+                break
 
-    if start is not None:
-        # trailing block without an ER terminator is malformed
-        skipped_lines.append(start)
-    if not seen:
-        if len(skipped_lines) > skips_before:
-            raise EmptyCorpusError(
-                "no parseable records; first malformed block starts here",
-                line=skipped_lines[skips_before])
-        raise EmptyCorpusError("no records found in input")
+        if start is not None:
+            # trailing block without an ER terminator is malformed
+            skipped_lines.append(start)
+        run.records = records
+        if records + len(merged_lines) == usable_before:
+            if len(skipped_lines) > skips_before:
+                raise EmptyCorpusError(
+                    "no parseable records; first malformed block starts here",
+                    line=skipped_lines[skips_before])
+            raise EmptyCorpusError("no records found in input")
 
 
-def scan_wos_file(path, skipped_lines: list[int],
-                  record_ids: list[str]) -> Iterator[tuple[str, int, tuple[str, ...]]]:
-    """:func:`scan_wos_export` of a tagged export file (UTF-8)."""
+def _given_out(rid: str, synthetic: int) -> bool:
+    # rec{n:06d} with 1 <= n <= synthetic: for a UT not read yet, an id the run gave out
+    digits = rid[3:]
+    return (rid[:3] == "rec" and digits.isascii() and digits.isdigit()
+            and 0 < int(digits) <= synthetic and rid == f"rec{int(digits):06d}")
+
+
+def scan_wos_file(paths: Iterable, run: ExportRun) -> Iterator[tuple[str, int, tuple[str, ...]]]:
+    """:func:`scan_wos_export` of a run's tagged export files (UTF-8), in order."""
+    return scan_wos_export(map(_file_chunks, paths), run)
+
+
+def _file_chunks(path) -> Iterator[str]:
     # universal-newline mode ends lines at \n, \r\n and \r only
     with io.open(path, "r", encoding="utf-8") as fh:
         try:
-            chunks = iter(lambda: fh.read(CHUNK_CHARS) + fh.readline(), "")
-            yield from scan_wos_export(chunks, skipped_lines, record_ids)
+            yield from iter(lambda: fh.read(CHUNK_CHARS) + fh.readline(), "")
         except UnicodeDecodeError:
             # name the undecodable byte's offset from the start of the
             # file, as a whole-file read does, not from the current chunk
@@ -222,32 +235,28 @@ def scan_wos_file(path, skipped_lines: list[int],
             raise
 
 
-def parse_wos_export(source: Union[str, TextIO], provenance: str = "") -> WosParseResult:
+def parse_wos_export(source: Union[str, TextIO]) -> WosParseResult:
     """Parse a tagged export into a corpus.
 
     ``source`` may be the text itself or a readable text stream.  Each
     block :func:`scan_wos_export` keeps becomes a
-    :class:`PublicationRecord`.  Raises :class:`EmptyCorpusError` if
-    nothing parses.
+    :class:`PublicationRecord`, so a repeated ``UT`` gives one record.
+    Raises :class:`EmptyCorpusError` if nothing parses.
     """
     text = source.read() if hasattr(source, "read") else source
-    skipped_lines: list[int] = []
-    return _parse_result(scan_wos_export([normalize_line_ends(text)], skipped_lines, []),
-                         skipped_lines, provenance)
+    return _parse_result([normalize_line_ends(text)])
 
 
-def parse_wos_file(path, provenance: str | None = None) -> WosParseResult:
+def parse_wos_file(path) -> WosParseResult:
     """Parse a tagged export file (UTF-8)."""
-    skipped_lines: list[int] = []
-    return _parse_result(scan_wos_file(path, skipped_lines, []), skipped_lines,
-                         provenance if provenance is not None else str(path))
+    return _parse_result(_file_chunks(path))
 
 
-def _parse_result(papers: Iterable[tuple[str, int, tuple[str, ...]]],
-                  skipped_lines: list[int], provenance: str) -> WosParseResult:
+def _parse_result(chunks: Iterable[str]) -> WosParseResult:
+    run = ExportRun()
     # one record per paper, built before skipped_lines is read
-    corpus = Corpus(tuple(PublicationRecord(*paper) for paper in papers), provenance=provenance)
-    return WosParseResult(corpus=corpus, skipped_lines=tuple(skipped_lines))
+    corpus = Corpus(tuple(PublicationRecord(*p) for p in scan_wos_export([chunks], run)))
+    return WosParseResult(corpus=corpus, skipped_lines=tuple(run.skipped_lines))
 
 
 @functools.cache
@@ -264,12 +273,7 @@ def _tag_prefixes() -> dict[str, str]:
 
 
 def write_wos_export(corpus: Corpus) -> str:
-    """Serialize a corpus back to the tagged format.
-
-    Output is deterministic and round-trips through
-    :func:`parse_wos_export` (ids, years, author lists and order are
-    preserved).
-    """
+    """The tagged export of a corpus; :func:`parse_wos_export` reads it back unchanged."""
     return export_text((r.id, r.year, r.authors) for r in corpus.records)
 
 

@@ -1,13 +1,23 @@
 """Frozen reference: the original record-building WoS parser, writer and tabulators.
 
 This is the first release's ``parse_wos_export`` (with record
-construction and the duplicate-id check of ``Corpus``), its
-``write_wos_export`` and its three tabulators, kept as they were except
-for one rule: a line ends at ``\\n``, ``\\r\\n`` or ``\\r`` and nowhere
-else, where the original used ``str.splitlines``.  Records are plain
-``(id, year, authors)`` tuples.  The differential tests compare the
-streaming count tables, the record path and ``ingest --emit wos``
-against it.
+construction), its ``write_wos_export`` and its three tabulators, kept
+as they were except for two rules:
+
+* a line ends at ``\\n``, ``\\r\\n`` or ``\\r`` and nowhere else, where
+  the original used ``str.splitlines``;
+* record ids follow one rule for a run's exports, where the original
+  kept one id set per export, renamed a repeated ``UT`` to a synthetic
+  id, and left a repeat across exports to the duplicate-id check of
+  ``Corpus``.  :func:`parse_exports` keeps one id set and one synthetic
+  counter for all the texts it is given, and a second set of the
+  ``UT`` values it has read: a usable block whose ``UT`` is in that set
+  is dropped, its start line noted as merged.  A ``UT`` that only an
+  earlier synthetic id holds is still renamed, as the original did.
+
+Records are plain ``(id, year, authors)`` tuples.  The differential
+tests compare the streaming count tables, the record path and ``ingest
+--emit wos`` against it.
 
 It also keeps the dense ``ks_test``, which built one K-S row for every
 integer from 1 to the largest x; the sparse K-S test is compared with it.
@@ -47,35 +57,58 @@ def _normalize_authors(authors) -> tuple[str, ...]:
     return tuple(seen)
 
 
-def parse_export(text: str):
-    """Return (records, skipped_lines) or raise EmptyCorpusError."""
+def parse_exports(texts: list[str]):
+    """Return (records, skipped_lines, merged_lines) or raise EmptyCorpusError.
+
+    Raises for the first text that has no usable block.
+    """
     records = []
     skipped_lines: list[int] = []
+    merged_lines: list[int] = []
     seen_ids: set[str] = set()
+    uts: set[str] = set()
     synthetic = 0
+    for text in texts:
+        usable_before = len(records) + len(merged_lines)
+        skipped_before = len(skipped_lines)
+        for rid, year, authors, start in _blocks(text, skipped_lines):
+            if rid in uts:
+                merged_lines.append(start)
+                continue
+            if rid is not None:
+                uts.add(rid)
+            if rid is None or rid in seen_ids:
+                synthetic += 1
+                rid = f"rec{synthetic:06d}"
+                while rid in seen_ids:
+                    synthetic += 1
+                    rid = f"rec{synthetic:06d}"
+            seen_ids.add(rid)
+            records.append((rid, year, authors))
+        if len(records) + len(merged_lines) == usable_before:
+            if len(skipped_lines) > skipped_before:
+                raise EmptyCorpusError(
+                    "no parseable records; first malformed block starts here",
+                    line=skipped_lines[skipped_before])
+            raise EmptyCorpusError("no records found in input")
+    return records, skipped_lines, merged_lines
 
+
+def _blocks(text: str, skipped_lines: list[int]):
+    """The (UT or None, year, authors, start line) of each usable block of one export."""
+    usable = []
     fields: dict[str, list[str]] = {}
     current_tag = None
     block_start = None
 
     def finalize(start_line):
-        nonlocal synthetic
         authors = [a for a in fields.get("AU", []) if a.strip()]
         year = _parse_year(fields.get("PY", []))
         if not authors or year is None:
             skipped_lines.append(start_line)
             return
         ut = next((v.strip() for v in fields.get("UT", []) if v.strip()), None)
-        if ut is None or ut in seen_ids:
-            synthetic += 1
-            rid = f"rec{synthetic:06d}"
-            while rid in seen_ids:
-                synthetic += 1
-                rid = f"rec{synthetic:06d}"
-        else:
-            rid = ut
-        seen_ids.add(rid)
-        records.append((rid, year, _normalize_authors(authors)))
+        usable.append((ut, year, _normalize_authors(authors), start_line))
 
     for lineno, raw in enumerate(split_lines(text), start=1):
         line = raw.rstrip("\r\n")
@@ -105,21 +138,7 @@ def parse_export(text: str):
 
     if block_start is not None and fields:
         skipped_lines.append(block_start)
-
-    if not records:
-        if skipped_lines:
-            raise EmptyCorpusError(
-                "no parseable records; first malformed block starts here",
-                line=skipped_lines[0])
-        raise EmptyCorpusError("no records found in input")
-    return records, skipped_lines
-
-
-def check_unique_ids(records) -> None:
-    ids = [rid for rid, _, _ in records]
-    if len(set(ids)) != len(ids):
-        dup = next(i for i, c in Counter(ids).items() if c > 1)
-        raise ValueError(f"duplicate record id: {dup!r}")
+    return usable
 
 
 def write_export(records) -> str:

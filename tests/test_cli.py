@@ -196,22 +196,36 @@ LOADERS = [("ingest",), ("ingest", "--emit", "wos"), ("report", "--wos")]
 
 
 @pytest.mark.parametrize("loader", LOADERS)
-@pytest.mark.parametrize("texts, dup", [
+@pytest.mark.parametrize("texts, ids, yearly", [
+    # the first block of a UT wins, in the order the files are given
     (["PT J\nAU A\nPY 2001\nUT WOS:1\nER\nEF\n",
-      "PT J\nAU B\nPY 2002\nUT WOS:1\nER\nEF\n"], "WOS:1"),
-    # synthetic ids restart in every file
-    (["PT J\nAU A\nPY 2001\nER\nEF\n", "PT J\nAU B\nPY 2002\nER\nEF\n"], "rec000001"),
-])
-def test_record_id_shared_by_two_files_is_input_error(capsys, tmp_path, loader, texts, dup):
+      "PT J\nAU B\nPY 2002\nUT WOS:1\nER\nEF\n"], ["WOS:1"], "2001,1\n"),
+    # UT-less blocks are never repeats: one synthetic counter runs across the files
+    (["PT J\nAU A\nPY 2001\nER\nEF\n", "PT J\nAU B\nPY 2002\nER\nEF\n"],
+     ["rec000001", "rec000002"], "2001,1\n2002,1\n"),
+], ids=["shared-ut", "no-ut"])
+def test_record_id_shared_by_two_files_is_merged(capsys, tmp_path, loader, texts, ids, yearly):
     paths = []
     for i, text in enumerate(texts):
         paths.append(tmp_path / f"export{i}.txt")
         paths[-1].write_text(text, encoding="utf-8")
-    code, _, err = run(capsys, *loader, *map(str, paths))
-    assert code == 1
-    assert err.splitlines() == [
-        "bibmet: parsed 2 record(s) from 2 file(s), skipped 0 block(s)",
-        f"bibmet: input error: duplicate record id: '{dup}'"]
+    code, out, err = run(capsys, *loader, *map(str, paths))
+    assert code == 0
+    merges = ", merged 1 duplicate(s)" if len(ids) == 1 else ""
+    assert err.splitlines()[0] == (f"bibmet: parsed {len(ids)} record(s) from 2 file(s), "
+                                   f"skipped 0 block(s){merges}")
+    if loader == ("ingest",):
+        assert out == "year,papers\n" + yearly
+    elif loader == ("ingest", "--emit", "wos"):
+        assert [line[3:] for line in out.splitlines() if line.startswith("UT ")] == ids
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+def test_export_given_twice_reads_as_given_once(capsys, wos_file, loader):
+    code, out, err = run(capsys, *loader, wos_file)
+    assert run(capsys, *loader, wos_file, wos_file) == (code, out, err.replace(
+        "from 1 file(s), skipped 0 block(s)",
+        "from 2 file(s), skipped 0 block(s), merged 3 duplicate(s)"))
 
 
 @pytest.mark.parametrize("loader", LOADERS)
@@ -230,10 +244,8 @@ def test_undecodable_byte_is_located_from_file_start(capsys, tmp_path, loader, t
 @pytest.mark.parametrize("flags, texts", [
     (["--strict"], [b"PT J\nAU A\nPY 2001\nER\nPT J\nPY 2002\nER\nEF\n"]),
     ([], [b"PT J\nAU A\nPY 2001\nUT WOS:1\nER\nEF\n",
-          b"PT J\nAU B\nPY 2002\nUT WOS:1\nER\nEF\n"]),
-    ([], [b"PT J\nAU A\nPY 2001\nUT WOS:1\nER\nEF\n",
           b"PT J\nAU B\nPY 2002\nUT WOS:2\nER\n\xff\n"]),
-], ids=["strict-skip", "shared-ut", "undecodable-second-file"])
+], ids=["strict-skip", "undecodable-second-file"])
 def test_ingest_emit_wos_failure_writes_nothing(capsys, tmp_path, flags, texts):
     paths = []
     for i, data in enumerate(texts):

@@ -105,10 +105,9 @@ def test_merge_order_does_not_change_metrics():
 
 
 def test_merge_concatenates_and_keeps_ids_unique():
-    c1 = Corpus((rec("a", 2008, ["A"]),), provenance="one")
-    c2 = Corpus((rec("b", 2009, ["B"]),), provenance="two")
+    c1 = Corpus((rec("a", 2008, ["A"]),))
+    c2 = Corpus((rec("b", 2009, ["B"]),))
     merged = c1.merge(c2)
     assert len(merged) == 2
-    assert merged.provenance == "one + two"
     with pytest.raises(ValueError):
         c1.merge(c1)

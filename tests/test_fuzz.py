@@ -23,7 +23,7 @@ from bibmet.cli import main
 from bibmet.errors import DomainError, ParseError
 from bibmet.synth import spec_from_json
 from bibmet.tables import normalize_line_ends, parse_counts_csv, split_lines
-from bibmet.wos import parse_wos_export, scan_wos_export
+from bibmet.wos import ExportRun, parse_wos_export, scan_wos_export
 
 # text near each input dialect, so that the parsers get past their first line
 LINES = st.sampled_from([
@@ -73,9 +73,8 @@ def test_export_text_raises_only_parse_errors(text, chunk):
     # chunks end at a line end, as scan_wos_file reads them
     fh = io.StringIO(normalize_line_ends(text))
     chunks = list(iter(lambda: fh.read(chunk) + fh.readline(), ""))
-    skipped_lines, record_ids = [], []
     with contextlib.suppress(ParseError):
-        for _ in scan_wos_export(chunks, skipped_lines, record_ids):
+        for _ in scan_wos_export([chunks], ExportRun()):
             pass
 
 

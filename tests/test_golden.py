@@ -52,10 +52,17 @@ INPUTS = {
                      ' "x_max": 20.9, "seed": 5}\n',
     "class_key.json": '{"kind": "corpus", "start_year": 2010, "papers_per_year": [2],'
                       ' "author_count_dist": {" +1_0 ": 1.0}, "seed": 11}\n',
+    # "1" and "01" name one class; the sum of 1.5 must not pass as 1
+    "class_twice.json": '{"kind": "corpus", "start_year": 2010, "papers_per_year": [2],'
+                        ' "author_count_dist": {"1": 0.5, "01": 0.5, "2": 0.5}, "seed": 11}\n',
     "far_year.json": '{"kind": "corpus", "start_year": 99999, "papers_per_year": [2, 3],'
                      ' "author_count_dist": {"1": 1.0}, "seed": 11}\n',
     "second.txt": "PT J\nAU Author-00001\n   New, B\nPY 2015\nUT WOS:2\nER\nEF\n",
     "one.txt": "PT J\nAU One, A\nPY 2010\nER\nEF\n",
+    # what ``ingest one.txt --emit wos`` would write, with another paper
+    "emitted.txt": "PT J\nAU Two, B\nPY 2011\nUT rec000001\nER\n\nEF\n",
+    "repeat.txt": "PT J\nAU One, A\nPY 2010\nUT X1\nER\n\n"
+                  "PT J\nAU Two, B\nPY 2011\nUT X1\nER\nEF\n",
     "partial.txt": "PT J\nAU Ok, A\n   Two, B\nPY 2001\nUT WOS:1\nER\n"
                    "PT J\nPY 2002\nER\nPT J\nAU Ok, A\nPY 2003\nUT WOS:3\nER\nEF\n",
     "latin1.txt": b"PT J\nAU M\xfcller, A\nPY 2001\nER\nEF\n",
@@ -98,6 +105,7 @@ CASES = [
     ("synth-spec-year-range", "synth --spec far_year.json"),
     ("synth-spec-fraction", "synth --spec fraction.json"),
     ("synth-spec-class-key", "synth --spec class_key.json --emit matrix"),
+    ("synth-spec-class-twice", "synth --spec class_twice.json --emit matrix --no-collapse"),
 
     ("ingest-yearly", "ingest export.txt"),
     ("ingest-yearly-cap1", "ingest export.txt --cap 1"),
@@ -117,6 +125,11 @@ CASES = [
     ("ingest-partial", "ingest partial.txt --emit matrix"),
     ("ingest-partial-strict", "ingest partial.txt --strict"),
     ("ingest-duplicate-files", "ingest export.txt export.txt"),
+    ("ingest-duplicate-files-strict", "ingest export.txt export.txt --strict"),
+    ("ingest-repeated-ut", "ingest repeat.txt"),
+    ("ingest-repeated-ut-wos", "ingest repeat.txt --emit wos"),
+    ("ingest-wos-no-ut-twice", "ingest one.txt one.txt --emit wos"),
+    ("ingest-wos-no-ut-then-emitted", "ingest one.txt emitted.txt --emit wos"),
     ("ingest-missing-file", "ingest nope.txt"),
     ("ingest-undecodable", "ingest latin1.txt"),
     ("ingest-no-files", "ingest"),

@@ -1,9 +1,12 @@
-"""Every name a module of ``bibmet`` imports is used in that module.
+"""Every name a module of ``bibmet``, a test or a demo imports is used in that module.
 
 No linter is a dependency, so this stands in for pyflakes' F401: each
-``src/bibmet/*.py`` but ``__init__.py``, which imports to re-export, is
-parsed and every imported name must be referenced in it.  An import kept
-for another module's sake carries ``noqa: F401`` on its line.
+``src/bibmet/*.py`` but ``__init__.py``, which imports to re-export, each
+``tests/*.py`` and each ``demos/*.py`` is parsed and every imported name
+must be referenced in it.  An import kept for another module's sake
+carries ``noqa: F401`` on its line.  ``tests/test_acceptance.py`` is left
+out: the acceptance tests are kept exactly as written, unused
+``import pytest`` included.
 """
 
 import ast
@@ -13,7 +16,11 @@ import pytest
 
 import bibmet
 
-MODULES = sorted(p for p in Path(bibmet.__file__).parent.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(
+    [p for p in Path(bibmet.__file__).parent.glob("*.py") if p.name != "__init__.py"]
+    + [p for p in (ROOT / "tests").glob("*.py") if p.name != "test_acceptance.py"]
+    + list((ROOT / "demos").glob("*.py")))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,7 +40,9 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+# a source module is named by its file name alone, a test or demo by its directory too
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: (
+    p.name if p.parent.name == "bibmet" else p.relative_to(ROOT).as_posix()))
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -3,9 +3,11 @@
 Hypothesis writes multi-file exports with blank lines, stray text, mixed
 line ends, 1-3-space indents, missing fields, out-of-range years, missing
 ``ER``, ``EF`` mid-file and repeated ``UT`` values.  Both ingest paths
-must give the reference's tables, skipped lines and errors exactly, and
-``bibmet ingest --emit wos`` the reference writer's bytes, exit code and
-messages.
+of a run's exports, and the record path of each export on its own
+(``parse_wos_export`` and ``parse_wos_file``), must give the reference's
+tables, skipped lines and errors exactly, and ``bibmet ingest --emit
+wos`` the reference writer's bytes, exit code and messages, whose ingest
+line counts the merged blocks.
 """
 
 import contextlib
@@ -19,14 +21,15 @@ from hypothesis import strategies as st
 import seed_reference as ref
 from bibmet.cli import main
 from bibmet.corpus import (
+    Corpus,
     CountTables,
+    PublicationRecord,
     build_authorship_matrix,
     build_yearly_series,
-    check_unique_ids,
 )
 from bibmet.errors import EmptyCorpusError
 from bibmet.lotka import productivity_distribution
-from bibmet.wos import parse_wos_export, parse_wos_file, scan_wos_file
+from bibmet.wos import ExportRun, parse_wos_export, parse_wos_file, scan_wos_file
 
 NAMES = st.sampled_from(["Smith, A", "Jones, B", "Lee, C", "Kim, D", "Smith, A ", "",
                          "A\u2028B", "x\x0cy", "Ng\x85", "\x1c"])
@@ -84,36 +87,36 @@ def outcome(compute):
 
 
 def reference(texts, cap):
-    records, skipped = [], []
-    for text in texts:
-        file_records, file_skipped = ref.parse_export(text)
-        records += file_records
-        skipped += file_skipped
-    ref.check_unique_ids(records)
+    records, skipped, _ = ref.parse_exports(texts)
     return tables(ref.yearly_series(records), ref.authorship_matrix(records, cap, True),
                   ref.authorship_matrix(records, cap, False),
                   ref.productivity_distribution(records), skipped)
 
 
 def counts_path(paths, cap):
-    skipped, ids = [], []
-    counts = CountTables()
-    for path in paths:
-        counts.add(scan_wos_file(path, skipped, ids))
-    check_unique_ids(ids)
+    run = ExportRun()
+    counts = CountTables(scan_wos_file(paths, run))
     return tables(counts.yearly_series(), counts.authorship_matrix(cap, True),
                   counts.authorship_matrix(cap, False),
-                  counts.productivity_distribution(), skipped)
+                  counts.productivity_distribution(), run.skipped_lines)
 
 
-def records_path(results, cap):
-    for r in results:
-        assert r.skipped == len(r.skipped_lines)
-    corpus = results[0].corpus.merge(*[r.corpus for r in results[1:]])
+def records_path(corpus, skipped, cap):
     return tables(build_yearly_series(corpus), build_authorship_matrix(corpus, cap, True),
                   build_authorship_matrix(corpus, cap, False),
-                  productivity_distribution(corpus),
-                  [line for r in results for line in r.skipped_lines])
+                  productivity_distribution(corpus), skipped)
+
+
+def run_records_path(paths, cap):
+    """The record path of a run's exports: one record per paper of the run-level scan."""
+    run = ExportRun()
+    corpus = Corpus(tuple(PublicationRecord(*paper) for paper in scan_wos_file(paths, run)))
+    return records_path(corpus, run.skipped_lines, cap)
+
+
+def parse_result_path(result, cap):
+    assert result.skipped == len(result.skipped_lines)
+    return records_path(result.corpus, result.skipped_lines, cap)
 
 
 @settings(max_examples=200, deadline=None)
@@ -127,30 +130,24 @@ def test_both_ingest_paths_match_the_seed_reference(texts, cap):
             path.write_bytes(text.encode("utf-8"))
             paths.append(path)
         assert outcome(lambda: counts_path(paths, cap)) == expected
-        assert outcome(lambda: records_path(
-            [parse_wos_file(p) for p in paths], cap)) == expected
-    assert outcome(lambda: records_path(
-        [parse_wos_export(t) for t in texts], cap)) == expected
+        assert outcome(lambda: run_records_path(paths, cap)) == expected
+        for text, path in zip(texts, paths):
+            alone = outcome(lambda: reference([text], cap))
+            assert outcome(lambda: parse_result_path(parse_wos_file(path), cap)) == alone
+            assert outcome(lambda: parse_result_path(parse_wos_export(text), cap)) == alone
 
 
 def reference_emit(texts, strict):
     """Exit code, stdout and stderr of ``ingest --emit wos`` per the reference."""
-    records, skipped = [], 0
     try:
-        for text in texts:
-            file_records, file_skipped = ref.parse_export(text)
-            records += file_records
-            skipped += len(file_skipped)
+        records, skipped, merged = ref.parse_exports(texts)
     except EmptyCorpusError as exc:
         return 1, "", f"bibmet: input error: {exc}\n"
+    merges = f", merged {len(merged)} duplicate(s)" if merged else ""
     err = (f"bibmet: parsed {len(records)} record(s) from {len(texts)} file(s), "
-           f"skipped {skipped} block(s)\n")
+           f"skipped {len(skipped)} block(s){merges}\n")
     if strict and skipped:
-        return 1, "", err + f"bibmet: input error: strict mode: {skipped} block(s) skipped\n"
-    try:
-        ref.check_unique_ids(records)
-    except ValueError as exc:
-        return 1, "", err + f"bibmet: input error: {exc}\n"
+        return 1, "", err + f"bibmet: input error: strict mode: {len(skipped)} block(s) skipped\n"
     return 0, ref.write_export(records), err
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -208,6 +209,9 @@ def test_spec_from_json_errors():
         spec_from_json('{"kind": "nonsense"}')
     with pytest.raises(DomainError):
         spec_from_json('{"kind": "productivity", "n0": 2.0}')
+    # json.loads raises a bare ValueError for an integer of over 4,300 digits
+    with pytest.raises(DomainError, match="^invalid generator spec JSON: Exceeds the limit"):
+        spec_from_json('{"kind": "productivity", "seed": 1' + "0" * 5000 + "}")
 
 
 POWER_LAW = {"kind": "productivity", "n0": 2.0, "total_authors": 100, "x_max": 20, "seed": 1}
@@ -248,6 +252,20 @@ def test_spec_from_json_takes_integers_for_numbers():
     assert spec.n0 == 3.0 and isinstance(spec.n0, float)
     spec = spec_from_json(json.dumps({**CORPUS, "author_count_dist": {"2": 1}}))
     assert spec.author_count_dist == ((2, 1.0),)
+
+
+@pytest.mark.parametrize("dist, message", [
+    # json.loads would keep the second value
+    ('{"1": 0.5, "1": 0.5, "2": 0.5}', "invalid generator spec JSON: key '1' is named twice"),
+    # int() reads both keys as class 1
+    ('{"1": 0.5, "01": 0.5, "2": 0.5}',
+     "generator spec field 'author_count_dist': author-count class 1 is named twice"),
+], ids=["verbatim", "leading-zero"])
+def test_spec_class_named_twice_is_rejected(dist, message):
+    text = json.dumps(CORPUS).replace('{"1": 0.5, "2": 0.5}', dist)
+    assert dist in text
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        spec_from_json(text)
 
 
 @pytest.mark.parametrize("key", [" +1_0 ", "10 ", "+2", "-1", "1_0", "٢", "2.0", "²", ""])

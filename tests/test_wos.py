@@ -3,7 +3,7 @@ import io
 import pytest
 
 from bibmet.errors import EmptyCorpusError
-from bibmet.wos import parse_wos_export, write_wos_export
+from bibmet.wos import ExportRun, parse_wos_export, scan_wos_export, write_wos_export
 
 
 def test_parse_basic_block():
@@ -80,6 +80,80 @@ def test_duplicate_au_lines_collapse():
     text = "PT J\nAU Smith, A\n   Smith, A\nPY 2015\nER\n"
     result = parse_wos_export(text)
     assert result.corpus.records[0].authors == ("Smith, A",)
+
+
+def test_repeated_ut_keeps_the_first_block():
+    text = ("PT J\nAU Smith, A\nPY 2010\nUT X1\nER\n\n"
+            "PT J\nAU Jones, B\nPY 2011\nUT X1\nER\n"
+            "PT J\nAU Lee, C\nPY 2012\nER\nPT J\nAU Kim, D\nPY 2013\nUT X1\nER\nEF\n")
+    result = parse_wos_export(text)
+    assert [(r.id, r.year, r.authors) for r in result.corpus.records] == [
+        ("X1", 2010, ("Smith, A",)), ("rec000001", 2012, ("Lee, C",))]
+    assert result.skipped_lines == ()
+    run = ExportRun()
+    assert list(scan_wos_export([[text]], run)) == [
+        (r.id, r.year, r.authors) for r in result.corpus.records]
+    assert (run.records, run.merged_lines) == (2, [7, 16])
+
+
+def test_ut_equal_to_a_synthetic_id_is_renamed_not_merged():
+    # a UT-less export, then an earlier --emit wos output of it: the
+    # second export's UT rec000001 is no repeat of the first one's paper
+    utless = "PT J\nAU Smith, A\nPY 2010\nER\nEF\n"
+    emitted = ("PT J\nAU Jones, B\nPY 2011\nUT rec000001\nER\n\n"
+               "PT J\nAU Lee, C\nPY 2012\nUT rec000002\nER\n\n"
+               "PT J\nAU Kim, D\nPY 2013\nUT rec000001\nER\n\nEF\n")
+    # UT rec000002 was given out to the block of UT rec000001 by then
+    expected = [("rec000001", 2010, ("Smith, A",)), ("rec000002", 2011, ("Jones, B",)),
+                ("rec000003", 2012, ("Lee, C",))]
+    for chunk in (1, 1 << 20):
+        run = ExportRun()
+        assert list(scan_wos_export([[utless], _chunks(emitted, chunk)], run)) == expected
+        # the repeat of UT rec000001 is merged, whichever id its first block took
+        assert (run.records, run.merged_lines) == (3, [13])
+    # within one export, as across two
+    one = parse_wos_export(utless.replace("EF\n", "") + emitted)
+    assert [(r.id, r.year, r.authors) for r in one.corpus.records] == expected
+    # in the other order every UT is kept and the UT-less block takes the next free id
+    run = ExportRun()
+    assert [rid for rid, _, _ in scan_wos_export([[emitted], [utless]], run)] == [
+        "rec000001", "rec000002", "rec000003"]
+    assert run.merged_lines == [13]
+
+
+def _chunks(text, size):
+    fh = io.StringIO(text)
+    return list(iter(lambda: fh.read(size) + fh.readline(), ""))
+
+
+def test_export_whose_blocks_were_all_merged_is_not_empty():
+    block = "PT J\nAU Smith, A\nPY 2010\nUT X1\nER\nEF\n"
+    run = ExportRun()
+    papers = list(scan_wos_export([[block], [block]], run))
+    assert papers == [("X1", 2010, ("Smith, A",))]
+    assert run.merged_lines == [1]
+
+
+class ProbedSet(set):
+    """A set that counts its membership tests."""
+
+    probes = 0
+
+    def __contains__(self, item):
+        self.probes += 1
+        return super().__contains__(item)
+
+
+def test_synthetic_id_counter_runs_across_the_run():
+    # a counter restarted per export would give rec000001 again in each
+    # export, or, skipping the ids in use, probe ~25,000 of them over
+    # these 50 exports, not ~2 per block
+    exports = [["PT J\nAU A\nPY 2001\nER\n" * 20 + "EF\n"] for _ in range(50)]
+    run = ExportRun(uts=ProbedSet())
+    papers = list(scan_wos_export(exports, run))
+    assert [rid for rid, _, _ in papers] == [f"rec{i:06d}" for i in range(1, 1001)]
+    assert run.uts.probes <= 2 * len(papers)
+    assert run.records == 1000
 
 
 def test_parser_is_deterministic(sample_wos_text):

@@ -11,8 +11,8 @@ line end, a reused, empty or missing ``UT``.  Files are read in chunks of
 blocks at every line, or of the default size.
 The count tables, skipped lines, errors and the bytes of
 ``bibmet ingest --emit wos`` must equal the reference's, and the scanner
-must yield the same papers, skipped lines and ids with its fast path
-switched off.
+must yield the same papers, ids, skipped and merged lines for the whole
+run with its fast path switched off.
 """
 
 import io
@@ -27,14 +27,13 @@ from hypothesis import strategies as st
 from bibmet import wos
 from bibmet.synth import sample_corpus
 from bibmet.tables import normalize_line_ends
-from bibmet.wos import parse_wos_file
 from test_ingest_differential import (
     counts_path,
     outcome,
-    records_path,
     reference,
     reference_emit,
     run_cli,
+    run_records_path,
 )
 
 NAMES = st.sampled_from(["Smith, A", "Jones, B", "Lee, C", "Kim, D", "O'Neil, E-F", "x\x0cy"])
@@ -120,22 +119,23 @@ def test_chunked_fast_path_matches_the_seed_reference(texts, chunk, strict):
             path.write_bytes(text.encode("utf-8"))
             paths.append(str(path))
         assert outcome(lambda: counts_path(paths, 3)) == expected
-        assert outcome(lambda: records_path([parse_wos_file(p) for p in paths], 3)) == expected
+        assert outcome(lambda: run_records_path(paths, 3)) == expected
         argv = ["ingest", "--emit", "wos", *paths] + (["--strict"] if strict else [])
         assert run_cli(argv) == (code, emitted, err)
-        # the papers, skipped lines and ids of each export, as without the fast path
-        for text in texts:
-            fh = io.StringIO(normalize_line_ends(text))
-            chunks = list(iter(lambda: fh.read(chunk) + fh.readline(), ""))
-            scanned = outcome(lambda: scan(chunks))
-            with mock.patch.object(wos, "_CANONICAL_BLOCK", re.compile("(?!)")):
-                assert outcome(lambda: scan(chunks)) == scanned
+    # the run's papers, ids, skipped and merged lines, as without the fast path
+    exports = []
+    for text in texts:
+        fh = io.StringIO(normalize_line_ends(text))
+        exports.append(list(iter(lambda: fh.read(chunk) + fh.readline(), "")))
+    scanned = outcome(lambda: scan(exports))
+    with mock.patch.object(wos, "_CANONICAL_BLOCK", re.compile("(?!)")):
+        assert outcome(lambda: scan(exports)) == scanned
 
 
-def scan(chunks):
-    skipped_lines, record_ids = [], []
-    papers = list(wos.scan_wos_export(chunks, skipped_lines, record_ids))
-    return papers, skipped_lines, record_ids
+def scan(exports):
+    run = wos.ExportRun()
+    papers = list(wos.scan_wos_export(exports, run))
+    return papers, run
 
 
 def test_every_block_write_wos_export_writes_is_canonical():
