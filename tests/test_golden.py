@@ -33,6 +33,7 @@ from bibmet import fixtures
 from bibmet.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+DATA = Path(__file__).parent / "data"
 
 # small inputs, written into the working directory of every case
 INPUTS = {
@@ -71,6 +72,8 @@ INPUTS = {
     "shallow.csv": "x,y\n1,100\n2,90\n4,80\n8,72\n",
     # gaps of 5 and 30 x, one of them with a listed zero: the K-S table is sparse
     "gaps.csv": "x,y\n1,600\n2,150\n3,70\n9,8\n25,0\n40,2\n",
+    # a few hundred K-S rows: every x to 120, then a sparse tail with gaps to 40,000
+    "longtail.csv": (DATA / "longtail.csv").read_bytes(),
     "single.csv": "authors,2015,2016\n1,3,2\n",
     "uncollapsed.csv": "authors,2015,2016\n1,1,0\n2,1,0\n3,0,1\n",
     "collapsed.csv": "# already collapsed\nauthors,2015,2016\n1,2,1\n2,1,1\n3+,0,2\n",
@@ -197,6 +200,7 @@ CASES = [
     ("ks-wos", "ks --wos export.txt"),
     ("ks-n-only", "ks --dist productivity.csv --n 2.0"),
     ("ks-gaps", "ks --dist gaps.csv"),
+    ("ks-longtail", "ks --dist longtail.csv"),
     ("ks-no-input", "ks"),
 
     ("report-csvs-markdown", f"report {CSVS}"),
@@ -216,6 +220,7 @@ CASES = [
     ("report-partial-strict", "report --wos partial.txt --strict"),
     ("report-duplicate-files", "report --wos export.txt export.txt"),
     ("report-gaps", "report --dist gaps.csv"),
+    ("report-longtail-markdown", "report --dist longtail.csv"),
     ("report-truncation-1", "report --dist productivity.csv --truncation 1"),
     ("report-truncation-above-limit", "report --dist productivity.csv --truncation 1000001"),
     ("report-alpha-0.02", "report --dist productivity.csv --alpha 0.02"),
