@@ -18,9 +18,14 @@ after long flags) supplies defaults; command-line flags win.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
+import os
+import shutil
+import stat
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -40,7 +45,7 @@ from .lotka import (
 )
 from .synth import PowerLawSpec, sample_productivity, sample_spec_papers, spec_from_json
 from .tables import AuthorshipMatrix, ProductivityDistribution, YearlySeries, split_lines
-from .wos import ExportRun, export_text, scan_wos_file
+from .wos import ExportRun, scan_wos_file, write_export
 
 # not called: perfbench/spans.py patches these names here (see tests/test_tracer_targets.py)
 from .corpus import build_authorship_matrix, build_yearly_series  # noqa: F401
@@ -283,8 +288,49 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+@contextlib.contextmanager
+def _staged_output(output: str | None):
+    """A text file whose content reaches ``output``, or stdout, only if the block succeeds.
+
+    For a regular ``output``, new or not, the file is a temporary one in
+    the directory of its target (symbolic links followed), which replaces
+    it at the end with the mode a plain write would leave.  For stdout,
+    or an ``output`` that exists but is no regular file (a pipe, a
+    device), it is an anonymous temporary file, copied over at the end.
+    """
+    st = os.stat(output) if output and os.path.exists(output) else None
+    if not output or st and not stat.S_ISREG(st.st_mode):
+        with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
+            yield spool
+            spool.seek(0)
+            with open(output, "w", encoding="utf-8") if output else \
+                    contextlib.nullcontext(sys.stdout) as out:
+                shutil.copyfileobj(spool, out)
+        return
+    if st:
+        mode = stat.S_IMODE(st.st_mode)
+    else:
+        umask = os.umask(0o022)  # setting the umask is the only way to read it
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    directory, name = os.path.split(os.path.realpath(output))
+    try:
+        fd, staged = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
+    except OSError as exc:
+        # name the output, as a plain write would, not the random file name
+        raise type(exc)(exc.errno, exc.strerror, output) from None
+    try:
+        with open(fd, "w", encoding="utf-8") as out:
+            yield out
+        os.chmod(staged, mode)
+        os.replace(staged, os.path.join(directory, name))
+    except BaseException:
+        os.unlink(staged)
+        raise
+
+
 def _read_exports(files, strict: bool, sink):
-    """Feed the papers of exports to ``sink``, ``CountTables`` or ``export_text``.
+    """Feed the papers of exports to ``sink``, ``CountTables`` or an export writer.
 
     Its result is returned once the ingest line is printed and every check passed."""
     run = ExportRun()
@@ -361,12 +407,13 @@ def _cmd_ingest(args) -> int:
     if args.emit == "wos":
         if args.source_comment:
             raise _UsageError("bibmet ingest: --source-comment only applies to the CSV emits")
-        # every check passes before anything is written
-        text = _read_exports(args.files, args.strict, export_text)
-    else:
-        text = _table_csv(args, _read_exports(args.files, args.strict, CountTables))
-        if args.source_comment:
-            text = f"# source: {' '.join(args.files)}\n" + text
+        # every check passes before the export reaches the output
+        with _staged_output(args.output) as out:
+            _read_exports(args.files, args.strict, lambda papers: write_export(papers, out))
+        return 0
+    text = _table_csv(args, _read_exports(args.files, args.strict, CountTables))
+    if args.source_comment:
+        text = f"# source: {' '.join(args.files)}\n" + text
     _emit(text, args.output)
     return 0
 
@@ -484,9 +531,8 @@ def _lotka_markdown(fit, ks_report: KSReport) -> str:
         "| x | authors | observed cum. | expected cum. | diff |",
         "|---|---|---|---|---|",
     ]
-    for r in ks_report.rows:
-        lines.append(f"| {r.x} | {r.observed} | {r.observed_cum:.4f} | "
-                     f"{r.expected_cum:.4f} | {r.abs_diff:.4f} |")
+    row = "| %s | %s | %.4f | %.4f | %.4f |"
+    lines += [row % (x, y, f, e, d) for x, y, _, f, _, e, d in ks_report.rows]
     return "\n".join(lines) + "\n"
 
 
@@ -495,12 +541,12 @@ def _cmd_synth(args) -> int:
     if isinstance(spec, PowerLawSpec):
         if args.emit not in (None, "distribution"):
             raise _UsageError("bibmet synth: productivity specs only emit a distribution")
-        text = sample_productivity(spec).to_csv()
+        _emit(sample_productivity(spec).to_csv(), args.output)
     elif args.emit in (None, "wos"):
-        text = export_text(sample_spec_papers(spec))
+        with _staged_output(args.output) as out:
+            write_export(sample_spec_papers(spec), out)
     else:
-        text = _table_csv(args, CountTables(sample_spec_papers(spec)))
-    _emit(text, args.output)
+        _emit(_table_csv(args, CountTables(sample_spec_papers(spec))), args.output)
     return 0
 
 

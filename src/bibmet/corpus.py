@@ -24,8 +24,9 @@ from .tables import AuthorshipMatrix, ProductivityDistribution, YearlySeries
 
 YEAR_MIN = 1000
 YEAR_MAX = 3000
-# papers whose names CountTables.add folds into its Counter at once, about
-# a 128 KiB chunk's worth of write_wos_export records
+# papers whose names CountTables.add folds into its Counter at once, and
+# that wos.write_export renders at once: about a 128 KiB chunk's worth of
+# write_wos_export records
 _PAPERS_PER_FOLD = 1024
 
 

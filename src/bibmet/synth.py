@@ -26,8 +26,8 @@ X_MAX_LIMIT = 10**6
 #: Largest ``author_pool`` of a corpus spec.
 AUTHOR_POOL_LIMIT = 10**6
 #: Largest number of author names a corpus spec can ask for: its papers
-#: times its largest team size.  ``synth --emit wos`` holds every name in
-#: memory, in the export text.
+#: times its largest team size.  The names bound the time to draw them and
+#: the size of the export, about 90 MB at the limit.
 AUTHOR_SLOTS_LIMIT = 5 * 10**6
 
 

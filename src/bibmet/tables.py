@@ -51,7 +51,9 @@ class YearlySeries:
             raise _RowError("a yearly series needs at least one entry")
         prev = None
         for i, (year, papers) in enumerate(self.entries):
-            if not isinstance(year, int) or not isinstance(papers, int):
+            # a bool is an int to Python, but its CSV cell would read "True"
+            if (not isinstance(year, int) or not isinstance(papers, int)
+                    or year.__class__ is bool or papers.__class__ is bool):
                 raise _RowError("years and counts must be integers", i)
             if papers < 0:
                 raise _RowError(f"negative paper count for {year}", i)
@@ -132,13 +134,13 @@ class AuthorshipMatrix:
         if len(self.counts) != len(self.classes):
             raise ValueError("one count row per class required")
         for i, (j, row) in enumerate(zip(self.classes, self.counts)):
-            if not isinstance(j, int) or j < 1:
+            if not isinstance(j, int) or j.__class__ is bool or j < 1:
                 raise _RowError("author-count classes must be integers >= 1", i)
             if i and j <= self.classes[i - 1]:
                 raise _RowError("classes must be strictly increasing", i)
             if len(row) != len(self.years):
                 raise _RowError("one count per year required in each row", i)
-            if any(not isinstance(c, int) or c < 0 for c in row):
+            if any(not isinstance(c, int) or c.__class__ is bool or c < 0 for c in row):
                 raise _RowError("counts must be non-negative integers", i)
         if self.cap < 2:
             # the cap of a collapsed matrix is its last class
@@ -245,7 +247,8 @@ class ProductivityDistribution:
             raise _RowError("a productivity distribution needs at least one pair")
         prev = None
         for i, (x, y) in enumerate(self.pairs):
-            if not isinstance(x, int) or not isinstance(y, int):
+            if (not isinstance(x, int) or not isinstance(y, int)
+                    or x.__class__ is bool or y.__class__ is bool):
                 raise _RowError("x and y must be integers", i)
             if x < 1:
                 raise _RowError("papers-per-author count x must be >= 1", i)

@@ -37,7 +37,8 @@ same papers, ids and tallies.  The scanner yields the kept blocks as
 ``(id, year, authors)`` papers, which the analysis commands fold straight
 into :class:`~bibmet.corpus.CountTables`, so their memory is bounded by
 a few chunks plus the distinct authors and ids, not by the size of the
-files.  :func:`export_text` renders papers as export text.  Only
+files.  :func:`write_export` writes papers to a file as export text, a
+batch of blocks at a time.  Only
 :func:`parse_wos_export` and :func:`parse_wos_file`, one export each,
 build one :class:`~bibmet.corpus.PublicationRecord` per block.
 """
@@ -48,9 +49,10 @@ import functools
 import io
 import re
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Iterator, TextIO, Union
 
-from .corpus import YEAR_MAX, YEAR_MIN, Corpus, PublicationRecord
+from .corpus import _PAPERS_PER_FOLD, YEAR_MAX, YEAR_MIN, Corpus, PublicationRecord
 from .errors import EmptyCorpusError
 from .tables import normalize_line_ends
 
@@ -274,14 +276,21 @@ def _tag_prefixes() -> dict[str, str]:
 
 def write_wos_export(corpus: Corpus) -> str:
     """The tagged export of a corpus; :func:`parse_wos_export` reads it back unchanged."""
-    return export_text((r.id, r.year, r.authors) for r in corpus.records)
+    out = io.StringIO()
+    write_export(((r.id, r.year, r.authors) for r in corpus.records), out)
+    return out.getvalue()
 
 
-def export_text(papers: Iterable[tuple[str, int, tuple[str, ...]]]) -> str:
-    """Export text of papers given as ``(id, year, authors)``, in order, then ``EF``."""
-    blocks = [_render_record(rid, year, authors) for rid, year, authors in papers]
-    blocks.append(FILE_END + "\n")
-    return "".join(blocks)
+def write_export(papers: Iterable[tuple[str, int, tuple[str, ...]]], out: TextIO) -> None:
+    """Write papers given as ``(id, year, authors)`` to ``out`` as export text, then ``EF``.
+
+    The papers are rendered and written 1,024 at a time, so a stream of
+    papers is never held whole.
+    """
+    papers = iter(papers)
+    while batch := list(islice(papers, _PAPERS_PER_FOLD)):
+        out.write("".join([_render_record(*paper) for paper in batch]))
+    out.write(FILE_END + "\n")
 
 
 def _render_record(rid: str, year: int, authors: tuple[str, ...]) -> str:

@@ -21,6 +21,10 @@ tests compare the streaming count tables, the record path and ``ingest
 
 It also keeps the dense ``ks_test``, which built one K-S row for every
 integer from 1 to the largest x; the sparse K-S test is compared with it.
+And it keeps the K-S renderers that ran one f-string per row field by
+field, ``ks_csv`` (``KSReport.to_csv``) and ``ks_markdown`` (the K-S part
+of ``report``'s markdown); the one-format-per-row renderers are compared
+with them.
 """
 
 from __future__ import annotations
@@ -238,3 +242,36 @@ def ks_test(dist: ProductivityDistribution, n: float, c: float,
     return KSReport(rows=tuple(rows), d_max=d_max, x_at_dmax=x_at,
                     critical_value=critical, alpha=alpha, mode=mode,
                     n=n, c=c, total_authors=total)
+
+
+def ks_csv(report: KSReport) -> str:
+    lines = [
+        f"# n={report.n:.6f} c={report.c:.6f} alpha={report.alpha} mode={report.mode}",
+        f"# d_max={report.d_max:.6f} at x={report.x_at_dmax} "
+        f"critical={report.critical_value:.6f} verdict={report.verdict}",
+        "x,y,observed,observed_cum,expected,expected_cum,diff",
+    ]
+    for r in report.rows:
+        lines.append(f"{r.x},{r.observed},{r.observed_prop:.6f},"
+                     f"{r.observed_cum:.6f},{r.expected_prop:.6f},"
+                     f"{r.expected_cum:.6f},{r.abs_diff:.6f}")
+    return "\n".join(lines) + "\n"
+
+
+def ks_markdown(fit, ks_report: KSReport) -> str:
+    lines = [
+        f"Fitted exponent n = {fit.n:.4f} (slope {fit.slope:.4f}), "
+        f"constant C = {fit.c:.4f}.",
+        "",
+        f"K-S: D_max = {ks_report.d_max:.4f} at x = {ks_report.x_at_dmax}, "
+        f"critical value {ks_report.critical_value:.4f} "
+        f"(alpha {ks_report.alpha}, {ks_report.mode} mode): "
+        f"**{ks_report.verdict}**.",
+        "",
+        "| x | authors | observed cum. | expected cum. | diff |",
+        "|---|---|---|---|---|",
+    ]
+    for r in ks_report.rows:
+        lines.append(f"| {r.x} | {r.observed} | {r.observed_cum:.4f} | "
+                     f"{r.expected_cum:.4f} | {r.abs_diff:.4f} |")
+    return "\n".join(lines) + "\n"

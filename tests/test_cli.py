@@ -1,4 +1,7 @@
 import json
+import os
+import stat
+import threading
 from pathlib import Path
 
 import pytest
@@ -252,12 +255,95 @@ def test_ingest_emit_wos_failure_writes_nothing(capsys, tmp_path, flags, texts):
         paths.append(tmp_path / f"export{i}.txt")
         paths[-1].write_bytes(data)
     output = tmp_path / "merged.txt"
-    code, out, err = run(capsys, "ingest", "--emit", "wos", *map(str, paths),
-                         *flags, "--output", str(output))
-    assert code == 1
-    assert out == ""
-    assert "input error" in err
-    assert not output.exists()
+    for before in (None, b"an earlier export\n"):
+        if before is not None:
+            output.write_bytes(before)
+        listed = sorted(tmp_path.iterdir())
+        code, out, err = run(capsys, "ingest", "--emit", "wos", *map(str, paths),
+                             *flags, "--output", str(output))
+        assert code == 1
+        assert out == ""
+        assert "input error" in err
+        # no temporary file is left next to the output either
+        assert sorted(tmp_path.iterdir()) == listed
+        if before is not None:
+            assert output.read_bytes() == before
+
+
+@pytest.mark.parametrize("before", [None, b"an earlier export\n"], ids=["new", "existing"])
+def test_synth_emit_wos_failure_writes_nothing(capsys, tmp_path, before):
+    # the second year's count is checked only once the first year's papers are drawn
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"kind": "corpus", "start_year": 2010, "papers_per_year": [3, -1],'
+                    ' "author_count_dist": {"1": 1.0}, "seed": 11}', encoding="utf-8")
+    output = tmp_path / "export.txt"
+    if before is not None:
+        output.write_bytes(before)
+    listed = sorted(tmp_path.iterdir())
+    code, out, err = run(capsys, "synth", "--spec", str(spec), "--output", str(output))
+    assert (code, out) == (2, "")
+    assert err == "bibmet: domain error: paper counts must be non-negative\n"
+    assert sorted(tmp_path.iterdir()) == listed
+    if before is not None:
+        assert output.read_bytes() == before
+
+
+@pytest.mark.parametrize("command", [("ingest", "--emit", "wos", "{wos}"),
+                                     ("synth", "--spec", "{spec}")])
+def test_emit_wos_output_is_written_as_a_plain_write_would(capsys, tmp_path, wos_file,
+                                                          command):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"kind": "corpus", "start_year": 2010, "papers_per_year": [3, 4],'
+                    ' "author_count_dist": {"1": 0.5, "3": 0.5}, "seed": 11}', encoding="utf-8")
+    argv = [a.format(wos=wos_file, spec=spec) for a in command]
+    code, expected, _ = run(capsys, *argv)
+    assert code == 0 and expected.endswith("EF\n")
+    listed = sorted(tmp_path.iterdir())
+
+    new = tmp_path / "new.txt"
+    old_umask = os.umask(0o027)
+    try:
+        assert run(capsys, *argv, "--output", str(new))[0] == 0
+    finally:
+        os.umask(old_umask)
+    assert new.read_text(encoding="utf-8") == expected
+    assert stat.S_IMODE(new.stat().st_mode) == 0o640
+
+    # an existing file keeps its mode, and a symbolic link stays a link to it
+    new.chmod(0o604)
+    link = tmp_path / "link.txt"
+    link.symlink_to(new.name)
+    new.write_text("stale\n", encoding="utf-8")
+    assert run(capsys, *argv, "--output", str(link))[0] == 0
+    assert link.is_symlink()
+    assert new.read_text(encoding="utf-8") == expected
+    assert stat.S_IMODE(new.stat().st_mode) == 0o604
+    assert sorted(tmp_path.iterdir()) == sorted([*listed, new, link])
+
+
+def test_emit_wos_output_to_a_pipe_writes_through_it(capsys, tmp_path, wos_file):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text(encoding="utf-8")),
+                              daemon=True)
+    reader.start()
+    code, _, _ = run(capsys, "ingest", "--emit", "wos", wos_file, "--output", str(fifo))
+    if code:
+        # the run never opened the pipe: let the reader's open return
+        os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert code == 0
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert received == [run(capsys, "ingest", "--emit", "wos", wos_file)[1]]
+
+
+def test_emit_wos_output_in_a_missing_directory_names_the_output(capsys, tmp_path, wos_file):
+    output = tmp_path / "missing" / "out.txt"
+    code, out, err = run(capsys, "ingest", "--emit", "wos", wos_file, "--output", str(output))
+    assert (code, out) == (1, "")
+    assert err == f"bibmet: input error: [Errno 2] No such file or directory: '{output}'\n"
 
 
 @pytest.mark.parametrize("command", [

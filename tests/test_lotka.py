@@ -9,9 +9,11 @@ from pytest import approx
 
 import seed_reference as ref
 from bibmet import lotka
+from bibmet.cli import _lotka_markdown
 from bibmet.corpus import Corpus, PublicationRecord
 from bibmet.errors import DomainError
 from bibmet.lotka import (
+    LotkaFit,
     expected_frequencies,
     fit_lotka_least_squares,
     ks_critical_value,
@@ -406,3 +408,31 @@ def test_ks_keeps_the_row_where_e_stops_rising_inside_a_gap():
     kept = [r.x for r in sparse.rows]
     assert kept == [1, 2, dense.x_at_dmax, 19999, 20000]
     assert list(sparse.rows) == [r for r in dense.rows if r.x in kept]
+
+
+# ---------------------------------------------------------------------------
+# K-S renderers against the frozen f-string renderers
+
+@st.composite
+def long_tails(draw):
+    """A dense head of x = 1..k, then a few x spread up to 10^5, any of them with zero authors."""
+    head = [(x, draw(st.sampled_from([0, 1, 3, 40, 900, 10**6]))) for x in
+            range(1, draw(st.integers(1, 30)) + 1)]
+    tail = draw(st.lists(st.integers(head[-1][0] + 1, 10**5), unique=True, max_size=6))
+    pairs = [*head, *((x, draw(st.sampled_from([0, 1, 2]))) for x in sorted(tail))]
+    if all(y == 0 for _, y in pairs):
+        pairs[0] = (1, 1)
+    return dist(*pairs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(gappy_distributions(), long_tails()), exponents,
+       st.one_of(st.none(), st.floats(0.05, 1.0)),
+       st.sampled_from(sorted(lotka.KS_COEFFICIENTS)), st.sampled_from(lotka.CRITICAL_MODES))
+def test_ks_renderers_match_the_frozen_f_string_renderers(d, n, c, alpha, mode):
+    c = lotka_constant(n) if c is None else c
+    report = ks_test(d, n, c, alpha=alpha, mode=mode)
+    assert report.to_csv() == ref.ks_csv(report)
+    fit = LotkaFit(n=n, slope=-n, sum_x=0.0, sum_y=0.0, sum_xy=0.0, sum_x2=0.0,
+                   n_points=len(d), points_used=d.xs, c=c)
+    assert _lotka_markdown(fit, report) == ref.ks_markdown(fit, report)

@@ -63,6 +63,13 @@ def test_yearly_rejects_disorder_and_negatives():
         YearlySeries(())
 
 
+@pytest.mark.parametrize("entries", [((2000, True), (2001, 3)), ((True, 1),)])
+def test_yearly_rejects_bool_cells(entries):
+    # a bool would be written as "True", which from_csv cannot read back
+    with pytest.raises(ValueError, match="^years and counts must be integers$"):
+        YearlySeries(entries)
+
+
 def test_yearly_percentages_sum_to_100(yearly_fixture):
     rounded = [round(p, 2) for p in yearly_fixture.percentages]
     assert abs(sum(rounded) - 100.0) <= 0.05
@@ -117,6 +124,15 @@ def test_matrix_validation():
         AuthorshipMatrix((1, 4), (2000,), ((1,), (1,)), collapsed=True, cap=10)
 
 
+@pytest.mark.parametrize("classes, counts, message", [
+    ((1, 2), ((1,), (False,)), "counts must be non-negative integers"),
+    ((True, 2), ((1,), (1,)), "author-count classes must be integers >= 1"),
+])
+def test_matrix_rejects_bool_cells(classes, counts, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        AuthorshipMatrix(classes, (2000,), counts)
+
+
 # ---------------------------------------------------------------------------
 # ProductivityDistribution
 
@@ -134,6 +150,12 @@ def test_distribution_validation():
         ProductivityDistribution(((2, 1), (1, 1)))
     with pytest.raises(ValueError):
         ProductivityDistribution(())
+
+
+@pytest.mark.parametrize("pairs", [((1, True), (2, 3)), ((True, 5),)])
+def test_distribution_rejects_bool_cells(pairs):
+    with pytest.raises(ValueError, match="^x and y must be integers$"):
+        ProductivityDistribution(pairs)
 
 
 # ---------------------------------------------------------------------------
