@@ -45,7 +45,7 @@ from .lotka import (
 )
 from .synth import PowerLawSpec, sample_productivity, sample_spec_papers, spec_from_json
 from .tables import AuthorshipMatrix, ProductivityDistribution, YearlySeries, split_lines
-from .wos import ExportRun, scan_wos_file, write_export
+from .wos import ExportRun, scan_wos_file, write_export, write_export_files
 
 # not called: perfbench/spans.py patches these names here (see tests/test_tracer_targets.py)
 from .corpus import build_authorship_matrix, build_yearly_series  # noqa: F401
@@ -329,12 +329,12 @@ def _staged_output(output: str | None):
         raise
 
 
-def _read_exports(files, strict: bool, sink):
-    """Feed the papers of exports to ``sink``, ``CountTables`` or an export writer.
+def _read_exports(files, strict: bool, read):
+    """``read(files, run)`` on a new run: ``_count_exports`` or an export writer.
 
     Its result is returned once the ingest line is printed and every check passed."""
     run = ExportRun()
-    result = sink(scan_wos_file(files, run))
+    result = read(files, run)
     merges = f", merged {len(run.merged_lines)} duplicate(s)" if run.merged_lines else ""
     print(f"bibmet: parsed {run.records} record(s) from {len(files)} file(s), "
           f"skipped {len(run.skipped_lines)} block(s){merges}", file=sys.stderr)
@@ -343,13 +343,17 @@ def _read_exports(files, strict: bool, sink):
     return result
 
 
+def _count_exports(files, run: ExportRun) -> CountTables:
+    return CountTables(scan_wos_file(files, run))
+
+
 def _counts(args, counts: CountTables | None, flag: str) -> CountTables:
     # the tables shared by report, else those of the command's own --wos
     if counts is not None:
         return counts
     if not args.wos:
         raise _UsageError(f"bibmet: provide {flag} or --wos")
-    return _read_exports(args.wos, False, CountTables)
+    return _read_exports(args.wos, False, _count_exports)
 
 
 def _series(args, counts: CountTables | None = None) -> YearlySeries:
@@ -409,9 +413,10 @@ def _cmd_ingest(args) -> int:
             raise _UsageError("bibmet ingest: --source-comment only applies to the CSV emits")
         # every check passes before the export reaches the output
         with _staged_output(args.output) as out:
-            _read_exports(args.files, args.strict, lambda papers: write_export(papers, out))
+            _read_exports(args.files, args.strict,
+                          lambda files, run: write_export_files(files, run, out))
         return 0
-    text = _table_csv(args, _read_exports(args.files, args.strict, CountTables))
+    text = _table_csv(args, _read_exports(args.files, args.strict, _count_exports))
     if args.source_comment:
         text = f"# source: {' '.join(args.files)}\n" + text
     _emit(text, args.output)
@@ -474,7 +479,7 @@ def _cmd_report(args) -> int:
     _check_block_split(args.block_split)
     _check_truncation(args.truncation)
     _ks_coefficient(args.alpha)
-    counts = _read_exports(args.wos, args.strict, CountTables) if args.wos else None
+    counts = _read_exports(args.wos, args.strict, _count_exports) if args.wos else None
     series = _series(args, counts) if args.series or args.wos else None
     matrix = _matrix(args, counts) if args.matrix or args.wos else None
     dist = _distribution(args, counts) if args.dist or args.wos else None

@@ -129,6 +129,8 @@ class AuthorshipMatrix:
     def __post_init__(self):
         if not self.classes or not self.years:
             raise _RowError("matrix needs at least one class and one year")
+        if any(not isinstance(y, int) or y.__class__ is bool for y in self.years):
+            raise _RowError("years must be integers", -1)
         if list(self.years) != sorted(set(self.years)):
             raise _RowError("years must be strictly increasing", -1)
         if len(self.counts) != len(self.classes):

@@ -38,19 +38,28 @@ same papers, ids and tallies.  The scanner yields the kept blocks as
 into :class:`~bibmet.corpus.CountTables`, so their memory is bounded by
 a few chunks plus the distinct authors and ids, not by the size of the
 files.  :func:`write_export` writes papers to a file as export text, a
-batch of blocks at a time.  Only
+batch of blocks at a time; :func:`write_export_files` writes the papers
+of a run's files so, in one process per usable CPU.  Only
 :func:`parse_wos_export` and :func:`parse_wos_file`, one export each,
 build one :class:`~bibmet.corpus.PublicationRecord` per block.
 """
 
 from __future__ import annotations
 
+import bisect
+import contextlib
 import functools
 import io
+import marshal
+import os
 import re
+import shutil
+import stat
+import tempfile
+import threading
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Iterable, Iterator, TextIO, Union
+from itertools import accumulate, islice
+from typing import BinaryIO, Iterable, Iterator, TextIO, Union
 
 from .corpus import _PAPERS_PER_FOLD, YEAR_MAX, YEAR_MIN, Corpus, PublicationRecord
 from .errors import EmptyCorpusError
@@ -95,6 +104,7 @@ class ExportRun:
     skipped_lines: list[int] = field(default_factory=list)  # from the export's start
     merged_lines: list[int] = field(default_factory=list)
     records: int = 0  # kept blocks
+    synthetic: int = 0  # the number of the last synthetic id given out
 
 
 def scan_wos_export(exports: Iterable[Iterable[str]],
@@ -117,8 +127,7 @@ def scan_wos_export(exports: Iterable[Iterable[str]],
     match = _CANONICAL_BLOCK.match
     next_name = "\n" + _CONTINUATION  # between two AU values of a matched block
     uts, skipped_lines, merged_lines = run.uts, run.skipped_lines, run.merged_lines
-    records = run.records
-    synthetic = 0  # the number of the last synthetic id given out
+    records, synthetic = run.records, run.synthetic
     for chunks in exports:
         chunks = iter(chunks)
         usable_before = records + len(merged_lines)
@@ -203,7 +212,7 @@ def scan_wos_export(exports: Iterable[Iterable[str]],
         if start is not None:
             # trailing block without an ER terminator is malformed
             skipped_lines.append(start)
-        run.records = records
+        run.records, run.synthetic = records, synthetic
         if records + len(merged_lines) == usable_before:
             if len(skipped_lines) > skips_before:
                 raise EmptyCorpusError(
@@ -287,10 +296,132 @@ def write_export(papers: Iterable[tuple[str, int, tuple[str, ...]]], out: TextIO
     The papers are rendered and written 1,024 at a time, so a stream of
     papers is never held whole.
     """
+    _write_blocks(papers, out)
+    out.write(FILE_END + "\n")
+
+
+def _write_blocks(papers: Iterable[tuple[str, int, tuple[str, ...]]], out: TextIO) -> None:
+    # write_export without the EF line
     papers = iter(papers)
     while batch := list(islice(papers, _PAPERS_PER_FOLD)):
         out.write("".join([_render_record(*paper) for paper in batch]))
+
+
+def write_export_files(paths: Iterable, run: ExportRun, out: TextIO) -> None:
+    """``write_export(scan_wos_file(paths, run), out)``, in one process per usable CPU.
+
+    The text, the tallies in ``run`` and any error, raised at the same
+    export, are those of the serial call.  The exports are cut into parts
+    (:func:`_parts`).  This process scans and writes the first; a forked
+    child scans each other part with a fresh run and writes its blocks to
+    an anonymous temporary file, and its run's ids and tallies to a second
+    one.  This process then takes the parts in order.  It keeps a child's
+    part only where the serial scan must give the same: the child exited
+    0, neither the run so far nor the part gave a synthetic id, and no id
+    of the part was read before in the run.  Any other part, and a part
+    for which no child could be started, it scans itself, into the same
+    run.  Every child is reaped and every temporary file closed before
+    this returns or raises.
+    """
+    paths = list(paths)
+    parts = _parts(paths)
+    if len(parts) == 1:
+        write_export(scan_wos_file(paths, run), out)
+        return
+    import signal  # only a forked run needs it
+
+    children: list[tuple[int, TextIO, BinaryIO]] = []  # started and not yet reaped
+
+    def end_children():
+        for pid, _, _ in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+    with contextlib.ExitStack() as stack:
+        stack.callback(end_children)
+        for part in parts[1:]:
+            try:
+                text = stack.enter_context(
+                    tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
+                result = stack.enter_context(tempfile.TemporaryFile())
+                pid = os.fork()
+            except OSError:
+                break  # no child for this part or the later ones: they are scanned here
+            if pid == 0:
+                _write_part(part, text, result)
+            children.append((pid, text, result))
+        _write_blocks(scan_wos_file(parts[0], run), out)
+        for part in parts[1:]:
+            theirs = None
+            if children:
+                pid, text, result = children[0]
+                _, status = os.waitpid(pid, 0)
+                del children[0]
+                if status == 0:
+                    result.seek(0)
+                    theirs = marshal.loads(result.read())  # the fields of the part's run
+            if (theirs is None or run.synthetic or theirs["synthetic"]
+                    or not run.uts.isdisjoint(theirs["uts"])):
+                _write_blocks(scan_wos_file(part, run), out)
+                continue
+            text.seek(0)
+            shutil.copyfileobj(text, out)
+            run.uts.update(theirs["uts"])
+            run.skipped_lines += theirs["skipped_lines"]
+            run.merged_lines += theirs["merged_lines"]
+            run.records += theirs["records"]
     out.write(FILE_END + "\n")
+
+
+def _write_part(paths: list, text: TextIO, result: BinaryIO) -> None:
+    # in a forked child: the part's blocks to text, its run to result, then
+    # exit without returning to the caller or flushing the buffers it
+    # inherited (stdout, stderr, the output)
+    code = 1
+    try:
+        run = ExportRun()
+        _write_blocks(scan_wos_file(paths, run), text)
+        text.flush()
+        # the ids as a list, which the parent reads without building a second set
+        result.write(marshal.dumps({**vars(run), "uts": list(run.uts)}))
+        result.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _parts(paths: list) -> list[list]:
+    """``paths`` cut into one part per usable CPU, or left whole.
+
+    The parts are runs of consecutive exports of about equal bytes, at
+    most one per export.  Exports are cut only where each is a regular
+    file, which can be read once by one process and then by another;
+    and only in a process with one thread, because a child forked from
+    a threaded process can wait forever on a lock that another thread
+    held at the fork.
+    """
+    if len(paths) < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return [paths]
+    n = min(len(os.sched_getaffinity(0)), len(paths))
+    if n < 2 or threading.active_count() != 1:
+        return [paths]
+    try:
+        stats = [os.stat(path) for path in paths]
+    except (OSError, ValueError):
+        return [paths]  # the serial scan reports it at its export
+    if not all(stat.S_ISREG(st.st_mode) for st in stats):
+        return [paths]
+    before = [0, *accumulate(st.st_size for st in stats)]  # bytes before each export, and all
+    cuts = [0]
+    for k in range(1, n):
+        goal = before[-1] * k / n
+        lo, hi = cuts[-1] + 1, len(paths) - n + k  # leave an export for each later part
+        i = bisect.bisect_left(before, goal, lo, hi)
+        if i > lo and goal - before[i - 1] <= before[i] - goal:
+            i -= 1  # the nearer of the two cuts around the goal
+        cuts.append(i)
+    cuts.append(len(paths))
+    return [paths[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def _render_record(rid: str, year: int, authors: tuple[str, ...]) -> str:

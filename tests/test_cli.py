@@ -1,12 +1,14 @@
 import json
 import os
 import stat
+import subprocess
+import tempfile
 import threading
 from pathlib import Path
 
 import pytest
 
-from bibmet import fixtures, lotka
+from bibmet import fixtures, lotka, wos
 from bibmet.cli import main
 from bibmet.lotka import KS_X_MAX, TRUNCATION_MAX
 from bibmet.synth import AUTHOR_POOL_LIMIT, AUTHOR_SLOTS_LIMIT, X_MAX_LIMIT
@@ -344,6 +346,129 @@ def test_emit_wos_output_in_a_missing_directory_names_the_output(capsys, tmp_pat
     code, out, err = run(capsys, "ingest", "--emit", "wos", wos_file, "--output", str(output))
     assert (code, out) == (1, "")
     assert err == f"bibmet: input error: [Errno 2] No such file or directory: '{output}'\n"
+
+
+# ---------------------------------------------------------------------------
+# ingest --emit wos in one process per CPU
+
+def block(ut):
+    return f"PT J\nAU A\nPY 2001\nUT {ut}\nER\n".encode()
+
+
+@pytest.fixture
+def two_cpus(monkeypatch, tmp_path):
+    """Two usable CPUs, and TMPDIR in an empty directory of its own."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    monkeypatch.setenv("TMPDIR", str(tmp))
+    monkeypatch.setattr(tempfile, "tempdir", None)  # read TMPDIR again
+    return tmp
+
+
+def write_exports(directory, texts):
+    directory.mkdir()
+    paths = [directory / f"export{i}.txt" for i in range(len(texts))]
+    for path, data in zip(paths, texts):
+        path.write_bytes(data)
+    return list(map(str, paths))
+
+
+def assert_nothing_left(tmp):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # no child, running or unreaped
+    assert list(tmp.iterdir()) == []
+
+
+@pytest.mark.parametrize("texts, code, err", [
+    ([b"", block("WOS:2")], 1, "no records found in input"),
+    ([block("WOS:1"), block("WOS:2") + b"\xff\n"], 1, "can't decode byte 0xff"),
+    ([block("WOS:1"), block("WOS:1")], 0, "merged 1 duplicate(s)"),
+    ([block("WOS:1"), block("WOS:2")], 0, "parsed 2 record(s)"),
+], ids=["parent-part-fails", "child-part-fails", "part-rejected", "part-kept"])
+def test_forked_writer_leaves_no_process_or_file(capsys, tmp_path, two_cpus, texts, code, err):
+    paths = write_exports(tmp_path / "in", texts)
+    output = tmp_path / "merged.txt"
+    result = run(capsys, "ingest", "--emit", "wos", *paths, "--output", str(output))
+    assert result[:2] == (code, "")
+    assert err in result[2]
+    assert output.exists() == (code == 0)
+    assert_nothing_left(two_cpus)
+
+
+def test_forked_writer_interrupted_leaves_no_process_or_file(tmp_path, two_cpus, monkeypatch):
+    def interrupted(papers, out):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(wos, "_write_blocks", interrupted)
+    paths = write_exports(tmp_path / "in", [block("WOS:1"), block("WOS:2")])
+    with pytest.raises(KeyboardInterrupt):
+        main(["ingest", "--emit", "wos", *paths, "--output", str(tmp_path / "merged.txt")])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in", "tmp"]
+    assert_nothing_left(two_cpus)
+
+
+@pytest.mark.parametrize("started", [0, 1])
+def test_forked_writer_scans_a_part_itself_when_no_child_starts(
+        capsys, tmp_path, two_cpus, monkeypatch, started):
+    paths = write_exports(tmp_path / "in", [block("WOS:1"), block("WOS:2"), block("WOS:3")])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    expected = run(capsys, "ingest", "--emit", "wos", *paths)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    forks = []
+    fork = os.fork
+
+    def fork_fails_after_started():
+        forks.append(os.getpid())
+        if len(forks) > started:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_fails_after_started)
+    assert run(capsys, "ingest", "--emit", "wos", *paths) == expected
+    assert len(forks) == started + 1
+    assert_nothing_left(two_cpus)
+
+
+@pytest.mark.parametrize("case", ["two-exports", "one-export", "fifo", "one-cpu", "threaded"])
+def test_forked_writer_forks_only_for_regular_files_on_several_cpus(
+        capsys, tmp_path, two_cpus, monkeypatch, case):
+    paths = write_exports(tmp_path / "in", [block("WOS:1"), block("WOS:2")])
+    expected = run(capsys, "ingest", "--emit", "wos", *paths)
+    writer = thread = None
+    if case == "one-export":
+        paths, expected = paths[:1], run(capsys, "ingest", "--emit", "wos", paths[0])
+    elif case == "fifo":
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        writer = subprocess.Popen(["sh", "-c", 'cat "$1" > "$2"', "sh", paths[1], str(fifo)])
+        paths[1] = str(fifo)
+    elif case == "one-cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    elif case == "threaded":
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+    forks = []
+    fork = os.fork
+
+    def spy():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", spy)
+    try:
+        assert run(capsys, "ingest", "--emit", "wos", *paths) == expected
+    finally:
+        if writer is not None:
+            writer.kill()
+            writer.wait(timeout=30)
+        if thread is not None:
+            release.set()
+            thread.join(timeout=30)
+    assert thread is None or not thread.is_alive()
+    assert len(forks) == (case == "two-exports")
+    assert_nothing_left(two_cpus)
 
 
 @pytest.mark.parametrize("command", [

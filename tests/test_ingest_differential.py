@@ -7,15 +7,18 @@ of a run's exports, and the record path of each export on its own
 (``parse_wos_export`` and ``parse_wos_file``), must give the reference's
 tables, skipped lines and errors exactly, and ``bibmet ingest --emit
 wos`` the reference writer's bytes, exit code and messages, whose ingest
-line counts the merged blocks.
+line counts the merged blocks.  ``ingest --emit wos`` in one process per
+CPU must give what it gives in one process.
 """
 
 import contextlib
 import io
+import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import seed_reference as ref
@@ -176,3 +179,86 @@ def test_ingest_emit_wos_matches_the_seed_writer(texts, strict):
             assert output.read_bytes() == expected.encode("utf-8")
         else:
             assert not output.exists()
+
+
+AUTHORS = st.lists(st.sampled_from(["Smith, A", "Jones, B", "Lee, C"]), min_size=1, max_size=3)
+
+
+@st.composite
+def forked_exports(draw):
+    """2-6 export files as bytes.
+
+    Between them: UTs repeated within and across files, UT-less blocks,
+    ``rec000001``-shaped UTs, blocks the fast path misses, skipped
+    blocks, exports with no usable block and, in a later file, an
+    undecodable byte.  Each example holds a random few of these, so that
+    each of them often decides alone whether a part is kept.
+    """
+    def some(*kinds):
+        return [kind for kind in kinds if draw(st.booleans())]
+
+    def rarely():  # a fault that ends the run, so that most runs keep their parts
+        return draw(st.integers(0, 3)) == 3  # Hypothesis draws 0 most often
+
+    ut_kinds = st.sampled_from(["own", *some("repeated", "synthetic-shaped", "none")])
+    shapes = st.sampled_from(["canonical", "canonical", *some("slow", "skipped")])
+    blocks_per_file = st.integers(0 if rarely() else 1, 4)
+    files = []
+    for i in range(draw(st.integers(2, 6))):
+        lines = []
+        for j in range(draw(blocks_per_file)):
+            ut = {"own": f"WOS:{i}.{j}", "none": None,
+                  "repeated": draw(st.sampled_from(["WOS:a", "WOS:b"])),
+                  "synthetic-shaped": draw(st.sampled_from(["rec000001", "rec000002"]))
+                  }[draw(ut_kinds)]
+            shape = draw(shapes)
+            authors = draw(AUTHORS)
+            lines += ["PT J", "AU " + authors[0], *("   " + a for a in authors[1:])]
+            if shape == "slow":
+                lines.append("TI A title")
+            if shape != "skipped":
+                lines.append(f"PY {draw(st.sampled_from([2001, 2002, 2003]))}")
+            if ut is not None:
+                lines.append(f"UT {ut}")
+            lines += ["ER", ""]
+        if draw(st.booleans()):
+            lines.append("EF")
+        files.append("".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines))
+    files = [text.encode("utf-8") for text in files]
+    if rarely():
+        files[draw(st.integers(1, len(files) - 1))] += b"\xff\n"
+    return files
+
+
+UT_LESS = b"PT J\nAU A\nPY 2001\nER\n"
+
+
+def canonical(ut):
+    return f"PT J\nAU B\nPY 2002\nUT {ut}\nER\n".encode()
+
+
+@settings(max_examples=100, deadline=None)
+@given(files=forked_exports(), cpus=st.integers(2, 4), strict=st.sampled_from([False] * 3 + [True]))
+# one example for each reason to scan a part again, each alone
+@example(files=[canonical("WOS:1"), canonical("WOS:2")], cpus=2, strict=False)
+@example(files=[canonical("WOS:1"), canonical("WOS:1")], cpus=2, strict=False)
+@example(files=[UT_LESS, canonical("rec000001")], cpus=2, strict=False)
+@example(files=[canonical("rec000001"), UT_LESS], cpus=2, strict=False)
+@example(files=[canonical("WOS:1"), canonical("WOS:2") + b"\xff"], cpus=2, strict=False)
+def test_ingest_emit_wos_is_the_same_in_one_process_per_cpu(files, cpus, strict):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, data in enumerate(files):
+            path = Path(tmp) / f"export{i}.txt"
+            path.write_bytes(data)
+            paths.append(str(path))
+        argv = ["ingest", "--emit", "wos", *paths] + (["--strict"] if strict else [])
+        output = Path(tmp) / "merged.txt"
+        outcomes = []
+        for usable in (set(range(cpus)), {0}):
+            with mock.patch.object(os, "sched_getaffinity", lambda pid: usable):
+                to_stdout = run_cli(argv)
+                to_file = run_cli(argv + ["--output", str(output)])
+            outcomes.append((to_stdout, to_file, output.read_bytes() if output.exists() else None))
+            output.unlink(missing_ok=True)
+        assert outcomes[0] == outcomes[1]

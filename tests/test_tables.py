@@ -133,6 +133,13 @@ def test_matrix_rejects_bool_cells(classes, counts, message):
         AuthorshipMatrix(classes, (2000,), counts)
 
 
+@pytest.mark.parametrize("years", [(True, 2010), (2009, 2010.5), (2000, "2001")])
+def test_matrix_rejects_years_that_are_not_integers(years):
+    # the header would read "True" or "2010.5", which from_csv cannot read back
+    with pytest.raises(ValueError, match="^years must be integers$"):
+        AuthorshipMatrix((1, 2), years, ((1, 0), (0, 1)))
+
+
 # ---------------------------------------------------------------------------
 # ProductivityDistribution
 
