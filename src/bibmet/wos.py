@@ -46,19 +46,18 @@ build one :class:`~bibmet.corpus.PublicationRecord` per block.
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import functools
 import io
 import marshal
 import os
 import re
-import shutil
+import signal
 import stat
 import tempfile
 import threading
 from dataclasses import dataclass, field
-from itertools import accumulate, islice
+from itertools import islice
 from typing import BinaryIO, Iterable, Iterator, TextIO, Union
 
 from .corpus import _PAPERS_PER_FOLD, YEAR_MAX, YEAR_MIN, Corpus, PublicationRecord
@@ -313,23 +312,19 @@ def write_export_files(paths: Iterable, run: ExportRun, out: TextIO) -> None:
     The text, the tallies in ``run`` and any error, raised at the same
     export, are those of the serial call.  The exports are cut into parts
     (:func:`_parts`).  This process scans and writes the first; a forked
-    child scans each other part with a fresh run and writes its blocks to
-    an anonymous temporary file, and its run's ids and tallies to a second
-    one.  This process then takes the parts in order.  It keeps a child's
-    part only where the serial scan must give the same: the child exited
-    0, neither the run so far nor the part gave a synthetic id, and no id
-    of the part was read before in the run.  Any other part, and a part
+    child scans each other part with a fresh run, writes its blocks to an
+    anonymous temporary file, and what each of its exports added to the
+    run to a second one.  This process then takes the exports in order.
+    It keeps a child's export only where the serial scan must give the
+    same: the child exited 0, neither the run so far nor the child's part
+    up to that export gave a synthetic id, and no id the export added was
+    read before in the run.  Any other export, and every export of a part
     for which no child could be started, it scans itself, into the same
-    run.  Every child is reaped and every temporary file closed before
-    this returns or raises.
+    run, so that an export shared with an earlier part costs one export's
+    scan, not the part's.  Every child is reaped and every temporary file
+    closed before this returns or raises.
     """
-    paths = list(paths)
-    parts = _parts(paths)
-    if len(parts) == 1:
-        write_export(scan_wos_file(paths, run), out)
-        return
-    import signal  # only a forked run needs it
-
+    parts = _parts(list(paths))
     children: list[tuple[int, TextIO, BinaryIO]] = []  # started and not yet reaped
 
     def end_children():
@@ -344,61 +339,93 @@ def write_export_files(paths: Iterable, run: ExportRun, out: TextIO) -> None:
                 text = stack.enter_context(
                     tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
                 result = stack.enter_context(tempfile.TemporaryFile())
-                pid = os.fork()
             except OSError:
                 break  # no child for this part or the later ones: they are scanned here
-            if pid == 0:
-                _write_part(part, text, result)
-            children.append((pid, text, result))
+            # an interrupt waits until the child is in children, to be
+            # ended, and the child takes it only inside _write_part
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _write_part(part, text, result, mask)
+                children.append((pid, text, result))
+            except OSError:
+                break
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         _write_blocks(scan_wos_file(parts[0], run), out)
         for part in parts[1:]:
-            theirs = None
+            exports = None
             if children:
                 pid, text, result = children[0]
                 _, status = os.waitpid(pid, 0)
                 del children[0]
                 if status == 0:
                     result.seek(0)
-                    theirs = marshal.loads(result.read())  # the fields of the part's run
-            if (theirs is None or run.synthetic or theirs["synthetic"]
-                    or not run.uts.isdisjoint(theirs["uts"])):
+                    exports = marshal.loads(result.read())  # per export, what it added to the run
+            if exports is None:
                 _write_blocks(scan_wos_file(part, run), out)
                 continue
             text.seek(0)
-            shutil.copyfileobj(text, out)
-            run.uts.update(theirs["uts"])
-            run.skipped_lines += theirs["skipped_lines"]
-            run.merged_lines += theirs["merged_lines"]
-            run.records += theirs["records"]
+            for path, (chars, ids, skipped, merged, synthetic) in zip(part, exports):
+                if run.synthetic or synthetic or not run.uts.isdisjoint(ids):
+                    _copy_text(text, chars, None)
+                    _write_blocks(scan_wos_file([path], run), out)
+                    continue
+                _copy_text(text, chars, out)
+                run.uts.update(ids)
+                run.skipped_lines += skipped
+                run.merged_lines += merged
+                run.records += len(ids)
     out.write(FILE_END + "\n")
 
 
-def _write_part(paths: list, text: TextIO, result: BinaryIO) -> None:
-    # in a forked child: the part's blocks to text, its run to result, then
-    # exit without returning to the caller or flushing the buffers it
-    # inherited (stdout, stderr, the output)
+def _write_part(paths: list, text: TextIO, result: BinaryIO, mask) -> None:
+    # in a forked child: the part's blocks to text and, for each export,
+    # what it added to the run to result; then exit without returning to
+    # the caller or flushing the buffers it inherited (stdout, stderr, the
+    # output).  The kept ids, a list, are the UTs the export added while
+    # the run gave no synthetic id.
     code = 1
     try:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         run = ExportRun()
-        _write_blocks(scan_wos_file(paths, run), text)
+        exports = []
+        for path in paths:
+            skipped, merged = len(run.skipped_lines), len(run.merged_lines)
+            papers = scan_wos_file([path], run)
+            ids, chars = [], 0
+            while batch := list(islice(papers, _PAPERS_PER_FOLD)):
+                ids += [paper[0] for paper in batch]
+                chars += text.write("".join([_render_record(*paper) for paper in batch]))
+            exports.append((chars, ids, run.skipped_lines[skipped:],
+                            run.merged_lines[merged:], run.synthetic))
         text.flush()
-        # the ids as a list, which the parent reads without building a second set
-        result.write(marshal.dumps({**vars(run), "uts": list(run.uts)}))
+        result.write(marshal.dumps(exports))
         result.flush()
         code = 0
     finally:
         os._exit(code)
 
 
+def _copy_text(src: TextIO, chars: int, out: TextIO | None) -> None:
+    # the next chars characters of src to out, or past them if out is None
+    while chars > 0 and (piece := src.read(min(chars, CHUNK_CHARS))):
+        chars -= len(piece)
+        if out is not None:
+            out.write(piece)
+
+
 def _parts(paths: list) -> list[list]:
     """``paths`` cut into one part per usable CPU, or left whole.
 
-    The parts are runs of consecutive exports of about equal bytes, at
-    most one per export.  Exports are cut only where each is a regular
-    file, which can be read once by one process and then by another;
-    and only in a process with one thread, because a child forked from
-    a threaded process can wait forever on a lock that another thread
-    held at the fork.
+    The parts are runs of consecutive exports, of about equal counts.
+    Exports are cut only where each is a regular file, which can be read
+    once by one process and then by another, and no file is named twice,
+    since its second reading is all merged and a child's reading of it
+    would be thrown away; and only in a process with one thread, because
+    a child forked from a threaded process can wait forever on a lock
+    that another thread held at the fork.
     """
     if len(paths) < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return [paths]
@@ -409,19 +436,10 @@ def _parts(paths: list) -> list[list]:
         stats = [os.stat(path) for path in paths]
     except (OSError, ValueError):
         return [paths]  # the serial scan reports it at its export
-    if not all(stat.S_ISREG(st.st_mode) for st in stats):
+    if (not all(stat.S_ISREG(st.st_mode) for st in stats)
+            or len({(st.st_dev, st.st_ino) for st in stats}) < len(stats)):
         return [paths]
-    before = [0, *accumulate(st.st_size for st in stats)]  # bytes before each export, and all
-    cuts = [0]
-    for k in range(1, n):
-        goal = before[-1] * k / n
-        lo, hi = cuts[-1] + 1, len(paths) - n + k  # leave an export for each later part
-        i = bisect.bisect_left(before, goal, lo, hi)
-        if i > lo and goal - before[i - 1] <= before[i] - goal:
-            i -= 1  # the nearer of the two cuts around the goal
-        cuts.append(i)
-    cuts.append(len(paths))
-    return [paths[a:b] for a, b in zip(cuts, cuts[1:])]
+    return [paths[len(paths) * k // n:len(paths) * (k + 1) // n] for k in range(n)]
 
 
 def _render_record(rid: str, year: int, authors: tuple[str, ...]) -> str:

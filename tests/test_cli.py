@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import stat
 import subprocess
 import tempfile
@@ -393,6 +394,28 @@ def test_forked_writer_leaves_no_process_or_file(capsys, tmp_path, two_cpus, tex
     assert result[:2] == (code, "")
     assert err in result[2]
     assert output.exists() == (code == 0)
+    assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, ())
+    assert_nothing_left(two_cpus)
+
+
+def test_forked_writer_scans_again_only_the_exports_an_earlier_part_shares(
+        capsys, tmp_path, two_cpus, monkeypatch):
+    paths = write_exports(tmp_path / "in", [block("WOS:1"), block("WOS:2"),
+                                            block("WOS:1"), block("WOS:3")])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    expected = run(capsys, "ingest", "--emit", "wos", *paths)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    scanned = []
+    scan = wos.scan_wos_file
+
+    def spy(files, run):
+        scanned.append(list(files))  # in this process; a child's calls stay in the child
+        return scan(files, run)
+
+    monkeypatch.setattr(wos, "scan_wos_file", spy)
+    assert run(capsys, "ingest", "--emit", "wos", *paths) == expected
+    assert "merged 1 duplicate(s)" in expected[2]
+    assert scanned == [paths[:2], paths[2:3]]
     assert_nothing_left(two_cpus)
 
 
@@ -430,7 +453,8 @@ def test_forked_writer_scans_a_part_itself_when_no_child_starts(
     assert_nothing_left(two_cpus)
 
 
-@pytest.mark.parametrize("case", ["two-exports", "one-export", "fifo", "one-cpu", "threaded"])
+@pytest.mark.parametrize("case", ["two-exports", "one-export", "fifo", "one-cpu", "threaded",
+                                  "file-named-twice"])
 def test_forked_writer_forks_only_for_regular_files_on_several_cpus(
         capsys, tmp_path, two_cpus, monkeypatch, case):
     paths = write_exports(tmp_path / "in", [block("WOS:1"), block("WOS:2")])
@@ -438,6 +462,9 @@ def test_forked_writer_forks_only_for_regular_files_on_several_cpus(
     writer = thread = None
     if case == "one-export":
         paths, expected = paths[:1], run(capsys, "ingest", "--emit", "wos", paths[0])
+    elif case == "file-named-twice":
+        paths = [paths[0], paths[0]]
+        expected = run(capsys, "ingest", "--emit", "wos", *paths)
     elif case == "fifo":
         fifo = tmp_path / "pipe"
         os.mkfifo(fifo)

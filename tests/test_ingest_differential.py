@@ -239,12 +239,20 @@ def canonical(ut):
 
 @settings(max_examples=100, deadline=None)
 @given(files=forked_exports(), cpus=st.integers(2, 4), strict=st.sampled_from([False] * 3 + [True]))
-# one example for each reason to scan a part again, each alone
+# one example for each reason to scan an export again, each alone
 @example(files=[canonical("WOS:1"), canonical("WOS:2")], cpus=2, strict=False)
 @example(files=[canonical("WOS:1"), canonical("WOS:1")], cpus=2, strict=False)
 @example(files=[UT_LESS, canonical("rec000001")], cpus=2, strict=False)
 @example(files=[canonical("rec000001"), UT_LESS], cpus=2, strict=False)
 @example(files=[canonical("WOS:1"), canonical("WOS:2") + b"\xff"], cpus=2, strict=False)
+# an export shared with the parent's part, then one of the child's own
+@example(files=[canonical("WOS:1"), canonical("WOS:2"), canonical("WOS:1"), canonical("WOS:3")],
+         cpus=2, strict=False)
+# the child's part gives its first synthetic id in its second export
+@example(files=[canonical("WOS:1"), canonical("WOS:2"), canonical("WOS:3"), UT_LESS,
+                canonical("WOS:4")], cpus=2, strict=False)
+# a synthetic id kept from one child, then its UT from another: serially renamed, not merged
+@example(files=[canonical("WOS:1"), UT_LESS, canonical("rec000001")], cpus=3, strict=False)
 def test_ingest_emit_wos_is_the_same_in_one_process_per_cpu(files, cpus, strict):
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
