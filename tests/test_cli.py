@@ -431,6 +431,24 @@ def test_forked_writer_interrupted_leaves_no_process_or_file(tmp_path, two_cpus,
     assert_nothing_left(two_cpus)
 
 
+def test_forked_writer_interrupted_at_the_fork_leaves_no_process_or_file(
+        tmp_path, two_cpus, monkeypatch):
+    fork = os.fork
+
+    def fork_then_interrupt():
+        pid = fork()
+        os.kill(os.getpid(), signal.SIGINT)  # in the parent and in the child
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork_then_interrupt)
+    paths = write_exports(tmp_path / "in", [block("WOS:1"), block("WOS:2")])
+    with pytest.raises(KeyboardInterrupt):
+        main(["ingest", "--emit", "wos", *paths, "--output", str(tmp_path / "merged.txt")])
+    assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, ())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in", "tmp"]
+    assert_nothing_left(two_cpus)
+
+
 @pytest.mark.parametrize("started", [0, 1])
 def test_forked_writer_scans_a_part_itself_when_no_child_starts(
         capsys, tmp_path, two_cpus, monkeypatch, started):
