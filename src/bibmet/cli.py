@@ -73,31 +73,27 @@ def entrypoint() -> None:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _apply_config(argv)
-        parser = _build_parser()
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return 64
-    except SystemExit as exc:  # --help / --version
-        return 0 if exc.code in (None, 0) else 64
-
-    try:
+        args = _build_parser().parse_args(_apply_config(argv))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = args.func(args) or 0
-        for w in caught:
-            print(f"bibmet: warning: {w.message}", file=sys.stderr)
-        return code
+            try:
+                return args.func(args) or 0
+            finally:
+                # also when the command then fails, before its error line
+                for w in caught:
+                    print(f"bibmet: warning: {w.message}", file=sys.stderr)
+    except SystemExit as exc:  # --help / --version
+        return 0 if exc.code in (None, 0) else 64
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 64
     except DomainError as exc:
         print(f"bibmet: domain error: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, OSError, UnicodeDecodeError, ValueError) as exc:
-        # ValueError covers the checks Python itself makes on loaded data,
-        # e.g. a NUL byte in a path that a --config file gives
+    except (OSError, ValueError) as exc:
+        # ValueError covers ParseError, UnicodeDecodeError and the checks
+        # Python itself makes on loaded data, e.g. a NUL byte in a path
+        # that a --config file gives
         print(f"bibmet: input error: {exc}", file=sys.stderr)
         return 1
 
@@ -113,28 +109,15 @@ def _apply_config(argv: list[str]) -> list[str]:
     switch, ``false`` omits it.  Explicit command-line flags override the
     config because they come later.
     """
-    path = None
-    rest: list[str] = []
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        if token == "--config":
-            if i + 1 >= len(argv):
-                raise _UsageError("bibmet: --config needs a file argument")
-            path = argv[i + 1]
-            i += 2
-            continue
-        if token.startswith("--config="):
-            path = token.split("=", 1)[1]
-            i += 1
-            continue
-        rest.append(token)
-        i += 1
-    if path is None:
+    pre = _Parser(prog="bibmet", add_help=False, allow_abbrev=False)
+    pre.add_argument("--config", metavar="FILE")
+    known, rest = pre.parse_known_args(argv)
+    if known.config is None:
         return rest
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+        # a byte-order mark, as the CSV tables take it
+        text = Path(known.config).read_text(encoding="utf-8").removeprefix("\ufeff")
+    except (OSError, ValueError) as exc:
         raise _UsageError(f"bibmet: cannot read config file: {exc}") from exc
     flags: list[str] = []
     for lineno, raw in enumerate(split_lines(text), start=1):
@@ -151,9 +134,7 @@ def _apply_config(argv: list[str]) -> list[str]:
             continue
         else:
             flags.extend([flag, value])
-    if not rest:
-        return flags
-    return [rest[0], *flags, *rest[1:]]
+    return rest[:1] + flags + rest[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,14 @@ import os
 import signal
 import stat
 import subprocess
+import sys
 import tempfile
 import threading
 from pathlib import Path
 
 import pytest
 
+import bibmet
 from bibmet import fixtures, lotka, wos
 from bibmet.cli import main
 from bibmet.lotka import KS_X_MAX, TRUNCATION_MAX
@@ -88,6 +90,17 @@ def test_domain_error_exit_code(capsys, tmp_path):
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["--version"], 0, f"bibmet {bibmet.__version__}\n", ""),
+    (["growth"], 64, "", "bibmet: provide --series or --wos\n"),
+], ids=["version", "usage-error"])
+def test_module_run_exits_with_the_code_of_main(tmp_path, argv, code, out, err):
+    env = dict(os.environ, PYTHONPATH=str(Path(bibmet.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "bibmet.cli", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
 
 
 # ---------------------------------------------------------------------------
@@ -449,30 +462,39 @@ def test_forked_writer_interrupted_at_the_fork_leaves_no_process_or_file(
     assert_nothing_left(two_cpus)
 
 
-@pytest.mark.parametrize("started", [0, 1])
+@pytest.mark.parametrize("owner, name, started", [
+    (os, "fork", 0), (os, "fork", 1), (tempfile, "TemporaryFile", 0),
+], ids=["0", "1", "no-temporary-file"])
 def test_forked_writer_scans_a_part_itself_when_no_child_starts(
-        capsys, tmp_path, two_cpus, monkeypatch, started):
+        capsys, tmp_path, two_cpus, monkeypatch, owner, name, started):
+    # os.fork, or tempfile.TemporaryFile before it, fails after started children
     paths = write_exports(tmp_path / "in", [block("WOS:1"), block("WOS:2"), block("WOS:3")])
+    output = tmp_path / "merged.txt"
+
+    def ingest():
+        result = run(capsys, "ingest", "--emit", "wos", *paths, "--output", str(output))
+        return result, output.read_bytes()
+
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    expected = run(capsys, "ingest", "--emit", "wos", *paths)
+    expected = ingest()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    forks = []
-    fork = os.fork
+    calls = []
+    call = getattr(owner, name)
 
-    def fork_fails_after_started():
-        forks.append(os.getpid())
-        if len(forks) > started:
+    def fails_after_started(*args, **kwargs):
+        calls.append(os.getpid())
+        if len(calls) > started:
             raise BlockingIOError(11, "Resource temporarily unavailable")
-        return fork()
+        return call(*args, **kwargs)
 
-    monkeypatch.setattr(os, "fork", fork_fails_after_started)
-    assert run(capsys, "ingest", "--emit", "wos", *paths) == expected
-    assert len(forks) == started + 1
+    monkeypatch.setattr(owner, name, fails_after_started)
+    assert ingest() == expected
+    assert len(calls) == started + 1
     assert_nothing_left(two_cpus)
 
 
 @pytest.mark.parametrize("case", ["two-exports", "one-export", "fifo", "one-cpu", "threaded",
-                                  "file-named-twice"])
+                                  "file-named-twice", "missing-export"])
 def test_forked_writer_forks_only_for_regular_files_on_several_cpus(
         capsys, tmp_path, two_cpus, monkeypatch, case):
     paths = write_exports(tmp_path / "in", [block("WOS:1"), block("WOS:2")])
@@ -483,6 +505,11 @@ def test_forked_writer_forks_only_for_regular_files_on_several_cpus(
     elif case == "file-named-twice":
         paths = [paths[0], paths[0]]
         expected = run(capsys, "ingest", "--emit", "wos", *paths)
+    elif case == "missing-export":
+        paths.insert(1, str(tmp_path / "in" / "missing.txt"))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        expected = run(capsys, "ingest", "--emit", "wos", *paths)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     elif case == "fifo":
         fifo = tmp_path / "pipe"
         os.mkfifo(fifo)

@@ -80,6 +80,10 @@ INPUTS = {
     "standard.conf": "convention = standard\nexact-ln2 = true\n",
     "unknown.conf": "does-not-exist = 1\n",
     "undecodable.conf": b"convention = standard\n# \xff\n",
+    "bom.conf": b"\xef\xbb\xbfconvention = standard\n",
+    # the first two bytes of a byte-order mark, and nothing after them
+    "cut_bom.conf": b"\xef\xbb",
+    "false.conf": "convention = standard\nexact-ln2 = false\n",
 }
 
 BUNDLED = {
@@ -147,6 +151,12 @@ CASES = [
     ("growth-config-unknown-key", "growth --series yearly.csv --config unknown.conf"),
     ("growth-config-missing", "growth --series yearly.csv --config nope.conf"),
     ("growth-config-undecodable", "growth --series yearly.csv --config undecodable.conf"),
+    ("growth-config-bom", "growth --series yearly.csv --config bom.conf --format json"),
+    ("growth-config-cut-bom", "growth --series yearly.csv --config cut_bom.conf"),
+    ("growth-config-equals", "growth --series yearly.csv --config=standard.conf --format json"),
+    ("growth-config-false", "growth --series yearly.csv --config false.conf --format json"),
+    ("growth-config-first", "--config standard.conf growth --series yearly.csv --format json"),
+    ("growth-config-no-file", "growth --series yearly.csv --config"),
     ("growth-output", "growth --series yearly.csv --output growth.csv"),
     ("growth-wos", "growth --wos export.txt"),
     ("growth-one-year", "growth --series one_year.csv"),
@@ -175,6 +185,9 @@ CASES = [
     ("collab-wos-cap-above-limit", "collab --wos export.txt --cap 10001"),
     ("collab-single-author", "collab --matrix single.csv"),
     ("collab-single-author-team", "collab --matrix single.csv --partition team"),
+    # the CAI warning comes before the error of the write that then fails
+    ("collab-single-author-output-missing-dir",
+     "collab --matrix single.csv --output missing/collab.csv"),
     ("collab-no-input", "collab"),
 
     ("lotka-regression", "lotka --dist regression.csv"),
@@ -233,6 +246,7 @@ CASES = [
     ("report-no-inputs", "report"),
 
     ("no-arguments", ""),
+    ("config-only", "--config standard.conf"),
     ("version", "--version"),
 ]
 
