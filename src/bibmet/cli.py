@@ -115,7 +115,8 @@ def _apply_config(argv: list[str]) -> list[str]:
     if known.config is None:
         return rest
     try:
-        # a byte-order mark, as the CSV tables take it
+        # a leading byte-order mark is dropped, as the CSV tables drop it;
+        # "utf-8-sig" would read a file of a cut mark alone as empty
         text = Path(known.config).read_text(encoding="utf-8").removeprefix("\ufeff")
     except (OSError, ValueError) as exc:
         raise _UsageError(f"bibmet: cannot read config file: {exc}") from exc

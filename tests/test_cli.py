@@ -768,6 +768,12 @@ def test_config_file_supplies_defaults(capsys, tmp_path):
     assert json.loads(out)["convention"] == "paper"
 
 
+def test_config_path_with_a_nul_byte_is_usage_error(capsys):
+    # main's own argv, not a shell's, can hold one
+    code, out, err = run(capsys, "growth", "--series", SERIES, "--config=bibmet\0.conf")
+    assert (code, out, err) == (64, "", "bibmet: cannot read config file: embedded null byte\n")
+
+
 def test_config_unknown_key_is_usage_error(capsys, tmp_path):
     config = tmp_path / "bad.conf"
     config.write_text("does-not-exist = 1\n", encoding="utf-8")
