@@ -45,7 +45,7 @@ from .lotka import (
 )
 from .synth import PowerLawSpec, sample_productivity, sample_spec_papers, spec_from_json
 from .tables import AuthorshipMatrix, ProductivityDistribution, YearlySeries, split_lines
-from .wos import ExportRun, scan_wos_file, write_export, write_export_files
+from .wos import ExportRun, count_export_files, write_export, write_export_files
 
 # not called: perfbench/spans.py patches these names here (see tests/test_tracer_targets.py)
 from .corpus import build_authorship_matrix, build_yearly_series  # noqa: F401
@@ -58,6 +58,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    commands: dict[str, argparse.ArgumentParser]  # of the main parser: its subcommands
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, epilog="--config FILE reads defaults from 'key = value' lines "
+                                       "named after long flags.", **kwargs)
+
     def _get_formatter(self):
         # the width COLUMNS=80 gives: usage and help text must not depend on the terminal
         return self.formatter_class(prog=self.prog, width=78)
@@ -73,7 +79,8 @@ def entrypoint() -> None:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = _build_parser().parse_args(_apply_config(argv))
+        parser = _build_parser()
+        args = parser.parse_args(_apply_config(argv, parser.commands))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
@@ -101,8 +108,8 @@ def main(argv=None) -> int:
 # ---------------------------------------------------------------------------
 # configuration file
 
-def _apply_config(argv: list[str]) -> list[str]:
-    """Expand ``--config FILE`` into flags inserted after the subcommand.
+def _apply_config(argv: list[str], commands) -> list[str]:
+    """Expand ``--config FILE`` into flags inserted after the subcommand, one of ``commands``.
 
     Config lines read ``key = value`` with keys spelled like the long
     flags (``convention = standard``); a value of ``true`` adds a bare
@@ -135,6 +142,8 @@ def _apply_config(argv: list[str]) -> list[str]:
             continue
         else:
             flags.extend([flag, value])
+    if not rest or rest[0] not in commands:
+        return rest  # argparse then names what is missing, not a config value
     return rest[:1] + flags + rest[1:]
 
 
@@ -147,6 +156,7 @@ def _build_parser() -> _Parser:
                                  "author-productivity analysis.")
     parser.add_argument("--version", action="version", version=f"bibmet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    parser.commands = sub.choices
 
     def add_output(p):
         p.add_argument("--output", metavar="PATH",
@@ -312,7 +322,7 @@ def _staged_output(output: str | None):
 
 
 def _read_exports(files, strict: bool, read):
-    """``read(files, run)`` on a new run: ``_count_exports`` or an export writer.
+    """``read(files, run)`` on a new run: ``count_export_files`` or an export writer.
 
     Its result is returned once the ingest line is printed and every check passed."""
     run = ExportRun()
@@ -325,17 +335,13 @@ def _read_exports(files, strict: bool, read):
     return result
 
 
-def _count_exports(files, run: ExportRun) -> CountTables:
-    return CountTables(scan_wos_file(files, run))
-
-
 def _counts(args, counts: CountTables | None, flag: str) -> CountTables:
     # the tables shared by report, else those of the command's own --wos
     if counts is not None:
         return counts
     if not args.wos:
         raise _UsageError(f"bibmet: provide {flag} or --wos")
-    return _read_exports(args.wos, False, _count_exports)
+    return _read_exports(args.wos, False, count_export_files)
 
 
 def _series(args, counts: CountTables | None = None) -> YearlySeries:
@@ -398,7 +404,7 @@ def _cmd_ingest(args) -> int:
             _read_exports(args.files, args.strict,
                           lambda files, run: write_export_files(files, run, out))
         return 0
-    text = _table_csv(args, _read_exports(args.files, args.strict, _count_exports))
+    text = _table_csv(args, _read_exports(args.files, args.strict, count_export_files))
     if args.source_comment:
         text = f"# source: {' '.join(args.files)}\n" + text
     _emit(text, args.output)
@@ -461,7 +467,7 @@ def _cmd_report(args) -> int:
     _check_block_split(args.block_split)
     _check_truncation(args.truncation)
     _ks_coefficient(args.alpha)
-    counts = _read_exports(args.wos, args.strict, _count_exports) if args.wos else None
+    counts = _read_exports(args.wos, args.strict, count_export_files) if args.wos else None
     series = _series(args, counts) if args.series or args.wos else None
     matrix = _matrix(args, counts) if args.matrix or args.wos else None
     dist = _distribution(args, counts) if args.dist or args.wos else None

@@ -35,11 +35,15 @@ which keep only the block's ``AU``/``PY``/``UT`` values in hand, so that
 a block cut by a chunk's end goes on in the next chunk.  Both give the
 same papers, ids and tallies.  The scanner yields the kept blocks as
 ``(id, year, authors)`` papers, which the analysis commands fold straight
-into :class:`~bibmet.corpus.CountTables`, so their memory is bounded by
-a few chunks plus the distinct authors and ids, not by the size of the
-files.  :func:`write_export` writes papers to a file as export text, a
-batch of blocks at a time; :func:`write_export_files` writes the papers
-of a run's files so, in one process per usable CPU.  Only
+into :class:`~bibmet.corpus.CountTables`, so the memory of each process
+is bounded by a few chunks plus the distinct authors and ids (and the
+longest line), not by the size of the files.  :func:`write_export`
+writes papers to a file as export text, a batch of blocks at a time.
+:func:`count_export_files` and :func:`write_export_files` count or write
+the papers of a run's files in one process per usable CPU: the files
+are cut at record ends into byte ranges, so that a single export uses
+every CPU, and this process keeps a forked child's range only where the
+serial scan must give the same (:func:`_forked_scan`).  Only
 :func:`parse_wos_export` and :func:`parse_wos_file`, one export each,
 build one :class:`~bibmet.corpus.PublicationRecord` per block.
 """
@@ -54,13 +58,15 @@ import os
 import re
 import signal
 import stat
+import sys
 import tempfile
 import threading
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from typing import BinaryIO, Iterable, Iterator, TextIO, Union
 
-from .corpus import _PAPERS_PER_FOLD, YEAR_MAX, YEAR_MIN, Corpus, PublicationRecord
+from .corpus import _PAPERS_PER_FOLD, YEAR_MAX, YEAR_MIN, Corpus, CountTables, PublicationRecord
 from .errors import EmptyCorpusError
 from .tables import normalize_line_ends
 
@@ -81,6 +87,7 @@ _CANONICAL_BLOCK = re.compile(
     rf"\n*PT J\nAU ({_VALUE}{_VALUE_END}(?:{_CONTINUATION}{_VALUE}{_VALUE_END})*)"
     rf"PY ([0-9]{{4}})\nUT ({_VALUE}){_VALUE_END}{RECORD_END}\n")
 _ER_LINE = "\n" + RECORD_END + "\n"
+_ER_BYTES = re.compile(rb"\nER\r?\n")
 
 
 @dataclass(frozen=True)
@@ -104,6 +111,11 @@ class ExportRun:
     merged_lines: list[int] = field(default_factory=list)
     records: int = 0  # kept blocks
     synthetic: int = 0  # the number of the last synthetic id given out
+    # the export being read: its lines so far, whether its EF was read, and
+    # the usable and skipped blocks of the run before it
+    lines: int = 0
+    ended: bool = False
+    before: tuple[int, int] = (0, 0)
 
 
 def scan_wos_export(exports: Iterable[Iterable[str]],
@@ -122,102 +134,117 @@ def scan_wos_export(exports: Iterable[Iterable[str]],
     export's last block, raises :class:`EmptyCorpusError` if it had no
     usable block, naming the start line of the first block it skipped.
     """
+    for chunks in exports:
+        _open_export(run)
+        yield from _scan(chunks, run)
+        _close_export(run)
+
+
+def _open_export(run: ExportRun) -> None:
+    run.lines, run.ended = 0, False
+    run.before = run.records + len(run.merged_lines), len(run.skipped_lines)
+
+
+def _close_export(run: ExportRun) -> None:
+    # the export that _open_export opened has been read to its end
+    usable, skips = run.before
+    if run.records + len(run.merged_lines) == usable:
+        if len(run.skipped_lines) > skips:
+            raise EmptyCorpusError(
+                "no parseable records; first malformed block starts here",
+                line=run.skipped_lines[skips])
+        raise EmptyCorpusError("no records found in input")
+
+
+def _scan(chunks: Iterable[str], run: ExportRun) -> Iterator[tuple[str, int, tuple[str, ...]]]:
+    # scan_wos_export of the part of an export that chunks hold, which
+    # begins after run.lines lines of that export, between two blocks
     tag_of = _tag_prefixes().get
     match = _CANONICAL_BLOCK.match
     next_name = "\n" + _CONTINUATION  # between two AU values of a matched block
     uts, skipped_lines, merged_lines = run.uts, run.skipped_lines, run.merged_lines
     records, synthetic = run.records, run.synthetic
-    for chunks in exports:
-        chunks = iter(chunks)
-        usable_before = records + len(merged_lines)
-        skips_before = len(skipped_lines)  # skipped lines of earlier exports
-        kept: dict[str, list[str]] = {"AU": [], "PY": [], "UT": []}
-        au, py, ut = kept.values()
-        current: list[str] | None = None  # values that continuation lines extend
-        start: int | None = None
-        lineno = 0  # lines before the current position
-        at_end = False
-        for text in chunks:
-            pos = 0
-            while pos < len(text) and not at_end:
-                if start is None:
-                    block = match(text, pos)
-                    # a UT read before or given out as a synthetic id goes on
-                    # to the line-by-line rules, which merge or rename it
-                    if (block is not None and YEAR_MIN <= (year := int(block[2])) <= YEAR_MAX
-                            and (rid := block[3]) not in uts
-                            and not (synthetic and _given_out(rid, synthetic))):
-                        end = block.end()
-                        uts.add(rid)
-                        records += 1
-                        yield rid, year, tuple(dict.fromkeys(block[1][:-1].split(next_name)))
-                        lineno += text.count("\n", pos, end)
-                        pos = end
-                        continue
-                stop = text.find(_ER_LINE, pos)
-                stop = len(text) if stop < 0 else stop + len(_ER_LINE)
-                lines = text[pos:stop].split("\n")
-                if not lines[-1]:
-                    lines.pop()  # the chunk ended at a line end, not before one more line
-                pos = stop
-                for lineno, raw in enumerate(lines, start=lineno + 1):
-                    tag = tag_of(raw[:3])
-                    if tag is None:
-                        # a continuation line or stray unindented text extends the
-                        # current field; a blank line ends it
-                        value = raw.strip()
-                        if not value:
-                            current = None
-                        elif current is not None:
-                            current.append(value)
-                        continue
-                    if tag == RECORD_END:
-                        if start is not None:
-                            authors = tuple(dict.fromkeys(filter(None, au)))
-                            year = _parse_year(py)
-                            rid = next(filter(None, ut), None)
-                            if not authors or year is None:
-                                skipped_lines.append(start)
-                            elif rid in uts:
-                                merged_lines.append(start)
-                            else:
-                                if rid is not None:
-                                    uts.add(rid)
-                                if rid is None or _given_out(rid, synthetic):
-                                    # the next synthetic id that no UT of the run holds
+    chunks = iter(chunks)
+    kept: dict[str, list[str]] = {"AU": [], "PY": [], "UT": []}
+    au, py, ut = kept.values()
+    current: list[str] | None = None  # values that continuation lines extend
+    start: int | None = None
+    lineno = run.lines  # lines before the current position
+    at_end = run.ended  # past EF: the rest is only read
+    for text in chunks:
+        pos = 0
+        while pos < len(text) and not at_end:
+            if start is None:
+                block = match(text, pos)
+                # a UT read before or given out as a synthetic id goes on
+                # to the line-by-line rules, which merge or rename it
+                if (block is not None and YEAR_MIN <= (year := int(block[2])) <= YEAR_MAX
+                        and (rid := block[3]) not in uts
+                        and not (synthetic and _given_out(rid, synthetic))):
+                    end = block.end()
+                    uts.add(rid)
+                    records += 1
+                    yield rid, year, tuple(dict.fromkeys(block[1][:-1].split(next_name)))
+                    lineno += text.count("\n", pos, end)
+                    pos = end
+                    continue
+            stop = text.find(_ER_LINE, pos)
+            stop = len(text) if stop < 0 else stop + len(_ER_LINE)
+            lines = text[pos:stop].split("\n")
+            if not lines[-1]:
+                lines.pop()  # the chunk ended at a line end, not before one more line
+            pos = stop
+            for lineno, raw in enumerate(lines, start=lineno + 1):
+                tag = tag_of(raw[:3])
+                if tag is None:
+                    # a continuation line or stray unindented text extends the
+                    # current field; a blank line ends it
+                    value = raw.strip()
+                    if not value:
+                        current = None
+                    elif current is not None:
+                        current.append(value)
+                    continue
+                if tag == RECORD_END:
+                    if start is not None:
+                        authors = tuple(dict.fromkeys(filter(None, au)))
+                        year = _parse_year(py)
+                        rid = next(filter(None, ut), None)
+                        if not authors or year is None:
+                            skipped_lines.append(start)
+                        elif rid in uts:
+                            merged_lines.append(start)
+                        else:
+                            if rid is not None:
+                                uts.add(rid)
+                            if rid is None or _given_out(rid, synthetic):
+                                # the next synthetic id that no UT of the run holds
+                                synthetic += 1
+                                while (rid := f"rec{synthetic:06d}") in uts:
                                     synthetic += 1
-                                    while (rid := f"rec{synthetic:06d}") in uts:
-                                        synthetic += 1
-                                records += 1
-                                yield rid, year, authors
-                        del au[:], py[:], ut[:]
-                        current = start = None
-                        continue
-                    if tag == FILE_END:
-                        at_end = True
-                        break
-                    if start is None:
-                        start = lineno
-                    current = kept.get(tag)
-                    if current is not None:
-                        current.append(raw[3:].strip())
-            if at_end:
-                # read on to the end, so that undecodable bytes after EF are
-                # still reported as they are when the whole file is read
-                for _ in chunks:
-                    pass
-                break
-
-        if start is not None:
-            # trailing block without an ER terminator is malformed
-            skipped_lines.append(start)
-        run.records, run.synthetic = records, synthetic
-        if records + len(merged_lines) == usable_before:
-            if len(skipped_lines) > skips_before:
-                raise EmptyCorpusError(
-                    "no parseable records; first malformed block starts here",
-                    line=skipped_lines[skips_before])
-            raise EmptyCorpusError("no records found in input")
+                            records += 1
+                            yield rid, year, authors
+                    del au[:], py[:], ut[:]
+                    current = start = None
+                    continue
+                if tag == FILE_END:
+                    at_end = True
+                    break
+                if start is None:
+                    start = lineno
+                current = kept.get(tag)
+                if current is not None:
+                    current.append(raw[3:].strip())
+        if at_end:
+            # read on to the end, so that undecodable bytes after EF are
+            # still reported as they are when the whole file is read
+            for _ in chunks:
+                pass
+            break
+    if start is not None:
+        # trailing block without an ER terminator is malformed
+        skipped_lines.append(start)
+    run.records, run.synthetic, run.lines, run.ended = records, synthetic, lineno, at_end
 
 
 def _given_out(rid: str, synthetic: int) -> bool:
@@ -228,13 +255,32 @@ def _given_out(rid: str, synthetic: int) -> bool:
 
 
 def scan_wos_file(paths: Iterable, run: ExportRun) -> Iterator[tuple[str, int, tuple[str, ...]]]:
-    """:func:`scan_wos_export` of a run's tagged export files (UTF-8), in order."""
-    return scan_wos_export(map(_file_chunks, paths), run)
+    """:func:`scan_wos_export` of a run's tagged export files (UTF-8), in order.
+
+    An item may also be a segment ``(path, start, stop)``, bytes ``start``
+    to ``stop`` (the end if None) of a file cut by :func:`_cut`: one with
+    a ``start`` goes on with the export before it, one with a ``stop``
+    does not end it.
+    """
+    for item in paths:
+        path, start, stop = _segment(item)
+        if not start:
+            _open_export(run)
+        yield from _scan(_file_chunks(path, start, stop), run)
+        if stop is None:
+            _close_export(run)
 
 
-def _file_chunks(path) -> Iterator[str]:
-    # universal-newline mode ends lines at \n, \r\n and \r only
-    with io.open(path, "r", encoding="utf-8") as fh:
+def _segment(item) -> tuple:
+    # a path or a segment, as a segment
+    return item if isinstance(item, tuple) else (item, 0, None)
+
+
+def _file_chunks(path, start: int = 0, stop: int | None = None) -> Iterator[str]:
+    # universal-newline mode ends lines at \n, \r\n and \r only; a
+    # segment starts and stops after a \n, so it holds the file's lines
+    raw = io.FileIO(path) if not start and stop is None else _ByteRange(path, start, stop)
+    with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8") as fh:
         try:
             yield from iter(lambda: fh.read(CHUNK_CHARS) + fh.readline(), "")
         except UnicodeDecodeError:
@@ -243,6 +289,18 @@ def _file_chunks(path) -> Iterator[str]:
             fh.seek(0)
             fh.read()
             raise
+
+
+class _ByteRange(io.FileIO):
+    """Bytes ``start`` to ``stop`` (the end if None) of a file, but for ``readall``."""
+
+    def __init__(self, path, start: int, stop: int | None):
+        super().__init__(path)
+        self.seek(start)
+        self.stop = sys.maxsize if stop is None else stop
+
+    def readinto(self, buffer) -> int:
+        return super().readinto(memoryview(buffer)[:max(0, self.stop - self.tell())])
 
 
 def parse_wos_export(source: Union[str, TextIO]) -> WosParseResult:
@@ -301,31 +359,67 @@ def write_export(papers: Iterable[tuple[str, int, tuple[str, ...]]], out: TextIO
 
 def _write_blocks(papers: Iterable[tuple[str, int, tuple[str, ...]]], out: TextIO) -> None:
     # write_export without the EF line
+    out.writelines(_rendered(papers))
+
+
+def _rendered(papers: Iterable[tuple[str, int, tuple[str, ...]]]) -> Iterator[str]:
+    # the export text of papers, 1,024 at a time
     papers = iter(papers)
     while batch := list(islice(papers, _PAPERS_PER_FOLD)):
-        out.write("".join([_render_record(*paper) for paper in batch]))
+        yield "".join([_render_record(*paper) for paper in batch])
 
 
 def write_export_files(paths: Iterable, run: ExportRun, out: TextIO) -> None:
     """``write_export(scan_wos_file(paths, run), out)``, in one process per usable CPU.
 
-    The text, the tallies in ``run`` and any error, raised at the same
-    export, are those of the serial call.  The exports are cut into parts
-    (:func:`_parts`).  This process scans and writes the first; a forked
-    child scans each other part with a fresh run, writes its blocks to an
-    anonymous temporary file, and what each of its exports added to the
-    run to a second one.  This process then takes the exports in order.
-    It keeps a child's export only where the serial scan must give the
-    same: the child exited 0, neither the run so far nor the child's part
-    up to that export gave a synthetic id, and no id the export added was
-    read before in the run.  Any other export, and every export of a part
-    for which no child could be started, it scans itself, into the same
-    run, so that an export shared with an earlier part costs one export's
-    scan, not the part's.  Every child is reaped and every temporary file
-    closed before this returns or raises.
+    The text, the tallies in ``run`` and any error are the serial call's."""
+    _forked_scan(paths, run, lambda papers: _write_blocks(papers, out), _rendered,
+                 out.writelines)
+    out.write(FILE_END + "\n")
+
+
+def count_export_files(paths: Iterable, run: ExportRun) -> CountTables:
+    """``CountTables(scan_wos_file(paths, run))``, in one process per usable CPU.
+
+    The tables, the tallies in ``run`` and any error are the serial call's."""
+    tables = CountTables()
+
+    def take(pieces):
+        for cells, names in pieces:
+            tables.cells.update(cells)
+            tables.papers_by_author.update(names.split("\n"))
+
+    _forked_scan(paths, run, tables.add, _counted, take)
+    return tables
+
+
+def _counted(papers: Iterable[tuple[str, int, tuple[str, ...]]]) -> Iterator:
+    # what CountTables.add folds, 1,024 papers at a time: their cells, and
+    # their names joined by \n (a name holds none)
+    papers = iter(papers)
+    while batch := list(islice(papers, _PAPERS_PER_FOLD)):
+        yield (dict(Counter((len(authors), year) for _, year, authors in batch)),
+               "\n".join(chain.from_iterable(authors for _, _, authors in batch)))
+
+
+def _forked_scan(paths: Iterable, run: ExportRun, scan, send, take) -> None:
+    """``scan(scan_wos_file(paths, run))``, with all parts but the first read by forked children.
+
+    The serial call's result, tallies in ``run`` and errors, raised at the
+    same export, are kept.  Each child scans a part (:func:`_cut`) a
+    segment at a time, each with a fresh run, and passes back the
+    ``send(papers)`` pieces and what the segment added to its run, while
+    this process scans the first part.  It then takes the segments in
+    order, with ``take(pieces)`` and line numbers that go on from those
+    before in the export, only where the serial scan must give the same:
+    the child exited 0, neither the run so far nor the segment gave a
+    synthetic id, no id the segment kept was read before in the run, and
+    its export's ``EF`` was not read.  Any other segment it scans itself.
+    Every child is reaped and every temporary file closed before this
+    returns or raises.
     """
-    parts = _parts(list(paths))
-    children: list[tuple[int, TextIO, BinaryIO]] = []  # started and not yet reaped
+    parts = _cut(list(paths))
+    children: list[tuple[int, BinaryIO, BinaryIO]] = []  # started and not yet reaped
 
     def end_children():
         for pid, _, _ in children:
@@ -336,110 +430,140 @@ def write_export_files(paths: Iterable, run: ExportRun, out: TextIO) -> None:
         stack.callback(end_children)
         for part in parts[1:]:
             try:
-                text = stack.enter_context(
-                    tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
+                sent = stack.enter_context(tempfile.TemporaryFile())
                 result = stack.enter_context(tempfile.TemporaryFile())
             except OSError:
                 break  # no child for this part or the later ones: they are scanned here
             # an interrupt waits until the child is in children, to be
-            # ended, and the child takes it only inside _write_part
+            # ended, and the child takes it only inside _scan_part
             mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _write_part(part, text, result, mask)
-                children.append((pid, text, result))
+                    _scan_part(part, send, sent, result, mask)
+                children.append((pid, sent, result))
             except OSError:
                 break
             finally:
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        _write_blocks(scan_wos_file(parts[0], run), out)
+        scan(scan_wos_file(parts[0], run))
         for part in parts[1:]:
-            exports = None
+            status = None
             if children:
-                pid, text, result = children[0]
+                pid, sent, result = children[0]
                 _, status = os.waitpid(pid, 0)
                 del children[0]
-                if status == 0:
-                    result.seek(0)
-                    exports = marshal.loads(result.read())  # per export, what it added to the run
-            if exports is None:
-                _write_blocks(scan_wos_file(part, run), out)
+            if status != 0:
+                scan(scan_wos_file(part, run))
                 continue
-            text.seek(0)
-            for path, (chars, ids, skipped, merged, synthetic) in zip(part, exports):
-                if run.synthetic or synthetic or not run.uts.isdisjoint(ids):
-                    _copy_text(text, chars, None)
-                    _write_blocks(scan_wos_file([path], run), out)
+            sent.seek(0)
+            result.seek(0)
+            for item in part:
+                lines, ids, skipped, merged, synthetic, ended = _get(result)
+                _, start, stop = _segment(item)
+                pieces = iter(functools.partial(_get, sent), None)
+                # after the EF of its export, a segment is only read
+                if (start and run.ended or run.synthetic or synthetic
+                        or not run.uts.isdisjoint(ids)):
+                    for _ in pieces:
+                        pass
+                    scan(scan_wos_file([item], run))
                     continue
-                _copy_text(text, chars, out)
+                if not start:
+                    _open_export(run)
                 run.uts.update(ids)
-                run.skipped_lines += skipped
-                run.merged_lines += merged
                 run.records += len(ids)
-    out.write(FILE_END + "\n")
+                run.skipped_lines += [run.lines + line for line in skipped]
+                run.merged_lines += [run.lines + line for line in merged]
+                run.lines, run.ended = run.lines + lines, ended
+                del ids  # not held while the pieces are taken
+                take(pieces)
+                if stop is None:
+                    _close_export(run)
 
 
-def _write_part(paths: list, text: TextIO, result: BinaryIO, mask) -> None:
-    # in a forked child: the part's blocks to text and, for each export,
-    # what it added to the run to result; then exit without returning to
-    # the caller or flushing the buffers it inherited (stdout, stderr, the
-    # output).  The kept ids, a list, are the UTs the export added while
-    # the run gave no synthetic id.
+def _scan_part(part: list, send, sent: BinaryIO, result: BinaryIO, mask) -> None:
+    # in a forked child: for each segment, its send() pieces and None to
+    # sent, and what it added to a fresh run to result (the ids: the UTs it
+    # kept, if it gave no synthetic id); then exit without returning to the
+    # caller or flushing the buffers it inherited (stdout, stderr, the output)
     code = 1
     try:
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        run = ExportRun()
-        exports = []
-        for path in paths:
-            skipped, merged = len(run.skipped_lines), len(run.merged_lines)
-            papers = scan_wos_file([path], run)
-            ids, chars = [], 0
-            while batch := list(islice(papers, _PAPERS_PER_FOLD)):
-                ids += [paper[0] for paper in batch]
-                chars += text.write("".join([_render_record(*paper) for paper in batch]))
-            exports.append((chars, ids, run.skipped_lines[skipped:],
-                            run.merged_lines[merged:], run.synthetic))
-        text.flush()
-        result.write(marshal.dumps(exports))
+        for item in part:
+            run = ExportRun()
+            for piece in send(_scan(_file_chunks(*_segment(item)), run)):
+                _put(sent, piece)
+            _put(sent, None)
+            _put(result, (run.lines, list(run.uts), run.skipped_lines, run.merged_lines,
+                          run.synthetic, run.ended))
+        sent.flush()
         result.flush()
         code = 0
     finally:
         os._exit(code)
 
 
-def _copy_text(src: TextIO, chars: int, out: TextIO | None) -> None:
-    # the next chars characters of src to out, or past them if out is None
-    while chars > 0 and (piece := src.read(min(chars, CHUNK_CHARS))):
-        chars -= len(piece)
-        if out is not None:
-            out.write(piece)
+def _put(out: BinaryIO, piece) -> None:
+    data = marshal.dumps(piece)
+    out.write(len(data).to_bytes(8, "little") + data)
 
 
-def _parts(paths: list) -> list[list]:
+def _get(src: BinaryIO):
+    # the next piece that _put wrote; marshal.load would read a file in many small calls
+    return marshal.loads(src.read(int.from_bytes(src.read(8), "little")))
+
+
+def _cut(paths: list) -> list[list]:
     """``paths`` cut into one part per usable CPU, or left whole.
 
-    The parts are runs of consecutive exports, of about equal counts.
-    Exports are cut only where each is a regular file, which can be read
-    once by one process and then by another, and no file is named twice,
-    since its second reading is all merged and a child's reading of it
-    would be thrown away; and only in a process with one thread, because
-    a child forked from a threaded process can wait forever on a lock
-    that another thread held at the fork.
+    A part is a list of files and segments (see :func:`scan_wos_file`).
+    The ``k``-th of ``n`` cuts falls at the first file end, or end of a
+    line reading ``ER`` ended by ``\\n`` or ``\\r\\n``, at or after byte
+    ``total * k / n`` of the files and within ``CHUNK_CHARS`` bytes of
+    it, so that each part starts between two records.  Files are cut
+    only where each is a regular file, which can be read once by one
+    process and then by another, and no file is named twice, since its
+    second reading is all merged and a child's reading of it would be
+    thrown away; and only in a process with one thread, because a child
+    forked from a threaded process can wait forever on a lock that
+    another thread held at the fork.
     """
-    if len(paths) < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return [paths]
-    n = min(len(os.sched_getaffinity(0)), len(paths))
+    n = len(os.sched_getaffinity(0))
     if n < 2 or threading.active_count() != 1:
         return [paths]
     try:
         stats = [os.stat(path) for path in paths]
     except (OSError, ValueError):
         return [paths]  # the serial scan reports it at its export
-    if (not all(stat.S_ISREG(st.st_mode) for st in stats)
+    sizes = [st.st_size for st in stats]
+    if (not all(stat.S_ISREG(st.st_mode) for st in stats) or not sum(sizes)
             or len({(st.st_dev, st.st_ino) for st in stats}) < len(stats)):
         return [paths]
-    return [paths[len(paths) * k // n:len(paths) * (k + 1) // n] for k in range(n)]
+    cuts = set()  # (file, byte) before which a part ends
+    for k in range(1, n):
+        i, offset = 0, sum(sizes) * k // n
+        while offset >= sizes[i]:  # the offset is below the total, in some file
+            i, offset = i + 1, offset - sizes[i]
+        if offset:
+            with open(paths[i], "rb") as fh:
+                fh.seek(offset - 1)
+                end = _ER_BYTES.search(fh.read(CHUNK_CHARS + len(_ER_LINE) + 1))
+            offset = sizes[i] if end is None else offset - 1 + end.end()
+        cuts.add((i, offset) if offset < sizes[i] else (i + 1, 0))
+    parts: list[list] = [[]]
+    for i, path in enumerate(paths):
+        start = 0
+        for stop in sorted(byte for j, byte in cuts if j == i):
+            if stop:
+                parts[-1].append((path, start, stop))
+                start = stop
+            if parts[-1]:
+                parts.append([])
+        parts[-1].append((path, start, None) if start else path)
+    return parts
 
 
 def _render_record(rid: str, year: int, authors: tuple[str, ...]) -> str:

@@ -14,8 +14,9 @@ import bibmet
 from bibmet import fixtures, lotka, wos
 from bibmet.cli import main
 from bibmet.lotka import KS_X_MAX, TRUNCATION_MAX
-from bibmet.synth import AUTHOR_POOL_LIMIT, AUTHOR_SLOTS_LIMIT, X_MAX_LIMIT
+from bibmet.synth import AUTHOR_POOL_LIMIT, AUTHOR_SLOTS_LIMIT, X_MAX_LIMIT, sample_papers
 from bibmet.tables import CAP_MAX, parse_counts_csv
+from bibmet.wos import write_export
 
 
 @pytest.fixture
@@ -90,6 +91,14 @@ def test_domain_error_exit_code(capsys, tmp_path):
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["growth", "--help"]])
+def test_help_names_the_config_file(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[-1] == ("--config FILE reads defaults from 'key = value' lines "
+                                    "named after long flags.")
 
 
 @pytest.mark.parametrize("argv, code, out, err", [
@@ -411,6 +420,21 @@ def test_forked_writer_leaves_no_process_or_file(capsys, tmp_path, two_cpus, tex
     assert_nothing_left(two_cpus)
 
 
+@pytest.mark.parametrize("texts, code, err", [
+    ([block("WOS:1") + b"\xff\n" + block("WOS:2") + block("WOS:3")], 1, "can't decode byte 0xff"),
+    ([block("WOS:1") + block("WOS:2") + b"\xff\n"], 1, "can't decode byte 0xff"),
+    ([block("WOS:1") + block("WOS:2") + block("WOS:1")], 0, "merged 1 duplicate(s)"),
+    ([block("WOS:1") + block("WOS:2") + block("WOS:3")], 0, "parsed 3 record(s)"),
+], ids=["parent-part-fails", "child-part-fails", "part-rejected", "part-kept"])
+def test_forked_counter_leaves_no_process_or_file(capsys, tmp_path, two_cpus, texts, code, err):
+    paths = write_exports(tmp_path / "in", texts)
+    result = run(capsys, "ingest", *paths)
+    assert result[0] == code
+    assert err in result[2]
+    assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, ())
+    assert_nothing_left(two_cpus)
+
+
 def test_forked_writer_scans_again_only_the_exports_an_earlier_part_shares(
         capsys, tmp_path, two_cpus, monkeypatch):
     paths = write_exports(tmp_path / "in", [block("WOS:1"), block("WOS:2"),
@@ -462,6 +486,24 @@ def test_forked_writer_interrupted_at_the_fork_leaves_no_process_or_file(
     assert_nothing_left(two_cpus)
 
 
+def test_forked_counter_interrupted_at_the_fork_leaves_no_process_or_file(
+        tmp_path, two_cpus, monkeypatch):
+    fork = os.fork
+
+    def fork_then_interrupt():
+        pid = fork()
+        os.kill(os.getpid(), signal.SIGINT)  # in the parent and in the child
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork_then_interrupt)
+    paths = write_exports(tmp_path / "in", [block("WOS:1") + block("WOS:2") + block("WOS:3")])
+    with pytest.raises(KeyboardInterrupt):
+        main(["report", "--wos", *paths, "--out-dir", str(tmp_path / "report")])
+    assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, ())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in", "tmp"]
+    assert_nothing_left(two_cpus)
+
+
 @pytest.mark.parametrize("owner, name, started", [
     (os, "fork", 0), (os, "fork", 1), (tempfile, "TemporaryFile", 0),
 ], ids=["0", "1", "no-temporary-file"])
@@ -497,18 +539,32 @@ def test_forked_writer_scans_a_part_itself_when_no_child_starts(
                                   "file-named-twice", "missing-export"])
 def test_forked_writer_forks_only_for_regular_files_on_several_cpus(
         capsys, tmp_path, two_cpus, monkeypatch, case):
+    check_forks_only_for_regular_files(capsys, tmp_path, two_cpus, monkeypatch, case,
+                                       ["ingest", "--emit", "wos"])
+
+
+@pytest.mark.parametrize("case", ["two-exports", "one-export", "fifo", "one-cpu", "threaded",
+                                  "file-named-twice", "missing-export"])
+def test_forked_counter_forks_only_for_regular_files_on_several_cpus(
+        capsys, tmp_path, two_cpus, monkeypatch, case):
+    check_forks_only_for_regular_files(capsys, tmp_path, two_cpus, monkeypatch, case,
+                                       ["report", "--wos"])
+
+
+def check_forks_only_for_regular_files(capsys, tmp_path, tmp, monkeypatch, case, command):
     paths = write_exports(tmp_path / "in", [block("WOS:1"), block("WOS:2")])
-    expected = run(capsys, "ingest", "--emit", "wos", *paths)
+    expected = run(capsys, *command, *paths)
     writer = thread = None
     if case == "one-export":
-        paths, expected = paths[:1], run(capsys, "ingest", "--emit", "wos", paths[0])
+        Path(paths[0]).write_bytes(block("WOS:1") + block("WOS:2") + block("WOS:3"))
+        paths, expected = paths[:1], run(capsys, *command, paths[0])
     elif case == "file-named-twice":
         paths = [paths[0], paths[0]]
-        expected = run(capsys, "ingest", "--emit", "wos", *paths)
+        expected = run(capsys, *command, *paths)
     elif case == "missing-export":
         paths.insert(1, str(tmp_path / "in" / "missing.txt"))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        expected = run(capsys, "ingest", "--emit", "wos", *paths)
+        expected = run(capsys, *command, *paths)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     elif case == "fifo":
         fifo = tmp_path / "pipe"
@@ -530,7 +586,7 @@ def test_forked_writer_forks_only_for_regular_files_on_several_cpus(
 
     monkeypatch.setattr(os, "fork", spy)
     try:
-        assert run(capsys, "ingest", "--emit", "wos", *paths) == expected
+        assert run(capsys, *command, *paths) == expected
     finally:
         if writer is not None:
             writer.kill()
@@ -539,8 +595,44 @@ def test_forked_writer_forks_only_for_regular_files_on_several_cpus(
             release.set()
             thread.join(timeout=30)
     assert thread is None or not thread.is_alive()
-    assert len(forks) == (case == "two-exports")
-    assert_nothing_left(two_cpus)
+    assert len(forks) == (case in ("two-exports", "one-export"))
+    assert_nothing_left(tmp)
+
+
+# runs the command given after it in a child and prints its exit code and
+# peak RSS.  The CLI is not spawned from this process: Linux carries the
+# high-water RSS of the process that forks into the child's ru_maxrss at exec.
+SPAWNER = """
+import os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "bibmet.cli", *sys.argv[1:]],
+                     os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_forked_count_peaks_near_the_serial_count(tmp_path):
+    usable = sorted(os.sched_getaffinity(0))
+    if len(usable) < 2:
+        pytest.skip("needs two usable CPUs")
+    export = tmp_path / "export.txt"
+    with open(export, "w", encoding="utf-8") as out:
+        teams = {1: 0.2, 2: 0.3, 3: 0.3, 5: 0.2}
+        write_export(sample_papers(range(2000, 2020), [2500] * 20, teams, seed=3,
+                                   author_pool=150_000), out)
+    env = dict(os.environ, PYTHONPATH=str(Path(bibmet.__file__).parents[1]))
+    peaks, reports = [], []
+    for cpus in (usable[:1], usable[:2]):
+        out = tmp_path / f"report{len(cpus)}"
+        done = subprocess.run([sys.executable, "-c", SPAWNER, "report", "--wos", str(export),
+                               "--out-dir", str(out)], env=env, capture_output=True, text=True,
+                              timeout=120, preexec_fn=lambda: os.sched_setaffinity(0, cpus))
+        code, peak = map(int, done.stdout.split())
+        assert code == 0, done.stderr
+        peaks.append(peak)
+        reports.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert reports[0] == reports[1]
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 @pytest.mark.parametrize("command", [

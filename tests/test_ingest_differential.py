@@ -8,7 +8,8 @@ of a run's exports, and the record path of each export on its own
 tables, skipped lines and errors exactly, and ``bibmet ingest --emit
 wos`` the reference writer's bytes, exit code and messages, whose ingest
 line counts the merged blocks.  ``ingest --emit wos`` in one process per
-CPU must give what it gives in one process.
+CPU must give what it gives in one process, and so must every ``--wos``
+command on exports that the byte-range cut splits.
 """
 
 import contextlib
@@ -270,3 +271,104 @@ def test_ingest_emit_wos_is_the_same_in_one_process_per_cpu(files, cpus, strict)
             outcomes.append((to_stdout, to_file, output.read_bytes() if output.exists() else None))
             output.unlink(missing_ok=True)
         assert outcomes[0] == outcomes[1]
+
+
+SKIPPED = b"PT J\nAU A\nER\n"  # no PY
+
+
+@st.composite
+def cut_exports(draw):
+    """1-3 export files as bytes, of up to 8 blocks each, so that cuts fall inside them.
+
+    Each file has ``\\n``, ``\\r\\n``, mixed or ``\\r``-only line ends, and
+    maybe an ``EF`` after any of its blocks.  Between them: UTs repeated
+    within and across files, UT-less blocks, ``rec000001``-shaped UTs,
+    skipped blocks and, rarely, an undecodable byte after any block of a
+    file or a file with no usable block.
+    """
+    def rarely():
+        return draw(st.integers(0, 3)) == 3
+
+    files = []
+    for i in range(draw(st.integers(1, 3))):
+        ends = draw(st.sampled_from(["\n", "\r\n", "mixed", "\r"]))
+        blocks = []
+        for j in range(draw(st.integers(1, 8))):
+            ut = draw(st.sampled_from([f"WOS:{i}.{j}"] * 4 + ["WOS:a", "rec000001", None]))
+            authors = draw(AUTHORS)
+            lines = ["PT J", "AU " + authors[0], *("   " + a for a in authors[1:])]
+            if draw(st.booleans()):
+                lines.append("TI A title")
+            if not rarely():
+                lines.append(f"PY {draw(st.sampled_from([2001, 2002]))}")
+            if ut is not None:
+                lines.append(f"UT {ut}")
+            blocks.append(lines + ["ER", ""])
+        if rarely():
+            blocks.insert(draw(st.integers(0, len(blocks))), ["EF"])
+        data = b"".join(
+            (line + (draw(st.sampled_from(["\n", "\r\n", "\r"])) if ends == "mixed" else ends))
+            .encode("utf-8") for block in blocks for line in block)
+        if rarely():
+            at = draw(st.integers(0, len(data)))
+            at = data.find(b"\n", at) + 1 or len(data)
+            data = data[:at] + b"\xff\n" + data[at:]
+        files.append(data)
+    return files
+
+
+COMMANDS = [["report", "--out-dir", "{out}", "--wos"], ["growth", "--wos"],
+            ["collab", "--wos"], ["lotka", "--wos"], ["ks", "--wos"],
+            *(["ingest", "--emit", emit] for emit in ["yearly", "matrix", "distribution", "wos"])]
+
+
+def canonical_run(*uts):
+    return b"".join(canonical(ut) for ut in uts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(files=cut_exports(), cpus=st.integers(2, 4), strict=st.sampled_from([False] * 3 + [True]))
+# one example for each reason to scan a segment again, each alone: none,
+# its UT read before, a synthetic id before it or in it, an undecodable
+# byte, and an EF before it
+@example(files=[canonical_run("WOS:1", "WOS:2", "WOS:3")], cpus=2, strict=False)
+@example(files=[canonical_run("WOS:1", "WOS:2", "WOS:1")], cpus=2, strict=False)
+@example(files=[UT_LESS + canonical_run("WOS:2", "WOS:3")], cpus=2, strict=False)
+@example(files=[canonical_run("WOS:1", "WOS:2") + UT_LESS], cpus=2, strict=False)
+@example(files=[canonical_run("WOS:1", "WOS:2") + b"\xff\n"], cpus=2, strict=False)
+@example(files=[canonical("WOS:1") + b"EF\n" + canonical_run("WOS:2", "WOS:3")], cpus=2,
+         strict=False)
+# an EF in a child's segment, before a segment of a later part
+@example(files=[canonical_run("WOS:1", "WOS:2", "WOS:3") + b"EF\n"
+                + canonical_run("WOS:4", "WOS:5", "WOS:6")], cpus=3, strict=False)
+# the only usable block past the cut; no usable block, with the first
+# skipped block past the cut
+@example(files=[SKIPPED * 3 + canonical("WOS:1")], cpus=2, strict=False)
+@example(files=[b"\n" * 30 + b"ER\n" + SKIPPED * 2], cpus=2, strict=False)
+# a cut at a file end, and cuts in two files
+@example(files=[canonical_run("WOS:1"), canonical_run("WOS:2")], cpus=2, strict=True)
+@example(files=[canonical_run("WOS:1", "WOS:2"), canonical_run("WOS:3", "WOS:1", "WOS:4")],
+         cpus=4, strict=False)
+def test_every_wos_command_is_the_same_in_one_process_per_cpu(files, cpus, strict):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, data in enumerate(files):
+            path = Path(tmp) / f"export{i}.txt"
+            path.write_bytes(data)
+            paths.append(str(path))
+        out = Path(tmp) / "out"
+        for command in COMMANDS:
+            argv = [arg.replace("{out}", str(out)) for arg in command] + paths
+            if strict and command[0] in ("report", "ingest"):
+                argv.append("--strict")
+            outcomes = []
+            for usable in (set(range(cpus)), {0}):
+                with mock.patch.object(os, "sched_getaffinity", lambda pid: usable):
+                    result = run_cli(argv)
+                written = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else None
+                outcomes.append((result, written))
+                if out.exists():
+                    for p in out.iterdir():
+                        p.unlink()
+                    out.rmdir()
+            assert outcomes[0] == outcomes[1], argv
