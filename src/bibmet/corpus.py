@@ -17,17 +17,23 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import DomainError
 from .tables import AuthorshipMatrix, ProductivityDistribution, YearlySeries
 
 YEAR_MIN = 1000
 YEAR_MAX = 3000
-# papers whose names CountTables.add folds into its Counter at once, and
-# that wos.write_export renders at once: about a 128 KiB chunk's worth of
-# write_wos_export records
+# papers in one batch, which CountTables.add counts and wos.write_export
+# renders at once: about a 128 KiB chunk's worth of write_wos_export records
 _PAPERS_PER_FOLD = 1024
+
+
+def batches(papers: Iterable[tuple[str, int, tuple[str, ...]]]) -> Iterator[list]:
+    """``papers`` in lists of 1,024 (the last one shorter), so a stream is never held whole."""
+    papers = iter(papers)
+    while batch := list(islice(papers, _PAPERS_PER_FOLD)):
+        yield batch
 
 
 def _normalize_authors(authors) -> tuple[str, ...]:
@@ -106,17 +112,20 @@ class CountTables:
         return cls((r.id, r.year, r.authors) for r in corpus.records)
 
     def add(self, papers: Iterable[tuple[str, int, tuple[str, ...]]]) -> None:
-        """Count papers given as (id, year, distinct non-empty names).
+        """Count papers given as (id, year, distinct non-empty names), a batch at a time."""
+        self.fold(self.pieces(papers))
 
-        The names go into ``papers_by_author`` in one update per 1,024
-        papers, so a stream of papers is never held whole.
-        """
-        papers = iter(papers)
-        while batch := list(islice(papers, _PAPERS_PER_FOLD)):
-            names: list[str] = []
-            for _, year, authors in batch:
-                self.cells[len(authors), year] += 1
-                names += authors
+    @staticmethod
+    def pieces(papers: Iterable[tuple[str, int, tuple[str, ...]]]) -> Iterator[tuple]:
+        """What :meth:`fold` adds for each batch of papers: its cells and its names."""
+        for batch in batches(papers):
+            yield (Counter((len(authors), year) for _, year, authors in batch),
+                   list(chain.from_iterable(authors for _, _, authors in batch)))
+
+    def fold(self, pieces: Iterable[tuple]) -> None:
+        """Add ``(cells, names)`` pieces, as :meth:`pieces` yields them, one update each."""
+        for cells, names in pieces:
+            self.cells.update(cells)
             self.papers_by_author.update(names)
 
     def yearly_series(self) -> YearlySeries:

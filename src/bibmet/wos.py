@@ -42,10 +42,12 @@ writes papers to a file as export text, a batch of blocks at a time.
 :func:`count_export_files` and :func:`write_export_files` count or write
 the papers of a run's files in one process per usable CPU: the files
 are cut at record ends into byte ranges, so that a single export uses
-every CPU, and this process keeps a forked child's range only where the
-serial scan must give the same (:func:`_forked_scan`).  Only
-:func:`parse_wos_export` and :func:`parse_wos_file`, one export each,
-build one :class:`~bibmet.corpus.PublicationRecord` per block.
+every CPU, a forked child pickles for each batch of papers the piece
+that :meth:`~bibmet.corpus.CountTables.fold` or the writer takes, and
+this process keeps a child's range only where the serial scan must give
+the same (:func:`_forked_scan`).  Only :func:`parse_wos_export` and
+:func:`parse_wos_file`, one export each, build one
+:class:`~bibmet.corpus.PublicationRecord` per block.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import io
-import marshal
 import os
 import re
 import signal
@@ -61,12 +62,10 @@ import stat
 import sys
 import tempfile
 import threading
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, islice
 from typing import BinaryIO, Iterable, Iterator, TextIO, Union
 
-from .corpus import _PAPERS_PER_FOLD, YEAR_MAX, YEAR_MIN, Corpus, CountTables, PublicationRecord
+from .corpus import YEAR_MAX, YEAR_MIN, Corpus, CountTables, PublicationRecord, batches
 from .errors import EmptyCorpusError
 from .tables import normalize_line_ends
 
@@ -263,17 +262,12 @@ def scan_wos_file(paths: Iterable, run: ExportRun) -> Iterator[tuple[str, int, t
     does not end it.
     """
     for item in paths:
-        path, start, stop = _segment(item)
+        path, start, stop = item if isinstance(item, tuple) else (item, 0, None)
         if not start:
             _open_export(run)
         yield from _scan(_file_chunks(path, start, stop), run)
         if stop is None:
             _close_export(run)
-
-
-def _segment(item) -> tuple:
-    # a path or a segment, as a segment
-    return item if isinstance(item, tuple) else (item, 0, None)
 
 
 def _file_chunks(path, start: int = 0, stop: int | None = None) -> Iterator[str]:
@@ -285,9 +279,11 @@ def _file_chunks(path, start: int = 0, stop: int | None = None) -> Iterator[str]
             yield from iter(lambda: fh.read(CHUNK_CHARS) + fh.readline(), "")
         except UnicodeDecodeError:
             # name the undecodable byte's offset from the start of the
-            # file, as a whole-file read does, not from the current chunk
-            fh.seek(0)
-            fh.read()
+            # file, as a whole-file read does, not from the current chunk;
+            # a pipe cannot be read again, so there it counts from the failed read
+            if fh.seekable():
+                fh.seek(0)
+                fh.read()
             raise
 
 
@@ -353,19 +349,13 @@ def write_export(papers: Iterable[tuple[str, int, tuple[str, ...]]], out: TextIO
     The papers are rendered and written 1,024 at a time, so a stream of
     papers is never held whole.
     """
-    _write_blocks(papers, out)
+    out.writelines(_rendered(papers))
     out.write(FILE_END + "\n")
 
 
-def _write_blocks(papers: Iterable[tuple[str, int, tuple[str, ...]]], out: TextIO) -> None:
-    # write_export without the EF line
-    out.writelines(_rendered(papers))
-
-
 def _rendered(papers: Iterable[tuple[str, int, tuple[str, ...]]]) -> Iterator[str]:
-    # the export text of papers, 1,024 at a time
-    papers = iter(papers)
-    while batch := list(islice(papers, _PAPERS_PER_FOLD)):
+    # the export text of papers, a batch at a time
+    for batch in batches(papers):
         yield "".join([_render_record(*paper) for paper in batch])
 
 
@@ -373,8 +363,7 @@ def write_export_files(paths: Iterable, run: ExportRun, out: TextIO) -> None:
     """``write_export(scan_wos_file(paths, run), out)``, in one process per usable CPU.
 
     The text, the tallies in ``run`` and any error are the serial call's."""
-    _forked_scan(paths, run, lambda papers: _write_blocks(papers, out), _rendered,
-                 out.writelines)
+    _forked_scan(paths, run, _rendered, out.writelines)
     out.write(FILE_END + "\n")
 
 
@@ -383,42 +372,32 @@ def count_export_files(paths: Iterable, run: ExportRun) -> CountTables:
 
     The tables, the tallies in ``run`` and any error are the serial call's."""
     tables = CountTables()
-
-    def take(pieces):
-        for cells, names in pieces:
-            tables.cells.update(cells)
-            tables.papers_by_author.update(names.split("\n"))
-
-    _forked_scan(paths, run, tables.add, _counted, take)
+    _forked_scan(paths, run, CountTables.pieces, tables.fold)
     return tables
 
 
-def _counted(papers: Iterable[tuple[str, int, tuple[str, ...]]]) -> Iterator:
-    # what CountTables.add folds, 1,024 papers at a time: their cells, and
-    # their names joined by \n (a name holds none)
-    papers = iter(papers)
-    while batch := list(islice(papers, _PAPERS_PER_FOLD)):
-        yield (dict(Counter((len(authors), year) for _, year, authors in batch)),
-               "\n".join(chain.from_iterable(authors for _, _, authors in batch)))
+def _forked_scan(paths: Iterable, run: ExportRun, send, take) -> None:
+    """``take(send(scan_wos_file(paths, run)))``, all parts but the first read by children.
 
-
-def _forked_scan(paths: Iterable, run: ExportRun, scan, send, take) -> None:
-    """``scan(scan_wos_file(paths, run))``, with all parts but the first read by forked children.
-
-    The serial call's result, tallies in ``run`` and errors, raised at the
-    same export, are kept.  Each child scans a part (:func:`_cut`) a
-    segment at a time, each with a fresh run, and passes back the
-    ``send(papers)`` pieces and what the segment added to its run, while
-    this process scans the first part.  It then takes the segments in
-    order, with ``take(pieces)`` and line numbers that go on from those
-    before in the export, only where the serial scan must give the same:
-    the child exited 0, neither the run so far nor the segment gave a
-    synthetic id, no id the segment kept was read before in the run, and
-    its export's ``EF`` was not read.  Any other segment it scans itself.
+    ``send(papers)`` yields one piece per batch of papers, which
+    ``take(pieces)`` adds to the result.  The serial call's result,
+    tallies in ``run`` and errors, raised at the same export, are kept.
+    Each child scans a part (:func:`_cut`) a segment at a time, each with
+    a fresh run, and pickles the segment's ``send(papers)`` pieces to one
+    file and what the segment added to its run, which is read before the
+    pieces, to another, while this process scans the first part.  It
+    then takes the segments in order, with ``take(pieces)`` and line
+    numbers that go on from those before in the export, only where the
+    serial scan must give the same: the child exited 0, neither the run
+    so far nor the segment gave a synthetic id, no id the segment kept
+    was read before in the run, and its export's ``EF`` was not read.
+    Any other segment it scans itself.
     Every child is reaped and every temporary file closed before this
     returns or raises.
     """
     parts = _cut(list(paths))
+    if len(parts) > 1:
+        import pickle  # here, so that a run that forks no child does not load it
     children: list[tuple[int, BinaryIO, BinaryIO]] = []  # started and not yet reaped
 
     def end_children():
@@ -446,7 +425,7 @@ def _forked_scan(paths: Iterable, run: ExportRun, scan, send, take) -> None:
                 break
             finally:
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        scan(scan_wos_file(parts[0], run))
+        take(send(scan_wos_file(parts[0], run)))
         for part in parts[1:]:
             status = None
             if children:
@@ -454,20 +433,20 @@ def _forked_scan(paths: Iterable, run: ExportRun, scan, send, take) -> None:
                 _, status = os.waitpid(pid, 0)
                 del children[0]
             if status != 0:
-                scan(scan_wos_file(part, run))
+                take(send(scan_wos_file(part, run)))
                 continue
             sent.seek(0)
             result.seek(0)
-            for item in part:
-                lines, ids, skipped, merged, synthetic, ended = _get(result)
-                _, start, stop = _segment(item)
-                pieces = iter(functools.partial(_get, sent), None)
+            for segment in part:
+                lines, ids, skipped, merged, synthetic, ended = pickle.load(result)
+                _, start, stop = segment
+                pieces = iter(functools.partial(pickle.load, sent), None)
                 # after the EF of its export, a segment is only read
                 if (start and run.ended or run.synthetic or synthetic
                         or not run.uts.isdisjoint(ids)):
                     for _ in pieces:
                         pass
-                    scan(scan_wos_file([item], run))
+                    take(send(scan_wos_file([segment], run)))
                     continue
                 if not start:
                     _open_export(run)
@@ -483,20 +462,21 @@ def _forked_scan(paths: Iterable, run: ExportRun, scan, send, take) -> None:
 
 
 def _scan_part(part: list, send, sent: BinaryIO, result: BinaryIO, mask) -> None:
-    # in a forked child: for each segment, its send() pieces and None to
-    # sent, and what it added to a fresh run to result (the ids: the UTs it
-    # kept, if it gave no synthetic id); then exit without returning to the
+    # in a forked child: for each segment, pickle its send() pieces and None
+    # to sent, and what it added to a fresh run to result (the ids: the UTs
+    # it kept, if it gave no synthetic id); then exit without returning to the
     # caller or flushing the buffers it inherited (stdout, stderr, the output)
     code = 1
     try:
+        import pickle  # loaded by _forked_scan before the fork
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        for item in part:
+        for segment in part:
             run = ExportRun()
-            for piece in send(_scan(_file_chunks(*_segment(item)), run)):
-                _put(sent, piece)
-            _put(sent, None)
-            _put(result, (run.lines, list(run.uts), run.skipped_lines, run.merged_lines,
-                          run.synthetic, run.ended))
+            for piece in send(_scan(_file_chunks(*segment), run)):
+                pickle.dump(piece, sent)
+            pickle.dump(None, sent)
+            pickle.dump((run.lines, list(run.uts), run.skipped_lines, run.merged_lines,
+                         run.synthetic, run.ended), result)
         sent.flush()
         result.flush()
         code = 0
@@ -504,44 +484,33 @@ def _scan_part(part: list, send, sent: BinaryIO, result: BinaryIO, mask) -> None
         os._exit(code)
 
 
-def _put(out: BinaryIO, piece) -> None:
-    data = marshal.dumps(piece)
-    out.write(len(data).to_bytes(8, "little") + data)
-
-
-def _get(src: BinaryIO):
-    # the next piece that _put wrote; marshal.load would read a file in many small calls
-    return marshal.loads(src.read(int.from_bytes(src.read(8), "little")))
-
-
 def _cut(paths: list) -> list[list]:
     """``paths`` cut into one part per usable CPU, or left whole.
 
-    A part is a list of files and segments (see :func:`scan_wos_file`).
-    The ``k``-th of ``n`` cuts falls at the first file end, or end of a
-    line reading ``ER`` ended by ``\\n`` or ``\\r\\n``, at or after byte
-    ``total * k / n`` of the files and within ``CHUNK_CHARS`` bytes of
-    it, so that each part starts between two records.  Files are cut
-    only where each is a regular file, which can be read once by one
-    process and then by another, and no file is named twice, since its
-    second reading is all merged and a child's reading of it would be
-    thrown away; and only in a process with one thread, because a child
-    forked from a threaded process can wait forever on a lock that
-    another thread held at the fork.
+    A part is a list of segments (see :func:`scan_wos_file`), a whole
+    file being ``(path, 0, None)``.  The ``k``-th of ``n`` cuts falls at
+    the first file end, or end of a line reading ``ER`` ended by ``\\n``
+    or ``\\r\\n``, at or after byte ``total * k / n`` of the files and
+    within ``CHUNK_CHARS`` bytes of it, so that each part starts between
+    two records.  Files are cut only where each is a regular file, which
+    can be read once by one process and then by another, and no file is
+    named twice, since its second reading is all merged and a child's
+    reading of it would be thrown away; and only in a process with one
+    thread, because a child forked from a threaded process can wait
+    forever on a lock that another thread held at the fork.
     """
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return [paths]
-    n = len(os.sched_getaffinity(0))
-    if n < 2 or threading.active_count() != 1:
-        return [paths]
+    whole = [[(path, 0, None) for path in paths]]
+    n = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if n < 2 or not hasattr(os, "fork") or threading.active_count() != 1:
+        return whole
     try:
         stats = [os.stat(path) for path in paths]
     except (OSError, ValueError):
-        return [paths]  # the serial scan reports it at its export
+        return whole  # the serial scan reports it at its export
     sizes = [st.st_size for st in stats]
     if (not all(stat.S_ISREG(st.st_mode) for st in stats) or not sum(sizes)
             or len({(st.st_dev, st.st_ino) for st in stats}) < len(stats)):
-        return [paths]
+        return whole
     cuts = set()  # (file, byte) before which a part ends
     for k in range(1, n):
         i, offset = 0, sum(sizes) * k // n
@@ -562,7 +531,7 @@ def _cut(paths: list) -> list[list]:
                 start = stop
             if parts[-1]:
                 parts.append([])
-        parts[-1].append((path, start, None) if start else path)
+        parts[-1].append((path, start, None))
     return parts
 
 
