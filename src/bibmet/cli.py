@@ -335,6 +335,15 @@ def _read_exports(files, strict: bool, read):
     return result
 
 
+def _check_flags(args) -> None:
+    # a flag out of range fails the command before any input is read; in
+    # report it fails the run, as in the single command, instead of skipping its section
+    for flag, check in [("block_split", _check_block_split), ("truncation", _check_truncation),
+                        ("alpha", _ks_coefficient)]:
+        if flag in args:
+            check(getattr(args, flag))
+
+
 def _counts(args, counts: CountTables | None, flag: str) -> CountTables:
     # the tables shared by report, else those of the command's own --wos
     if counts is not None:
@@ -432,6 +441,7 @@ def _render(report: GrowthReport | CollabReport, fmt: str) -> str:
 
 
 def _cmd_growth(args) -> int:
+    _check_flags(args)
     report = _growth(args, _series(args))
     _emit(_render(report, args.format), args.output)
     return 0
@@ -444,6 +454,7 @@ def _cmd_collab(args) -> int:
 
 
 def _cmd_lotka(args) -> int:
+    _check_flags(args)
     fit = _fit(args, _distribution(args))
     _emit(fit.to_json(), args.output)
     return 0
@@ -452,6 +463,7 @@ def _cmd_lotka(args) -> int:
 def _cmd_ks(args) -> int:
     if (args.n is None) != (args.c is None):
         raise _UsageError("bibmet: provide both --n and --c, or neither")
+    _check_flags(args)
     dist = _distribution(args)
     _, report = _productivity(args, dist, args.n, args.c)
     _emit(report.to_csv(), args.output)
@@ -462,11 +474,7 @@ def _cmd_report(args) -> int:
     if not (args.wos or args.series or args.matrix or args.dist):
         raise _UsageError("bibmet report: no inputs; provide --wos, --series, "
                           "--matrix and/or --dist")
-    # a flag out of range fails the run, as in the single command, instead
-    # of skipping its section; checked before any input is read
-    _check_block_split(args.block_split)
-    _check_truncation(args.truncation)
-    _ks_coefficient(args.alpha)
+    _check_flags(args)
     counts = _read_exports(args.wos, args.strict, count_export_files) if args.wos else None
     series = _series(args, counts) if args.series or args.wos else None
     matrix = _matrix(args, counts) if args.matrix or args.wos else None

@@ -24,7 +24,7 @@ from .tables import AuthorshipMatrix, ProductivityDistribution, YearlySeries
 
 YEAR_MIN = 1000
 YEAR_MAX = 3000
-# papers in one batch, which CountTables.add counts and wos.write_export
+# papers in one batch, which CountTables.pieces counts and wos.write_export
 # renders at once: about a 128 KiB chunk's worth of write_wos_export records
 _PAPERS_PER_FOLD = 1024
 
@@ -105,19 +105,15 @@ class CountTables:
     def __init__(self, papers: Iterable[tuple[str, int, tuple[str, ...]]] = ()):
         self.cells: Counter[tuple[int, int]] = Counter()
         self.papers_by_author: Counter[str] = Counter()
-        self.add(papers)
+        self.fold(self.pieces(papers))
 
     @classmethod
     def from_corpus(cls, corpus: Corpus) -> "CountTables":
         return cls((r.id, r.year, r.authors) for r in corpus.records)
 
-    def add(self, papers: Iterable[tuple[str, int, tuple[str, ...]]]) -> None:
-        """Count papers given as (id, year, distinct non-empty names), a batch at a time."""
-        self.fold(self.pieces(papers))
-
     @staticmethod
     def pieces(papers: Iterable[tuple[str, int, tuple[str, ...]]]) -> Iterator[tuple]:
-        """What :meth:`fold` adds for each batch of papers: its cells and its names."""
+        """What :meth:`fold` adds per batch of (id, year, distinct names) papers: cells, names."""
         for batch in batches(papers):
             yield (Counter((len(authors), year) for _, year, authors in batch),
                    list(chain.from_iterable(authors for _, _, authors in batch)))

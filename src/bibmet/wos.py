@@ -44,10 +44,10 @@ the papers of a run's files in one process per usable CPU: the files
 are cut at record ends into byte ranges, so that a single export uses
 every CPU, a forked child pickles for each batch of papers the piece
 that :meth:`~bibmet.corpus.CountTables.fold` or the writer takes, and
-this process keeps a child's range only where the serial scan must give
-the same (:func:`_forked_scan`).  Only :func:`parse_wos_export` and
-:func:`parse_wos_file`, one export each, build one
-:class:`~bibmet.corpus.PublicationRecord` per block.
+this process, in one loop, keeps a child's range where the serial scan
+must give the same and scans every other (:func:`_forked_scan`).  Only
+:func:`parse_wos_export` and :func:`parse_wos_file`, one export each,
+build one :class:`~bibmet.corpus.PublicationRecord` per block.
 """
 
 from __future__ import annotations
@@ -254,20 +254,8 @@ def _given_out(rid: str, synthetic: int) -> bool:
 
 
 def scan_wos_file(paths: Iterable, run: ExportRun) -> Iterator[tuple[str, int, tuple[str, ...]]]:
-    """:func:`scan_wos_export` of a run's tagged export files (UTF-8), in order.
-
-    An item may also be a segment ``(path, start, stop)``, bytes ``start``
-    to ``stop`` (the end if None) of a file cut by :func:`_cut`: one with
-    a ``start`` goes on with the export before it, one with a ``stop``
-    does not end it.
-    """
-    for item in paths:
-        path, start, stop = item if isinstance(item, tuple) else (item, 0, None)
-        if not start:
-            _open_export(run)
-        yield from _scan(_file_chunks(path, start, stop), run)
-        if stop is None:
-            _close_export(run)
+    """:func:`scan_wos_export` of a run's tagged export files (UTF-8), in order."""
+    return scan_wos_export(map(_file_chunks, paths), run)
 
 
 def _file_chunks(path, start: int = 0, stop: int | None = None) -> Iterator[str]:
@@ -385,13 +373,13 @@ def _forked_scan(paths: Iterable, run: ExportRun, send, take) -> None:
     Each child scans a part (:func:`_cut`) a segment at a time, each with
     a fresh run, and pickles the segment's ``send(papers)`` pieces to one
     file and what the segment added to its run, which is read before the
-    pieces, to another, while this process scans the first part.  It
-    then takes the segments in order, with ``take(pieces)`` and line
-    numbers that go on from those before in the export, only where the
-    serial scan must give the same: the child exited 0, neither the run
-    so far nor the segment gave a synthetic id, no id the segment kept
-    was read before in the run, and its export's ``EF`` was not read.
-    Any other segment it scans itself.
+    pieces, to another.  This process then takes every segment in order,
+    those of its own first part too, in one loop.  It takes a child's
+    pieces, with line numbers that go on from those before in the export,
+    only where the serial scan must give the same: the child exited 0,
+    neither the run so far nor the segment gave a synthetic id, no id the
+    segment kept was read before in the run, and its export's ``EF`` was
+    not read.  Any other segment it scans itself.
     Every child is reaped and every temporary file closed before this
     returns or raises.
     """
@@ -425,38 +413,37 @@ def _forked_scan(paths: Iterable, run: ExportRun, send, take) -> None:
                 break
             finally:
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        take(send(scan_wos_file(parts[0], run)))
-        for part in parts[1:]:
-            status = None
-            if children:
-                pid, sent, result = children[0]
-                _, status = os.waitpid(pid, 0)
-                del children[0]
-            if status != 0:
-                take(send(scan_wos_file(part, run)))
-                continue
-            sent.seek(0)
-            result.seek(0)
+        for i, part in enumerate(parts):
+            status = None  # of this part's child, if it has one
+            if i and children:
+                _, status = os.waitpid(children[0][0], 0)
+                _, sent, result = children.pop(0)  # popped only once reaped
+                sent.seek(0)
+                result.seek(0)
             for segment in part:
-                lines, ids, skipped, merged, synthetic, ended = pickle.load(result)
                 _, start, stop = segment
-                pieces = iter(functools.partial(pickle.load, sent), None)
-                # after the EF of its export, a segment is only read
-                if (start and run.ended or run.synthetic or synthetic
-                        or not run.uts.isdisjoint(ids)):
-                    for _ in pieces:
-                        pass
-                    take(send(scan_wos_file([segment], run)))
-                    continue
                 if not start:
                     _open_export(run)
-                run.uts.update(ids)
-                run.records += len(ids)
-                run.skipped_lines += [run.lines + line for line in skipped]
-                run.merged_lines += [run.lines + line for line in merged]
-                run.lines, run.ended = run.lines + lines, ended
-                del ids  # not held while the pieces are taken
-                take(pieces)
+                keep = status == 0
+                if keep:
+                    lines, ids, skipped, merged, synthetic, ended = pickle.load(result)
+                    pieces = iter(functools.partial(pickle.load, sent), None)
+                    # after the EF of its export, a segment is only read
+                    keep = not (start and run.ended or run.synthetic or synthetic
+                                or not run.uts.isdisjoint(ids))
+                    if not keep:
+                        for _ in pieces:
+                            pass
+                if keep:
+                    run.uts.update(ids)
+                    run.records += len(ids)
+                    run.skipped_lines += [run.lines + line for line in skipped]
+                    run.merged_lines += [run.lines + line for line in merged]
+                    run.lines, run.ended = run.lines + lines, ended
+                    del ids  # not held while the pieces are taken
+                    take(pieces)
+                else:
+                    take(send(_scan(_file_chunks(*segment), run)))
                 if stop is None:
                     _close_export(run)
 
@@ -487,8 +474,9 @@ def _scan_part(part: list, send, sent: BinaryIO, result: BinaryIO, mask) -> None
 def _cut(paths: list) -> list[list]:
     """``paths`` cut into one part per usable CPU, or left whole.
 
-    A part is a list of segments (see :func:`scan_wos_file`), a whole
-    file being ``(path, 0, None)``.  The ``k``-th of ``n`` cuts falls at
+    A part is a list of segments ``(path, start, stop)``: bytes
+    ``start`` to ``stop`` (the end if None) of a file, so that a whole
+    file is ``(path, 0, None)``.  The ``k``-th of ``n`` cuts falls at
     the first file end, or end of a line reading ``ER`` ended by ``\\n``
     or ``\\r\\n``, at or after byte ``total * k / n`` of the files and
     within ``CHUNK_CHARS`` bytes of it, so that each part starts between

@@ -455,16 +455,16 @@ def test_forked_writer_scans_again_only_the_exports_an_earlier_part_shares(
     expected = run(capsys, "ingest", "--emit", "wos", *paths)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     scanned = []
-    scan = wos.scan_wos_file
+    chunks = wos._file_chunks
 
-    def spy(files, run):
-        scanned.append(list(files))  # in this process; a child's calls stay in the child
-        return scan(files, run)
+    def spy(*segment):
+        scanned.append(segment)  # in this process; a child's calls stay in the child
+        return chunks(*segment)
 
-    monkeypatch.setattr(wos, "scan_wos_file", spy)
+    monkeypatch.setattr(wos, "_file_chunks", spy)
     assert run(capsys, "ingest", "--emit", "wos", *paths) == expected
     assert "merged 1 duplicate(s)" in expected[2]
-    assert scanned == [[(path, 0, None) for path in paths[:2]], [(paths[2], 0, None)]]
+    assert scanned == [(path, 0, None) for path in paths[:3]]
     assert_nothing_left(two_cpus)
 
 
@@ -722,17 +722,30 @@ def test_truncation_above_limit_is_domain_error(capsys, command):
     assert err == f"bibmet: domain error: truncation must be <= {TRUNCATION_MAX}\n"
 
 
-@pytest.mark.parametrize("flags, single", [
+BAD_FLAGS = pytest.mark.parametrize("flags, single", [
     (["--truncation", "1"], ["lotka", "--dist", DIST]),
     (["--alpha", "0.02"], ["ks", "--dist", DIST]),
     (["--block-split", "0"], ["growth", "--series", SERIES]),
 ], ids=["truncation", "alpha", "block-split"])
+
+
+@BAD_FLAGS
 def test_report_rejects_a_flag_like_the_single_command(capsys, tmp_path, flags, single):
     code, _, expected = run(capsys, *single, *flags)
     assert code == 2
     # checked before any input is read: a missing file would exit 1
     missing = str(tmp_path / "missing.csv")
     code, out, err = run(capsys, "report", "--dist", missing, *flags)
+    assert (code, out, err) == (2, "", expected)
+
+
+@BAD_FLAGS
+def test_a_command_rejects_a_flag_before_reading_its_exports(capsys, tmp_path, flags, single):
+    code, _, expected = run(capsys, *single, *flags)
+    assert code == 2
+    # a missing export would exit 1, and a read one print the ingest line
+    missing = str(tmp_path / "missing.txt")
+    code, out, err = run(capsys, single[0], "--wos", missing, *flags)
     assert (code, out, err) == (2, "", expected)
 
 
