@@ -158,8 +158,13 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     parser.commands = sub.choices
 
+    def path(text):
+        if not text:  # Path('') would name the working directory
+            raise argparse.ArgumentTypeError("empty path")
+        return text
+
     def add_output(p):
-        p.add_argument("--output", metavar="PATH",
+        p.add_argument("--output", metavar="PATH", type=path,
                        help="write data here instead of standard output")
 
     p = sub.add_parser("ingest", help="parse tagged exports and emit a count table")
@@ -215,7 +220,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--series", metavar="CSV", help="yearly counts table")
     p.add_argument("--matrix", metavar="CSV", help="authorship matrix table")
     p.add_argument("--dist", metavar="CSV", help="productivity distribution table")
-    p.add_argument("--out-dir", metavar="DIR",
+    p.add_argument("--out-dir", metavar="DIR", type=path,
                    help="write CSV/JSON files here instead of markdown to stdout")
     p.add_argument("--strict", action="store_true",
                    help="fail if any export block had to be skipped")
@@ -274,30 +279,28 @@ def _add_lotka_flags(p):
 # shared input plumbing
 
 def _emit(text: str, output: str | None) -> None:
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    with _staged_output(output) as out:
+        out.write(text)
 
 
 @contextlib.contextmanager
 def _staged_output(output: str | None):
     """A text file whose content reaches ``output``, or stdout, only if the block succeeds.
 
-    For a regular ``output``, new or not, the file is a temporary one in
-    the directory of its target (symbolic links followed), which replaces
-    it at the end with the mode a plain write would leave.  For stdout,
-    or an ``output`` that exists but is no regular file (a pipe, a
-    device), it is an anonymous temporary file, copied over at the end.
+    A regular ``output``, new or not, is replaced at the end by a temporary
+    file in the directory of its target (symbolic links followed), with the
+    mode of the file replaced (hard links broken) or a plain write's.  Stdout,
+    or an ``output`` that exists but is no regular file (a pipe, a device),
+    is opened on entry, and an anonymous temporary file is copied to it.
     """
     st = os.stat(output) if output and os.path.exists(output) else None
     if not output or st and not stat.S_ISREG(st.st_mode):
-        with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
+        with open(output, "w", encoding="utf-8") if output else \
+                contextlib.nullcontext(sys.stdout) as out, \
+                tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
             yield spool
             spool.seek(0)
-            with open(output, "w", encoding="utf-8") if output else \
-                    contextlib.nullcontext(sys.stdout) as out:
-                shutil.copyfileobj(spool, out)
+            shutil.copyfileobj(spool, out)
         return
     if st:
         mode = stat.S_IMODE(st.st_mode)
@@ -502,9 +505,10 @@ def _cmd_report(args) -> int:
                   ("authorship.csv", matrix), ("collab.csv", collab_report),
                   ("productivity.csv", dist), ("lotka.json", fit), ("ks.csv", ks_report)]
         written = [(name, table) for name, table in tables if table is not None]
-        for name, table in written:
-            text = table.to_json() if name.endswith(".json") else table.to_csv()
-            (out / name).write_text(text, encoding="utf-8")
+        with contextlib.ExitStack() as stack:  # all staged before any replaces its target
+            for name, table in written:
+                text = table.to_json() if name.endswith(".json") else table.to_csv()
+                stack.enter_context(_staged_output(str(out / name))).write(text)
         print(f"bibmet: wrote {len(written)} file(s) to {out}", file=sys.stderr)
         return 0
 

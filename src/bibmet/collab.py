@@ -221,9 +221,7 @@ def authorship_pattern_report(matrix: AuthorshipMatrix,
                   cai_map: dict[str, float], multi_value: float | None) -> CollabRow:
         papers = sum(counts.values())
         slots = sum(j * f for j, f in counts.items())
-        nonzero = [j for j, f in counts.items() if f > 0]
-        largest = max(nonzero) if nonzero else 0
-        mcc = modified_cc(counts, largest) if largest >= 2 else None
+        mcc = modified_cc(counts) if any(j >= 2 and f > 0 for j, f in counts.items()) else None
         return CollabRow(
             label=label,
             papers=papers,

@@ -325,8 +325,12 @@ def test_synth_emit_wos_failure_writes_nothing(capsys, tmp_path, before):
         assert output.read_bytes() == before
 
 
+# commands whose table goes through _emit, next to the two --emit wos writers
+TABLE_COMMANDS = [("growth", "--series", SERIES), ("ks", "--dist", DIST)]
+
+
 @pytest.mark.parametrize("command", [("ingest", "--emit", "wos", "{wos}"),
-                                     ("synth", "--spec", "{spec}")])
+                                     ("synth", "--spec", "{spec}"), *TABLE_COMMANDS])
 def test_emit_wos_output_is_written_as_a_plain_write_would(capsys, tmp_path, wos_file,
                                                           command):
     spec = tmp_path / "spec.json"
@@ -334,7 +338,7 @@ def test_emit_wos_output_is_written_as_a_plain_write_would(capsys, tmp_path, wos
                     ' "author_count_dist": {"1": 0.5, "3": 0.5}, "seed": 11}', encoding="utf-8")
     argv = [a.format(wos=wos_file, spec=spec) for a in command]
     code, expected, _ = run(capsys, *argv)
-    assert code == 0 and expected.endswith("EF\n")
+    assert code == 0 and expected.endswith("\n" if command in TABLE_COMMANDS else "EF\n")
     listed = sorted(tmp_path.iterdir())
 
     new = tmp_path / "new.txt"
@@ -346,41 +350,47 @@ def test_emit_wos_output_is_written_as_a_plain_write_would(capsys, tmp_path, wos
     assert new.read_text(encoding="utf-8") == expected
     assert stat.S_IMODE(new.stat().st_mode) == 0o640
 
-    # an existing file keeps its mode, and a symbolic link stays a link to it
+    # an existing file keeps its mode, a symbolic link stays a link to it,
+    # and a hard link to it is broken: the file is replaced, not rewritten
     new.chmod(0o604)
     link = tmp_path / "link.txt"
     link.symlink_to(new.name)
     new.write_text("stale\n", encoding="utf-8")
+    hard = tmp_path / "hard.txt"
+    os.link(new, hard)
     assert run(capsys, *argv, "--output", str(link))[0] == 0
     assert link.is_symlink()
     assert new.read_text(encoding="utf-8") == expected
     assert stat.S_IMODE(new.stat().st_mode) == 0o604
-    assert sorted(tmp_path.iterdir()) == sorted([*listed, new, link])
+    assert hard.read_text(encoding="utf-8") == "stale\n"
+    assert sorted(tmp_path.iterdir()) == sorted([*listed, new, link, hard])
 
 
 def test_emit_wos_output_to_a_pipe_writes_through_it(capsys, tmp_path, wos_file):
-    fifo = tmp_path / "pipe"
-    os.mkfifo(fifo)
-    received = []
-    reader = threading.Thread(target=lambda: received.append(fifo.read_text(encoding="utf-8")),
-                              daemon=True)
-    reader.start()
-    code, _, _ = run(capsys, "ingest", "--emit", "wos", wos_file, "--output", str(fifo))
-    if code:
-        # the run never opened the pipe: let the reader's open return
-        os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
-    reader.join(timeout=30)
-    assert not reader.is_alive()
-    assert code == 0
-    assert stat.S_ISFIFO(fifo.stat().st_mode)
-    assert received == [run(capsys, "ingest", "--emit", "wos", wos_file)[1]]
+    for i, argv in enumerate([("ingest", "--emit", "wos", wos_file), *TABLE_COMMANDS]):
+        fifo = tmp_path / f"pipe{i}"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(
+            target=lambda: received.append(fifo.read_text(encoding="utf-8")), daemon=True)
+        reader.start()
+        code, _, _ = run(capsys, *argv, "--output", str(fifo))
+        if code:
+            # the run never opened the pipe: let the reader's open return
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert code == 0
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert received == [run(capsys, *argv)[1]]
 
 
 def test_emit_wos_output_in_a_missing_directory_names_the_output(capsys, tmp_path, wos_file):
     output = tmp_path / "missing" / "out.txt"
-    code, out, err = run(capsys, "ingest", "--emit", "wos", wos_file, "--output", str(output))
-    assert (code, out) == (1, "")
-    assert err == f"bibmet: input error: [Errno 2] No such file or directory: '{output}'\n"
+    for argv in [("ingest", "--emit", "wos", wos_file), *TABLE_COMMANDS]:
+        code, out, err = run(capsys, *argv, "--output", str(output))
+        assert (code, out) == (1, "")
+        assert err == f"bibmet: input error: [Errno 2] No such file or directory: '{output}'\n"
 
 
 # ---------------------------------------------------------------------------
@@ -833,6 +843,32 @@ def test_report_writes_all_tables(capsys, tmp_path):
     assert matrix.collapsed and matrix.cap == 10
     dist = parse_counts_csv((out_dir / "productivity.csv").read_text(), "distribution")
     assert dist.total_authors == 23767
+
+
+REPORT_FILES = ["yearly.csv", "growth.csv", "authorship.csv", "collab.csv",
+                "productivity.csv", "lotka.json", "ks.csv"]
+
+
+@pytest.mark.parametrize("blocked", REPORT_FILES)
+def test_report_out_dir_with_one_file_blocked_writes_nothing(capsys, tmp_path, blocked):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    for name in REPORT_FILES:
+        (out_dir / name).write_text(f"an earlier {name}\n", encoding="utf-8")
+    (out_dir / blocked).unlink()
+    (out_dir / blocked).mkdir()
+
+    def listing():
+        return {p.name: None if p.is_dir() else p.read_bytes() for p in out_dir.iterdir()}
+
+    before = listing()
+    code, out, err = run(capsys, "report", "--series", SERIES, "--matrix", MATRIX,
+                         "--dist", DIST, "--out-dir", str(out_dir))
+    assert (code, out) == (1, "")
+    assert err == f"bibmet: input error: [Errno 21] Is a directory: '{out_dir / blocked}'\n"
+    # no file is replaced, and no staged file is left, next to the others or in the directory
+    assert listing() == before
+    assert list((out_dir / blocked).iterdir()) == []
 
 
 def test_report_survives_undefined_sections(capsys, tmp_path):

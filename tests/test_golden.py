@@ -84,6 +84,8 @@ INPUTS = {
     # the first two bytes of a byte-order mark, and nothing after them
     "cut_bom.conf": b"\xef\xbb",
     "false.conf": "convention = standard\nexact-ln2 = false\n",
+    # None makes a directory: here one where report --out-dir writes a file
+    "blocked/productivity.csv": None,
 }
 
 BUNDLED = {
@@ -158,6 +160,8 @@ CASES = [
     ("growth-config-first", "--config standard.conf growth --series yearly.csv --format json"),
     ("growth-config-no-file", "growth --series yearly.csv --config"),
     ("growth-output", "growth --series yearly.csv --output growth.csv"),
+    ("growth-output-empty", "growth --series yearly.csv --output ''"),
+    ("growth-output-blocked", "growth --series yearly.csv --output blocked"),
     ("growth-wos", "growth --wos export.txt"),
     ("growth-one-year", "growth --series one_year.csv"),
     ("growth-malformed", "growth --series bad.csv"),
@@ -218,6 +222,9 @@ CASES = [
 
     ("report-csvs-markdown", f"report {CSVS}"),
     ("report-csvs-out-dir", f"report {CSVS} --out-dir out"),
+    ("report-out-dir-empty", f"report {CSVS} --out-dir ''"),
+    # productivity.csv is a directory: no file of the report is written
+    ("report-out-dir-blocked", f"report {CSVS} --out-dir blocked"),
     ("report-series-only", "report --series yearly.csv"),
     ("report-wos-markdown", "report --wos export.txt"),
     ("report-wos-out-dir", "report --wos export.txt --out-dir out"),
@@ -253,7 +260,9 @@ CASES = [
 
 def _write_inputs(workdir: Path) -> None:
     for name, content in INPUTS.items():
-        if isinstance(content, bytes):
+        if content is None:
+            (workdir / name).mkdir(parents=True)
+        elif isinstance(content, bytes):
             (workdir / name).write_bytes(content)
         else:
             (workdir / name).write_text(content, encoding="utf-8")
