@@ -5,7 +5,7 @@ falls off as y = C / x^n, with the canonical exponent n = 2.  This module
 estimates the exponent by ordinary least squares in log10-log10 space,
 computes the normalizing constant C by truncated zeta summation, and
 checks goodness of fit with a one-sample Kolmogorov-Smirnov test on the
-cumulative proportions.
+cumulative proportions, the expected ones in closed form at each x.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import NamedTuple
 
 from .corpus import Corpus, CountTables
@@ -26,10 +27,8 @@ CRITICAL_MODES = ("standard", "paper")
 
 #: Largest zeta truncation point: :func:`lotka_constant` sums that many terms.
 TRUNCATION_MAX = 10**6
-#: Largest productivity x of a K-S test: :func:`ks_test` sums the expected
-#: share of every integer from 1 to the largest x, though it builds rows
-#: only where the deviation can peak.
-KS_X_MAX = 10**6
+#: Terms of the expected share E that :func:`ks_test` adds one by one.
+KS_HEAD_TERMS = 64
 
 
 def productivity_distribution(corpus: Corpus) -> ProductivityDistribution:
@@ -154,7 +153,10 @@ def _check_truncation(truncation: int) -> None:
 
 
 def expected_frequencies(n: float, c: float, xs) -> tuple[float, ...]:
-    """Expected proportion of authors at each productivity: c / x^n."""
+    """Expected proportion of authors at each productivity: c / x^n.
+
+    x^n is taken in log space, so that an int x beyond the float range works.
+    """
     if not 0 < c <= 1:
         raise DomainError(f"constant c must be in (0, 1], got {c}")
     if not 0 < n < math.inf:
@@ -163,7 +165,7 @@ def expected_frequencies(n: float, c: float, xs) -> tuple[float, ...]:
     for x in xs:
         if x < 1:
             raise DomainError(f"productivity x must be >= 1, got {x}")
-        out.append(c * x ** (-n))
+        out.append(c * math.exp(-n * math.log(x)))
     return tuple(out)
 
 
@@ -237,16 +239,20 @@ def ks_test(dist: ProductivityDistribution, n: float, c: float,
     The comparison runs over the contiguous integer grid 1..max(x):
     absent x values and x listed with no authors both contribute zero
     observed counts, so the maximum deviation does not depend on how the
-    input was written down.  The expected cumulative share E sums every
-    integer of the grid, but rows are built only where |F - E| can peak:
-    at each x with authors and at the first and last x of each gap (a
-    maximal run of x without authors, leading and trailing runs
-    included).  Inside a gap the observed share F is flat while E rises,
-    so the deviation peaks at an end.  Where E stops rising in floating
-    point inside a gap, the row at ``x_at_dmax`` is kept as well.  Each
-    row equals the one a dense grid would have at that x.
+    input was written down.  The expected cumulative share at x is
+    E = c * H(x), H(x) the sum of k^(-n) over k = 1..x, from x alone: a
+    running sum up to K = :data:`KS_HEAD_TERMS`, and above K the
+    Euler-Maclaurin form of the terms from K + 1 to x (the integral, the
+    end terms and the B2 and B4 corrections), which is within 1.1e-14
+    relative of the exact sum and does not decrease with x.  Rows are
+    built only where |F - E| can peak: at each x with authors and at the
+    first and last x of each gap (a maximal run of x without authors,
+    leading and trailing runs included), since inside a gap the observed
+    share F is flat while E rises.  ``d_max`` is the maximum over the
+    rows, first reached at ``x_at_dmax``.  Time and rows grow with the
+    number of distinct x, not with max(x).
 
-    Requires a finite n > 1 and max(x) at most :data:`KS_X_MAX`.
+    Requires a finite n > 1.
     """
     if not 1 < n < math.inf:
         raise DomainError(f"K-S test needs a finite exponent > 1, got {n}")
@@ -256,45 +262,37 @@ def ks_test(dist: ProductivityDistribution, n: float, c: float,
     total = dist.total_authors
     if total <= 0:
         raise DomainError("K-S test needs a distribution with authors in it")
-    x_max = max(dist.xs)
-    if x_max > KS_X_MAX:
-        raise DomainError(f"K-S test needs productivities x <= {KS_X_MAX}, got {x_max}")
 
+    observed = {x: y for x, y in dist.pairs if y > 0}
+    top = max(dist.xs)
+    # F is flat over a run of x without authors while E rises, so |F - E|
+    # peaks at the run's first or last x: 1, top, or next to an x with authors
+    near = {x + step for x in observed for step in (-1, 0, 1)}
+    grid = sorted(x for x in near | {1, top} if 1 <= x <= top)
+    k = KS_HEAD_TERMS
+    head = [0.0, *accumulate(expected_frequencies(n, 1.0, range(1, k + 1)))]
+    log_k = math.log(k)
+
+    def em(log_x: float) -> float:
+        # the integral from K to x, written so that n just above 1 does not
+        # cancel, then the x-end terms; each power of x comes first in its
+        # product, so that a huge n gives 0 * n * ..., never inf * 0
+        return (-math.expm1((1 - n) * (log_x - log_k)) * k ** (1 - n) / (n - 1)
+                + math.exp(-n * log_x) / 2 - math.exp(-(n + 1) * log_x) * n / 12
+                + math.exp(-(n + 3) * log_x) * n * (n + 1) * (n + 2) / 720)
+
+    base = head[k] - em(log_k)
     rows = []
     obs_cum = 0.0
-    exp_cum = peak_cum = 0.0
-    d_max = -1.0
-    x_at = 1
-    start = 1
-    # the sentinel (x_max + 1, 0) closes the trailing gap
-    for x_obs, y in [*((x, y) for x, y in dist.pairs if y > 0), (x_max + 1, 0)]:
-        # start..x_obs-1 is a gap: F is flat while E sums every integer
-        for x in range(start, x_obs):
-            exp_prop = c * x ** (-n)
-            exp_cum += exp_prop
-            diff = abs(obs_cum - exp_cum)
-            if diff > d_max:
-                d_max, x_at, peak_cum = diff, x, exp_cum
-            if x == start:
-                rows.append(KSRow(x, 0, 0.0, obs_cum, exp_prop, exp_cum, diff))
-        end = x_obs - 1
-        if start < x_at < end:
-            # the deviation rose until E stopped rising, then stayed flat
-            rows.append(KSRow(x_at, 0, 0.0, obs_cum, c * x_at ** (-n), peak_cum, d_max))
-        if start < end:
-            rows.append(KSRow(end, 0, 0.0, obs_cum, exp_prop, exp_cum, diff))
-        if y:
-            obs_prop = y / total
-            obs_cum += obs_prop
-            exp_prop = c * x_obs ** (-n)
-            exp_cum += exp_prop
-            diff = abs(obs_cum - exp_cum)
-            rows.append(KSRow(x_obs, y, obs_prop, obs_cum, exp_prop, exp_cum, diff))
-            if diff > d_max:
-                d_max, x_at = diff, x_obs
-        start = x_obs + 1
+    for x, exp_prop in zip(grid, expected_frequencies(n, c, grid)):
+        y = observed.get(x, 0)
+        obs_prop = y / total
+        obs_cum += obs_prop
+        exp_cum = c * (head[x] if x <= k else base + em(math.log(x)))
+        rows.append(KSRow(x, y, obs_prop, obs_cum, exp_prop, exp_cum, abs(obs_cum - exp_cum)))
+    peak = max(rows, key=lambda row: row.abs_diff)
     critical = ks_critical_value(total, alpha=alpha, mode=mode, n=n)
-    return KSReport(rows=tuple(rows), d_max=d_max, x_at_dmax=x_at,
+    return KSReport(rows=tuple(rows), d_max=peak.abs_diff, x_at_dmax=peak.x,
                     critical_value=critical, alpha=alpha, mode=mode,
                     n=n, c=c, total_authors=total)
 

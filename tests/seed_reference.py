@@ -34,11 +34,13 @@ import re
 from collections import Counter
 
 from bibmet.errors import DomainError, EmptyCorpusError
-from bibmet.lotka import KS_X_MAX, KSReport, KSRow, _ks_coefficient, ks_critical_value
+from bibmet.lotka import KSReport, KSRow, _ks_coefficient, ks_critical_value
 from bibmet.tables import AuthorshipMatrix, ProductivityDistribution, YearlySeries
 
 YEAR_MIN = 1000
 YEAR_MAX = 3000
+#: Largest x of the dense K-S test, which builds one row per integer up to it.
+DENSE_X_MAX = 10**6
 
 _TAG_RE = re.compile(r"^[A-Z][A-Z0-9](?: |$)")
 _CONTINUATION = "   "
@@ -217,8 +219,8 @@ def ks_test(dist: ProductivityDistribution, n: float, c: float,
     if total <= 0:
         raise DomainError("K-S test needs a distribution with authors in it")
     x_max = max(dist.xs)
-    if x_max > KS_X_MAX:
-        raise DomainError(f"K-S test needs productivities x <= {KS_X_MAX}, got {x_max}")
+    if x_max > DENSE_X_MAX:
+        raise DomainError(f"K-S test needs productivities x <= {DENSE_X_MAX}, got {x_max}")
 
     observed = dict(dist.pairs)
     grid = range(1, x_max + 1)

@@ -11,9 +11,9 @@ from pathlib import Path
 import pytest
 
 import bibmet
-from bibmet import fixtures, lotka, wos
+from bibmet import fixtures, wos
 from bibmet.cli import main
-from bibmet.lotka import KS_X_MAX, TRUNCATION_MAX
+from bibmet.lotka import TRUNCATION_MAX
 from bibmet.synth import AUTHOR_POOL_LIMIT, AUTHOR_SLOTS_LIMIT, X_MAX_LIMIT, sample_papers
 from bibmet.tables import CAP_MAX, parse_counts_csv
 from bibmet.wos import write_export
@@ -172,24 +172,23 @@ def test_ks_non_finite_exponent_is_domain_error(capsys, flags):
     assert "finite exponent" in err
 
 
-def test_ks_x_far_above_limit_is_domain_error(capsys, tmp_path):
-    # one row per integer up to 10**9 would never finish
+def test_ks_x_beyond_the_float_range_has_a_row_per_x_and_gap_end(capsys, tmp_path):
+    path = tmp_path / "dist.csv"
+    path.write_text(f"x,y\n1,100\n2,30\n{10**400},1\n", encoding="utf-8")
+    code, out, err = run(capsys, "ks", "--dist", str(path), "--n", "2", "--c", "0.6")
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[3:]]
+    assert [row[0] for row in rows] == ["1", "2", "3", str(10**400 - 1), str(10**400)]
+    assert rows[-1][-2:] == ["0.986960", "0.013040"]
+
+
+def test_report_keeps_productivity_at_a_huge_x(capsys, tmp_path):
     path = tmp_path / "dist.csv"
     path.write_text("x,y\n1,100\n2,30\n1000000000,1\n", encoding="utf-8")
-    code, out, err = run(capsys, "ks", "--dist", str(path), "--n", "2", "--c", "0.6")
-    assert (code, out) == (2, "")
-    assert err == (f"bibmet: domain error: K-S test needs productivities x <= {KS_X_MAX}, "
-                   "got 1000000000\n")
-
-
-def test_report_skips_productivity_above_ks_limit(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(lotka, "KS_X_MAX", 10)
-    path = tmp_path / "dist.csv"
-    path.write_text("x,y\n1,100\n2,30\n11,1\n", encoding="utf-8")
-    code, _, err = run(capsys, "report", "--dist", str(path))
-    assert code == 0
-    assert err == ("bibmet: skipping productivity section: "
-                   "K-S test needs productivities x <= 10, got 11\n")
+    code, out, err = run(capsys, "report", "--dist", str(path), "--exclude-top")
+    assert (code, err) == (0, "")
+    assert out.startswith("## Author productivity\n")
+    assert "| 1000000000 | 1 | 1.0000 | 1.0000 | 0.0000 |" in out
 
 
 def test_ingest_emits_yearly(capsys, wos_file):

@@ -74,6 +74,8 @@ INPUTS = {
     "gaps.csv": "x,y\n1,600\n2,150\n3,70\n9,8\n25,0\n40,2\n",
     # a few hundred K-S rows: every x to 120, then a sparse tail with gaps to 40,000
     "longtail.csv": (DATA / "longtail.csv").read_bytes(),
+    # an x of 401 digits, beyond the float range
+    "huge.csv": f"x,y\n1,100\n2,30\n{10**400},1\n",
     "single.csv": "authors,2015,2016\n1,3,2\n",
     "uncollapsed.csv": "authors,2015,2016\n1,1,0\n2,1,0\n3,0,1\n",
     "collapsed.csv": "# already collapsed\nauthors,2015,2016\n1,2,1\n2,1,1\n3+,0,2\n",
@@ -218,6 +220,7 @@ CASES = [
     ("ks-n-only", "ks --dist productivity.csv --n 2.0"),
     ("ks-gaps", "ks --dist gaps.csv"),
     ("ks-longtail", "ks --dist longtail.csv"),
+    ("ks-huge-x", "ks --dist huge.csv --n 2 --c 0.6"),
     ("ks-no-input", "ks"),
 
     ("report-csvs-markdown", f"report {CSVS}"),

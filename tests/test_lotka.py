@@ -189,6 +189,11 @@ def test_expected_frequency_values():
     assert expected_frequencies(3.3, 0.77, [1])[0] == 0.77
 
 
+def test_expected_frequency_of_an_x_beyond_the_float_range():
+    assert expected_frequencies(2.0, 0.6, [10**400]) == (0.0,)
+    assert expected_frequencies(0.001, 1.0, [10**400])[0] == approx(10 ** -0.4, rel=1e-12)
+
+
 def test_expected_frequency_domain():
     with pytest.raises(DomainError):
         expected_frequencies(2.0, 0.0, [1])
@@ -302,13 +307,6 @@ def test_non_finite_exponent_is_rejected(productivity_fixture, n):
         ks_test(productivity_fixture, n, 0.5)
 
 
-def test_ks_grid_is_bounded_before_any_row_is_built(monkeypatch):
-    monkeypatch.setattr(lotka, "KS_X_MAX", 10)
-    assert ks_test(dist((1, 100), (10, 1)), 2.0, 0.6).rows[-1].x == 10
-    with pytest.raises(DomainError, match="x <= 10, got 11"):
-        ks_test(dist((1, 100), (11, 1)), 2.0, 0.6)
-
-
 # ---------------------------------------------------------------------------
 # sparse K-S rows against the dense reference
 
@@ -341,30 +339,37 @@ def gap_ends(d):
 @settings(max_examples=200, deadline=None)
 @given(gappy_distributions(), exponents, st.one_of(st.none(), st.floats(0.05, 1.0)))
 def test_sparse_ks_matches_the_dense_reference(d, n, c):
+    # the dense E is a running float sum, which drifts by up to ~5e-12 over
+    # the few thousand terms drawn here; the sparse E is a closed form
     c = lotka_constant(n) if c is None else c
     sparse = ks_test(d, n, c)
     dense = ref.ks_test(d, n, c)
-    assert sparse.d_max == dense.d_max
-    assert sparse.x_at_dmax == dense.x_at_dmax
+    assert sparse.d_max == approx(dense.d_max, rel=0, abs=1e-11)
     assert sparse.critical_value == dense.critical_value
-    kept = {x for x, y in d.pairs if y > 0} | gap_ends(d) | {dense.x_at_dmax}
+    kept = {x for x, y in d.pairs if y > 0} | gap_ends(d)
     assert [r.x for r in sparse.rows] == sorted(kept)
-    assert list(sparse.rows) == [r for r in dense.rows if r.x in kept]
-    lines = dense.to_csv().splitlines()
-    expected = lines[:3] + [line for line in lines[3:] if int(line.split(",")[0]) in kept]
-    assert sparse.to_csv() == "\n".join(expected) + "\n"
+    assert sparse.x_at_dmax in kept
+    assert dense.rows[sparse.x_at_dmax - 1].abs_diff == approx(dense.d_max, rel=0, abs=1e-11)
+    dense_rows = [r for r in dense.rows if r.x in kept]
+    for row, want in zip(sparse.rows, dense_rows):
+        assert row[:4] == want[:4]
+        assert row.expected_prop == approx(want.expected_prop, rel=1e-13, abs=0)
+        assert row.expected_cum == approx(want.expected_cum, rel=0, abs=1e-11)
+        assert row.abs_diff == approx(want.abs_diff, rel=0, abs=1e-11)
+    lines, dense_lines = sparse.to_csv().splitlines(), dense.to_csv().splitlines()
+    assert (lines[0], lines[2]) == (dense_lines[0], dense_lines[2])
+    assert [line.split(",")[:2] for line in lines[3:]] == [[str(r.x), str(r.observed)]
+                                                           for r in dense_rows]
 
 
 @given(gappy_distributions(), exponents)
 def test_sparse_ks_rows_are_bounded_by_the_x_with_authors(d, n):
     rows = ks_test(d, n, lotka_constant(n)).rows
     k = sum(1 for _, y in d.pairs if y > 0)
-    # k rows with authors, two ends for each of at most k + 1 gaps, and at
-    # most one row inside a gap, where E stops rising in floating point
-    assert len(rows) <= 3 * k + 3
+    # k rows with authors and two ends for each of at most k + 1 gaps
+    assert len(rows) <= 3 * k + 2
     if d.pairs[-1][1] > 0:
-        # no trailing gap, and E still rises at every drawn x (at most
-        # 5,600; at n = 4 it stops near 9,550)
+        # no trailing gap
         assert len(rows) <= 3 * k
 
 
@@ -385,29 +390,60 @@ def test_listed_zeros_inside_a_long_gap_leave_the_rows_unchanged():
     assert [r.x for r in sparse.rows] == [1, 2, 299, 300]
 
 
-@pytest.mark.parametrize("pairs", [((1, 100), (10**6, 1)), ((1, 1), (10**6, 100))])
+@pytest.mark.parametrize("pairs", [((1, 100), (10**6, 1)), ((1, 1), (10**6, 100)),
+                                   ((1, 100), (10**12, 1)), ((1, 1), (10**12, 100)),
+                                   ((1, 100), (10**400, 1)), ((1, 1), (10**400, 100))])
 @pytest.mark.parametrize("n", [2.0, 4.0])
 def test_ks_at_the_x_limit_has_at_most_five_rows(pairs, n):
+    # x up to 10**400, beyond the float range: the rows are 1, 2, x - 1 and x
     report = ks_test(dist(*pairs), n, lotka_constant(n))
-    assert len(report.rows) <= 5
-    assert report.rows[0].x == 1
-    assert report.rows[-1].x == lotka.KS_X_MAX
+    top = pairs[-1][0]
+    assert [r.x for r in report.rows] == [1, 2, top - 1, top]
     assert report.d_max == max(r.abs_diff for r in report.rows)
-    assert report.x_at_dmax in {r.x for r in report.rows}
 
 
-def test_ks_keeps_the_row_where_e_stops_rising_inside_a_gap():
-    # at n = 4 the terms c * x^-4 fall below half an ulp of E near x = 9,550;
-    # from there E, and so the deviation, stays flat up to the gap's end
+def test_ks_keeps_only_the_gap_ends_where_a_running_sum_would_stall():
+    # at n = 4 the terms c * x^-4 fall below half an ulp of a running sum
+    # near x = 9,550, so that sum stalls there; E keeps rising to the gap's end
     d = dist((1, 1), (20000, 1000))
     c = lotka_constant(4.0)
-    sparse = ks_test(d, 4.0, c)
-    dense = ref.ks_test(d, 4.0, c)
-    assert 2 < dense.x_at_dmax < 19999
-    assert sparse.x_at_dmax == dense.x_at_dmax
-    kept = [r.x for r in sparse.rows]
-    assert kept == [1, 2, dense.x_at_dmax, 19999, 20000]
-    assert list(sparse.rows) == [r for r in dense.rows if r.x in kept]
+    report = ks_test(d, 4.0, c)
+    assert [r.x for r in report.rows] == [1, 2, 19999, 20000]
+    exact = c * math.fsum(k ** -4.0 for k in range(1, 20000))
+    assert report.rows[2].expected_cum == approx(exact, rel=1e-13, abs=0)
+    running = ref.ks_test(d, 4.0, c).rows[19998].expected_cum
+    assert exact - running > 1e-13 * exact
+
+
+SHARP_EXPONENTS = [1 + 1e-12, 1 + 1e-9, 1.0001, 1.09, 2.0, 4.0, 50.0]
+
+
+@pytest.mark.parametrize("n", SHARP_EXPONENTS)
+def test_ks_expected_share_is_the_partial_zeta_sum(n):
+    # rows at every x up to 200, then at x spread up to 20,000 and next to them
+    xs = [*range(1, 201), *range(263, 20000, 997), 20000]
+    c = 0.6
+    terms = [k ** -n for k in range(1, 20001)]
+    for row in ks_test(dist(*((x, 1) for x in xs)), n, c).rows:
+        assert row.expected_cum == approx(c * math.fsum(terms[:row.x]), rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("n", SHARP_EXPONENTS)
+def test_ks_expected_share_does_not_decrease(n):
+    # a dense grid across the end of the running sum, and far out, where a
+    # term is below an ulp of E: so |F - E| peaks at a gap end
+    for start in (1, 10**6, 10**12, 10**300):
+        rows = ks_test(dist(*((x, 1) for x in range(start, start + 2000))), n, 1.0).rows
+        e = [r.expected_cum for r in rows]
+        assert all(b >= a - math.ulp(a) for a, b in zip(e, e[1:]))
+
+
+@pytest.mark.parametrize("n, top", [(1e300, 20000), (2.0, 10**400), (1e300, 10**400)],
+                         ids=["huge-n", "huge-x", "huge-n-and-x"])
+def test_ks_stays_finite_at_a_huge_exponent_or_x(n, top):
+    report = ks_test(dist((1, 5), (70, 2), (top, 1)), n, 0.5)
+    assert all(math.isfinite(v) for row in report.rows for v in row[2:])
+    assert math.isfinite(report.d_max)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,12 @@ own parser, with ``\\`` continuations joined, so that a stale example
 fails here.  Each ``python`` block runs in a directory that holds the
 exports it reads, and each ``# value`` comment on a ``print`` line must
 equal what the line prints, numbers rounded to the digits the comment
-shows.
+shows.  Every name the README places in a module, as in "`CAP_MAX` in
+`bibmet.tables`", must be an attribute of that module.
 """
 
 import builtins
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -73,3 +75,12 @@ def test_readme_python_block_runs(block, tmp_path, monkeypatch):
         assert len(values) == len(expected), (values, expected)
         for value, token in zip(values, expected):
             assert shown(value, token), (value, token)
+
+
+def test_readme_names_are_in_their_modules():
+    text = README.read_text(encoding="utf-8")
+    refs = re.findall(r"`([A-Za-z_]\w*)`\s+in\s+`(bibmet(?:\.\w+)*)`", text)
+    assert len(refs) >= 3
+    missing = [f"{module}.{name}" for name, module in refs
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
