@@ -44,8 +44,8 @@ from .lotka import (
     lotka_constant,
 )
 from .synth import PowerLawSpec, sample_productivity, sample_spec_papers, spec_from_json
-from .tables import AuthorshipMatrix, ProductivityDistribution, YearlySeries, split_lines
-from .wos import ExportRun, count_export_files, write_export, write_export_files
+from .tables import AuthorshipMatrix, ProductivityDistribution, YearlySeries, normalize_line_ends
+from .wos import ExportRun, _file_chunks, count_export_files, write_export, write_export_files
 
 # not called: perfbench/spans.py patches these names here (see tests/test_tracer_targets.py)
 from .corpus import build_authorship_matrix, build_yearly_series  # noqa: F401
@@ -128,7 +128,7 @@ def _apply_config(argv: list[str], commands) -> list[str]:
     except (OSError, ValueError) as exc:
         raise _UsageError(f"bibmet: cannot read config file: {exc}") from exc
     flags: list[str] = []
-    for lineno, raw in enumerate(split_lines(text), start=1):
+    for lineno, raw in enumerate(normalize_line_ends(text).split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -358,14 +358,14 @@ def _counts(args, counts: CountTables | None, flag: str) -> CountTables:
 
 def _series(args, counts: CountTables | None = None) -> YearlySeries:
     if args.series:
-        return YearlySeries.from_csv(Path(args.series).read_text(encoding="utf-8"))
+        return YearlySeries.from_csv(_file_chunks(args.series))
     return _counts(args, counts, "--series").yearly_series()
 
 
 def _matrix(args, counts: CountTables | None = None) -> AuthorshipMatrix:
     """The matrix, collapsed at ``--cap`` unless ``--no-collapse`` or a CSV already is."""
     if args.matrix:
-        matrix = AuthorshipMatrix.from_csv(Path(args.matrix).read_text(encoding="utf-8"))
+        matrix = AuthorshipMatrix.from_csv(_file_chunks(args.matrix))
         if not args.no_collapse and not matrix.collapsed:
             matrix = matrix.collapse(args.cap)
         return matrix
@@ -375,8 +375,7 @@ def _matrix(args, counts: CountTables | None = None) -> AuthorshipMatrix:
 
 def _distribution(args, counts: CountTables | None = None) -> ProductivityDistribution:
     if args.dist:
-        return ProductivityDistribution.from_csv(
-            Path(args.dist).read_text(encoding="utf-8"))
+        return ProductivityDistribution.from_csv(_file_chunks(args.dist))
     return _counts(args, counts, "--dist").productivity_distribution()
 
 

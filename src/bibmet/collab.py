@@ -74,19 +74,15 @@ def collaborative_coefficient(class_counts: Mapping[int, int]) -> float:
     return 1.0 - inverse_weighted / n
 
 
-def modified_cc(class_counts: Mapping[int, int],
-                largest_class: int | None = None) -> float:
+def modified_cc(class_counts: Mapping[int, int]) -> float:
     """CC rescaled by ``A / (A - 1)`` so its maximum is 1.
 
-    ``A`` defaults to the largest class with a nonzero count.  Undefined
-    (raises) when A < 2, i.e. for purely single-author data.
+    ``A`` is the largest class with a nonzero count.  Undefined (raises)
+    when A < 2, i.e. for purely single-author data.
     """
-    if largest_class is None:
-        nonzero = [j for j, f in class_counts.items() if f > 0]
-        largest_class = max(nonzero) if nonzero else 0
-    if largest_class < 2:
+    a = max((j for j, f in class_counts.items() if f > 0), default=0)
+    if a < 2:
         raise DomainError("modified CC undefined for single-author data (A < 2)")
-    a = largest_class
     return (a / (a - 1)) * collaborative_coefficient(class_counts)
 
 

@@ -13,23 +13,33 @@ trailing ``+`` on the last class label (``10+``) marks a collapsed top
 class that absorbs all larger author counts.
 
 Each table's ``__post_init__`` holds its rules (keys strictly increasing,
-counts non-negative, ``x >= 1``, classes ``>= 1``, a collapsed class
-``>= 2``).  The CSV reader checks only the header, the integer cells and
-the ``+`` marker, and reports a rule at the line of the first row breaking it.
+counts non-negative and at most ``COUNT_MAX``, ``x >= 1``, classes ``>= 1``
+and at most ``COUNT_MAX``, a collapsed class ``>= 2``).  The CSV reader
+checks only the header, the integer cells (ASCII digits after an optional
+``-``) and the ``+`` marker.  It reads text, or chunks of it that end at a
+line end as the CLI reads a file, once, and keeps the line of each row, so
+that a rule is reported at the line of the first row breaking it.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterator, Literal, Union
+from typing import Iterable, Iterator, Literal, Union
 
 from .errors import DomainError, ParseError
 
 TableShape = Literal["yearly", "matrix", "distribution"]
+#: CSV text, or chunks of CSV text that end at a line end and use only ``\n`` line ends
+CsvSource = Union[str, Iterable[str]]
 
 #: Largest author-class cap: a matrix collapsed at ``cap`` has ``cap`` rows.
 CAP_MAX = 10_000
+
+#: Largest paper count, matrix cell, ``y`` or author-count class (an int64,
+#: as ``PowerLawSpec.total_authors``); years and ``x`` have no bound.
+COUNT_MAX = 2**63 - 1
 
 
 class _RowError(ValueError):
@@ -57,6 +67,8 @@ class YearlySeries:
                 raise _RowError("years and counts must be integers", i)
             if papers < 0:
                 raise _RowError(f"negative paper count for {year}", i)
+            if papers > COUNT_MAX:
+                raise _RowError(f"paper count for {year} must be <= {COUNT_MAX}", i)
             if prev is not None and year <= prev:
                 raise _RowError("years must be strictly increasing", i)
             prev = year
@@ -107,8 +119,8 @@ class YearlySeries:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_csv(cls, text: str) -> "YearlySeries":
-        return _read_csv(cls, text, "year,papers", "year", "paper count")
+    def from_csv(cls, source: CsvSource) -> "YearlySeries":
+        return _read_csv(cls, source, "year,papers", "year", "paper count")
 
 
 @dataclass(frozen=True)
@@ -138,12 +150,16 @@ class AuthorshipMatrix:
         for i, (j, row) in enumerate(zip(self.classes, self.counts)):
             if not isinstance(j, int) or j.__class__ is bool or j < 1:
                 raise _RowError("author-count classes must be integers >= 1", i)
+            if j > COUNT_MAX:
+                raise _RowError(f"author-count classes must be <= {COUNT_MAX}", i)
             if i and j <= self.classes[i - 1]:
                 raise _RowError("classes must be strictly increasing", i)
             if len(row) != len(self.years):
                 raise _RowError("one count per year required in each row", i)
             if any(not isinstance(c, int) or c.__class__ is bool or c < 0 for c in row):
                 raise _RowError("counts must be non-negative integers", i)
+            if max(row) > COUNT_MAX:
+                raise _RowError(f"counts must be <= {COUNT_MAX}", i)
         if self.cap < 2:
             # the cap of a collapsed matrix is its last class
             raise _RowError("cap must be >= 2",
@@ -234,8 +250,8 @@ class AuthorshipMatrix:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_csv(cls, text: str) -> "AuthorshipMatrix":
-        return _read_csv(cls, text, "authors,<year>,...", "author-count class", "count")
+    def from_csv(cls, source: CsvSource) -> "AuthorshipMatrix":
+        return _read_csv(cls, source, "authors,<year>,...", "author-count class", "count")
 
 
 @dataclass(frozen=True)
@@ -256,6 +272,8 @@ class ProductivityDistribution:
                 raise _RowError("papers-per-author count x must be >= 1", i)
             if y < 0:
                 raise _RowError("author count y must be >= 0", i)
+            if y > COUNT_MAX:
+                raise _RowError(f"author count y must be <= {COUNT_MAX}", i)
             if prev is not None and x <= prev:
                 raise _RowError("x values must be strictly increasing", i)
             prev = x
@@ -289,8 +307,8 @@ class ProductivityDistribution:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_csv(cls, text: str) -> "ProductivityDistribution":
-        return _read_csv(cls, text, "x,y", "x", "y")
+    def from_csv(cls, source: CsvSource) -> "ProductivityDistribution":
+        return _read_csv(cls, source, "x,y", "x", "y")
 
 
 CountTable = Union[YearlySeries, AuthorshipMatrix, ProductivityDistribution]
@@ -313,45 +331,52 @@ def parse_counts_csv(text: str, shape: TableShape) -> CountTable:
     return table.from_csv(text)
 
 
-def split_lines(text: str) -> list[str]:
-    """The lines of ``text``, split at ``\\n``, ``\\r\\n`` and ``\\r`` only.
-
-    Unlike ``str.splitlines``, form feeds, U+2028 and the other Unicode
-    separators stay inside their line.  A final line end is followed by
-    one empty line.
-    """
-    return normalize_line_ends(text).split("\n")
-
-
 def normalize_line_ends(text: str) -> str:
     """``text`` with every ``\\r\\n`` and ``\\r`` line end written as ``\\n``."""
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _rows(text: str) -> Iterator[tuple[int, list[str]]]:
-    for lineno, raw in enumerate(split_lines(text), start=1):
-        line = raw.lstrip("\ufeff").strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, [cell.strip() for cell in line.split(",")]
+def _rows(chunks: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    # chunks end at a line end (the last may not) and hold only \n line ends
+    lineno = 0
+    for chunk in chunks:
+        lines = chunk.split("\n")
+        if not lines[-1]:
+            lines.pop()  # the chunk ended at a line end, not before one more line
+        for lineno, raw in enumerate(lines, start=lineno + 1):
+            line = raw.lstrip("\ufeff").strip()
+            if not line or line.startswith("#"):
+                continue
+            yield lineno, [cell.strip() for cell in line.split(",")]
 
 
 def _int_cell(cell: str, lineno: int, what: str) -> int:
+    # ASCII digits after an optional "-": int() also takes spaces, "+", "_"
+    # and other scripts' digits
+    digits = cell.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(f"{what} is not an integer: {_shown(cell)}", line=lineno)
     try:
         return int(cell)
-    except ValueError:
-        raise ParseError(f"{what} is not an integer: {cell!r}", line=lineno) from None
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"{what} has more than {sys.get_int_max_str_digits()} digits",
+                         line=lineno) from None
 
 
-def _read_csv(cls, text: str, expected: str, key: str, count: str) -> CountTable:
-    """The table ``cls`` read from CSV ``text``, checking only what no table can.
+def _shown(text: str) -> str:
+    """``repr(text)``, cut after 40 characters."""
+    return repr(text) if len(text) <= 40 else repr(text[:40]) + "..."
+
+
+def _read_csv(cls, source: CsvSource, expected: str, key: str, count: str) -> CountTable:
+    """The table ``cls`` read from CSV ``source``, checking only what no table can.
 
     That is the header ``expected``, the cells per row, the integer ``key``
     and ``count`` cells and, in a matrix, the header years and the ``+`` on
     the last class.  A rule that ``cls`` finds broken is reported at its row.
     """
     matrix = cls is AuthorshipMatrix
-    rows = _rows(text)
+    rows = _rows([normalize_line_ends(source)] if isinstance(source, str) else source)
     lineno, header = next(rows, (1, None))
     if header is None:
         raise ParseError(f"empty input, expected {expected!r} header", line=1)
@@ -361,7 +386,8 @@ def _read_csv(cls, text: str, expected: str, key: str, count: str) -> CountTable
         years = tuple(_int_cell(c, lineno, "header year") for c in header[1:])
     elif header != expected.split(","):
         raise ParseError(
-            f"expected header {expected!r}, got {','.join(header)!r}", line=lineno)
+            f"expected header {expected!r}, got {_shown(','.join(header))}", line=lineno)
+    lines = array("q", [lineno])  # the line of the header, then of each data row
     table, collapsed = [], False
     for lineno, cells in rows:
         if collapsed:
@@ -372,11 +398,16 @@ def _read_csv(cls, text: str, expected: str, key: str, count: str) -> CountTable
         collapsed = matrix and cells[0].endswith("+")
         if collapsed:
             cells[0] = cells[0][:-1]
+        digits = "".join(cells).replace("-", "")
         try:
+            # one check per row for the characters; int() places the "-"
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError
             table.append(tuple(map(int, cells)))
         except ValueError:  # report the first cell that is not an integer
             for cell, what in zip(cells, [key] + [count] * len(cells)):
                 _int_cell(cell, lineno, what)
+        lines.append(lineno)
     try:
         if not matrix:
             return cls(tuple(table))
@@ -385,7 +416,4 @@ def _read_csv(cls, text: str, expected: str, key: str, count: str) -> CountTable
         return cls(classes, years, tuple(row[1:] for row in table),
                    collapsed=collapsed, cap=top if collapsed else max(2, top))
     except _RowError as exc:
-        # read text again, so that valid input keeps no line numbers
-        index = 0 if exc.row is None else exc.row + 1  # the header is row 0
-        lineno, _ = next(islice(_rows(text), index, None))
-        raise ParseError(str(exc), line=lineno) from None
+        raise ParseError(str(exc), line=lines[0 if exc.row is None else exc.row + 1]) from None

@@ -26,13 +26,14 @@ a ``UT``, or with one that equals a synthetic id given out before, takes
 the next synthetic id (``rec000001``, ...) that no ``UT`` of the run holds.
 
 One block scanner, :func:`scan_wos_export`, reads a run's exports in
-chunks that end at a line end (:func:`scan_wos_file` reads
-``CHUNK_CHARS`` characters of a file at a time, then the rest of the
-line).  Between blocks it first tries one regular expression for the
-block :func:`write_wos_export` writes, which reads the whole block with
-no work per line; every other block goes through the line-by-line rules,
-which keep only the block's ``AU``/``PY``/``UT`` values in hand, so that
-a block cut by a chunk's end goes on in the next chunk.  Both give the
+chunks that end at a line end (:func:`_file_chunks` reads ``CHUNK_CHARS``
+characters of a file at a time, then the rest of the line, for every
+export and for the CLI's CSV count tables).  Between blocks it first
+tries one regular expression for the block :func:`write_wos_export`
+writes, which reads the whole block with no work per line; every other
+block goes through the line-by-line rules, which keep only the block's
+``AU``/``PY``/``UT`` values in hand, so that a block cut by a chunk's
+end goes on in the next chunk.  Both give the
 same papers, ids and tallies.  The scanner yields the kept blocks as
 ``(id, year, authors)`` papers, which the analysis commands fold straight
 into :class:`~bibmet.corpus.CountTables`, so the memory of each process

@@ -268,6 +268,34 @@ def test_undecodable_byte_is_located_from_file_start(capsys, tmp_path, loader, t
     assert err == f"bibmet: input error: {whole_file.value}\n"
 
 
+@pytest.mark.parametrize("argv, header", [
+    (["growth", "--series"], b"year,papers\n"),
+    (["collab", "--matrix"], b"authors,2001\n"),
+    (["ks", "--dist"], b"x,y\n"),
+])
+def test_undecodable_byte_in_a_table_is_located_from_file_start(capsys, tmp_path, argv, header):
+    # the byte lies beyond the first chunk that the table's reader takes
+    data = header + b"".join(b"%d,1\n" % k for k in range(1, 30_000)) + b"\xff\n"
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as whole_file:
+        data.decode("utf-8")
+    code, _, err = run(capsys, *argv, str(path))
+    assert code == 1
+    assert err == f"bibmet: input error: {whole_file.value}\n"
+
+
+def test_table_on_a_pipe_names_the_line_of_its_broken_last_row():
+    # more than one chunk, so that the line count goes on across chunks
+    data = b"year,papers\n# years\n" + b"".join(b"%d,1\n" % y for y in range(1, 30_001))
+    data += b"30001,-1\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(bibmet.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "bibmet.cli", "growth", "--series", "/dev/stdin"],
+                          input=data, env=env, capture_output=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        1, b"", b"bibmet: input error: line 30003: negative paper count for 30001\n")
+
+
 @pytest.mark.parametrize("emit", [[], ["--emit", "wos"]], ids=["count", "write"])
 def test_undecodable_byte_on_a_pipe_is_named(emit):
     # a pipe cannot be read again from its start, so the byte's position

@@ -98,16 +98,17 @@ def test_cc_2008_column(collab_fixture):
 
 def test_mcc_trivial_cases():
     assert modified_cc({4: 10}) == approx(1.0)
-    assert modified_cc({1: 10}, largest_class=2) == 0.0
     with pytest.raises(DomainError):
         modified_cc({1: 10})
+    with pytest.raises(DomainError):  # A is the largest class with papers
+        modified_cc({1: 10, 2: 0})
 
 
 def test_mcc_2008_column(collab_fixture):
     counts = collab_fixture.class_counts(2008)
     assert modified_cc(counts) == approx(0.7509, abs=1e-3)
-    assert modified_cc(counts, largest_class=10) == approx(
-        (10 / 9) * collaborative_coefficient(counts))
+    # A = 10, the largest class with papers in 2008
+    assert modified_cc(counts) == approx((10 / 9) * collaborative_coefficient(counts))
 
 
 @given(class_counts())

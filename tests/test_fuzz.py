@@ -16,13 +16,13 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bibmet.cli import main
 from bibmet.errors import DomainError, ParseError
 from bibmet.synth import spec_from_json
-from bibmet.tables import normalize_line_ends, parse_counts_csv, split_lines
+from bibmet.tables import normalize_line_ends, parse_counts_csv
 from bibmet.wos import ExportRun, parse_wos_export, scan_wos_export
 
 # text near each input dialect, so that the parsers get past their first line
@@ -31,6 +31,8 @@ LINES = st.sampled_from([
     "UT WOS:1", "UT", "ER", "ER x", "EF", "TI T", "", " ", "\x0c", "\u2028",
     "year,papers", "x,y", "authors,2015,2016", "authors", "1,2", "2,0", "3,-1",
     "1,2,3", "2+,1,1", "2015,7", "# comment", "\ufeffx,y", "1,", ",", "99999999999999999999,1",
+    # a count beyond the float range, a cell beyond int()'s digits, cells int() alone takes
+    "1," + "9" * 400, "1" * 5000 + ",1", "1_0,5", "\u0663,1", "+2,1",
 ])
 LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
 
@@ -85,7 +87,7 @@ def test_counts_csv_raises_only_parse_errors(text, shape):
         parse_counts_csv(text, shape)
     except ParseError as exc:
         # the error names a line of the input
-        assert exc.line is not None and 1 <= exc.line <= len(split_lines(text))
+        assert exc.line is not None and 1 <= exc.line <= len(normalize_line_ends(text).split("\n"))
 
 
 @settings(max_examples=150, deadline=None)
@@ -132,6 +134,8 @@ COMMANDS = [
     ["growth", "--series", "in.txt"], ["growth", "--wos", "in.txt"],
     ["collab", "--matrix", "in.txt"], ["collab", "--wos", "in.txt", "--no-collapse"],
     ["lotka", "--dist", "in.txt"], ["ks", "--dist", "in.txt"],
+    ["collab", "--matrix", "in.txt", "--no-collapse"],
+    ["ks", "--dist", "in.txt", "--n", "2", "--c", "0.6"],
     ["report", "--wos", "in.txt"], ["report", "--dist", "in.txt", "--out-dir", "out"],
     ["synth", "--spec", "in.txt"], ["synth", "--spec", "in.txt", "--emit", "yearly"],
 ]
@@ -145,8 +149,16 @@ SMALL_JSON = st.recursive(
     max_leaves=6)
 
 
+# counts beyond the float range, each of which once ended in a traceback
+HUGE = str(10**400).encode()
+
+
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
 @settings(max_examples=20, deadline=None)
+@example(data=b"authors,2001,2002\n1,3," + HUGE + b"\n2,1,1\n")
+@example(data=b"year,papers\n2001," + HUGE + b"\n2002,1\n")
+@example(data=b"x,y\n1," + HUGE + b"\n2,1\n3,1\n")
+@example(data=b"authors,2001\n1,3\n" + HUGE + b",1\n")
 @given(data=st.one_of(TEXTS.map(lambda t: t.encode("utf-8")), st.binary(max_size=20),
                       specs(SMALL_JSON).map(lambda s: json.dumps(s).encode())))
 def test_cli_on_fuzzed_files_exits_with_a_documented_code(argv, data):

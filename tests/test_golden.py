@@ -76,6 +76,12 @@ INPUTS = {
     "longtail.csv": (DATA / "longtail.csv").read_bytes(),
     # an x of 401 digits, beyond the float range
     "huge.csv": f"x,y\n1,100\n2,30\n{10**400},1\n",
+    # a y of 401 digits, above COUNT_MAX
+    "huge_count.csv": f"x,y\n1,{10**400}\n2,1\n3,1\n",
+    # int() would read 1_0 as 10
+    "underscore.csv": "x,y\n1_0,5\n",
+    # an x of 5,001 digits, more than int() converts
+    "long_cell.csv": "x,y\n1,100\n2,30\n1" + "0" * 5000 + ",1\n",
     "single.csv": "authors,2015,2016\n1,3,2\n",
     "uncollapsed.csv": "authors,2015,2016\n1,1,0\n2,1,0\n3,0,1\n",
     "collapsed.csv": "# already collapsed\nauthors,2015,2016\n1,2,1\n2,1,1\n3+,0,2\n",
@@ -221,6 +227,9 @@ CASES = [
     ("ks-gaps", "ks --dist gaps.csv"),
     ("ks-longtail", "ks --dist longtail.csv"),
     ("ks-huge-x", "ks --dist huge.csv --n 2 --c 0.6"),
+    ("ks-count-above-max", "ks --dist huge_count.csv --n 2 --c 0.6"),
+    ("ks-underscore-cell", "ks --dist underscore.csv"),
+    ("ks-long-cell", "ks --dist long_cell.csv"),
     ("ks-no-input", "ks"),
 
     ("report-csvs-markdown", f"report {CSVS}"),

@@ -1,14 +1,19 @@
+import io
+import re
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
 from bibmet.errors import DomainError, ParseError
 from bibmet.tables import (
     CAP_MAX,
+    COUNT_MAX,
     AuthorshipMatrix,
     ProductivityDistribution,
     YearlySeries,
+    normalize_line_ends,
     parse_counts_csv,
-    split_lines,
 )
 
 
@@ -313,7 +318,7 @@ def broken_tables(draw):
         for note in draw(junk):
             text += note + draw(ends)
         if i - 1 == reported:
-            line = len(split_lines(text))
+            line = len(normalize_line_ends(text).split("\n"))
         text += ",".join(cells) + draw(ends)
     return shape, text, line
 
@@ -324,3 +329,67 @@ def test_csv_error_is_reported_at_the_broken_row(case):
     with pytest.raises(ParseError) as info:
         parse_counts_csv(text, shape)
     assert info.value.line == line
+
+
+@given(broken_tables(), st.sampled_from([1, 3, 16]))
+def test_csv_read_in_chunks_reports_the_broken_row(case, size):
+    shape, text, line = case
+    # chunks that end at a line end, as the CLI reads a file
+    fh = io.StringIO(normalize_line_ends(text))
+    chunks = iter(lambda: fh.read(size) + fh.readline(), "")
+    table = {"yearly": YearlySeries, "matrix": AuthorshipMatrix,
+             "distribution": ProductivityDistribution}[shape]
+    with pytest.raises(ParseError) as info:
+        table.from_csv(chunks)
+    assert info.value.line == line
+
+
+@given(matrices())
+def test_matrix_read_in_chunks_equals_the_matrix_read_whole(matrix):
+    text = matrix.to_csv()
+    chunks = [line + "\n" for line in text.splitlines()]
+    assert AuthorshipMatrix.from_csv(chunks) == AuthorshipMatrix.from_csv(text) == matrix
+
+
+@pytest.mark.parametrize("text, shape, message", [
+    (f"year,papers\n2001,1\n2002,{COUNT_MAX + 1}\n", "yearly", "paper count for 2002"),
+    (f"authors,2001,2002\n1,1,{COUNT_MAX + 1}\n", "matrix", "counts must be <="),
+    (f"authors,2001\n1,1\n{COUNT_MAX + 1},1\n", "matrix", "classes must be <="),
+    (f"x,y\n1,1\n2,{10**400}\n", "distribution", "y must be <="),
+])
+def test_counts_above_count_max_are_rejected_at_their_row(text, shape, message):
+    with pytest.raises(ParseError, match=message) as info:
+        parse_counts_csv(text, shape)
+    assert info.value.line == len(text.splitlines())
+    at_max = text.replace(str(COUNT_MAX + 1), str(COUNT_MAX)).replace(str(10**400), str(COUNT_MAX))
+    parse_counts_csv(at_max, shape)
+
+
+def test_years_and_x_have_no_bound():
+    assert parse_counts_csv(f"x,y\n{10**400},1\n", "distribution").xs == (10**400,)
+    assert parse_counts_csv(f"year,papers\n{10**400},1\n", "yearly").years == (10**400,)
+
+
+@pytest.mark.parametrize("cell", ["1_0", "+2", "٣", "1 0", "0x10", "--1", "-", "1-", "", "1.0"])
+def test_a_cell_is_ascii_digits_after_an_optional_minus(cell):
+    with pytest.raises(ParseError, match=f"line 2: x is not an integer: {re.escape(repr(cell))}"):
+        parse_counts_csv(f"x,y\n{cell},1\n", "distribution")
+    with pytest.raises(ParseError, match="line 1: header year is not an integer"):
+        parse_counts_csv(f"authors,{cell}\n1,1\n", "matrix")
+
+
+def test_a_minus_zero_and_spaces_around_a_cell_are_read():
+    assert parse_counts_csv("year,papers\n -3 , -0\n", "yearly").entries == ((-3, 0),)
+
+
+def test_a_long_cell_gets_a_short_message():
+    digits = sys.get_int_max_str_digits()
+    with pytest.raises(ParseError) as info:
+        parse_counts_csv(f"x,y\n1,1\n1{'0' * digits},1\n", "distribution")
+    assert str(info.value) == f"line 3: x has more than {digits} digits"
+    with pytest.raises(ParseError) as info:
+        parse_counts_csv(f"x,y\n1,{'z' * 5000}\n", "distribution")
+    assert str(info.value) == f"line 2: y is not an integer: {'z' * 40!r}..."
+    with pytest.raises(ParseError) as info:
+        parse_counts_csv(f"x,{'y' * 5000}\n", "distribution")
+    assert len(str(info.value)) < 100
