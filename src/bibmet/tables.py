@@ -222,7 +222,8 @@ class AuthorshipMatrix:
         Classes below the cap that the matrix lacks become zero rows.
         This is the one place a cap is checked: outside ``[2, CAP_MAX]``
         it raises :class:`DomainError`, and above the cap of an already
-        collapsed matrix ``ValueError``.
+        collapsed matrix ``ValueError``, as it does where the top class of
+        a year would hold more than ``COUNT_MAX`` papers.
         """
         if cap < 2:
             raise DomainError("cap must be >= 2")
@@ -237,6 +238,10 @@ class AuthorshipMatrix:
         for j, row in rows.items():
             if j >= cap:
                 top = [a + b for a, b in zip(top, row)]
+        for year, total in zip(self.years, top):
+            if total > COUNT_MAX:
+                raise ValueError(f"year {year}: the classes >= {cap} that --cap folds "
+                                 f"hold more than {COUNT_MAX} papers")
         counts = tuple(rows.get(j, zeros) for j in range(1, cap)) + (tuple(top),)
         return AuthorshipMatrix(tuple(range(1, cap + 1)), self.years, counts,
                                 collapsed=True, cap=cap)

@@ -27,7 +27,7 @@ the next synthetic id (``rec000001``, ...) that no ``UT`` of the run holds.
 
 One block scanner, :func:`scan_wos_export`, reads a run's exports in
 chunks that end at a line end (:func:`_file_chunks` reads ``CHUNK_CHARS``
-characters of a file at a time, then the rest of the line, for every
+bytes of a file at a time and cuts the text after a line end, for every
 export and for the CLI's CSV count tables).  Between blocks it first
 tries one regular expression for the block :func:`write_wos_export`
 writes, which reads the whole block with no work per line; every other
@@ -40,6 +40,10 @@ into :class:`~bibmet.corpus.CountTables`, so the memory of each process
 is bounded by a few chunks plus the distinct authors and ids (and the
 longest line), not by the size of the files.  :func:`write_export`
 writes papers to a file as export text, a batch of blocks at a time.
+For :func:`write_export_files` the scanner copies each run of canonical
+blocks, one blank line apart, as read, with one match for the run, where
+rendering its blocks would give the same text; every other kept block
+is rendered.
 :func:`count_export_files` and :func:`write_export_files` count or write
 the papers of a run's files in one process per usable CPU: the files
 are cut at record ends into byte ranges, so that a single export uses
@@ -53,9 +57,11 @@ build one :class:`~bibmet.corpus.PublicationRecord` per block.
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import functools
 import io
+import itertools
 import os
 import re
 import signal
@@ -75,17 +81,27 @@ _CONTINUATION = "   "
 RECORD_END = "ER"
 FILE_END = "EF"
 
-#: Characters read from an export file at a time, before the rest of the line.
+#: Bytes read from an input file at a time, before the rest of the line.
 CHUNK_CHARS = 128 * 1024
-# the record block that write_wos_export writes, after any blank lines.
-# Each value starts and ends with a non-space, so it equals its own strip()
-# and no line needs a look; its line end follows [^\n]* directly, so that
-# a block of another shape fails without retrying shorter values.
+# Each value of the block that write_wos_export writes starts and ends with
+# a non-space, so it equals its own strip() and no line needs a look; its
+# line end follows [^\n]* directly, so that a block of another shape fails
+# without retrying shorter values.
 _VALUE = r"\S[^\n]*"
 _VALUE_END = r"\n(?<!\s\n)"
-_CANONICAL_BLOCK = re.compile(
-    rf"\n*PT J\nAU ({_VALUE}{_VALUE_END}(?:{_CONTINUATION}{_VALUE}{_VALUE_END})*)"
-    rf"PY ([0-9]{{4}})\nUT ({_VALUE}){_VALUE_END}{RECORD_END}\n")
+
+
+def _block(group: str) -> str:
+    # the block's pattern, where group opens its AU, PY and UT groups
+    return (rf"PT J\nAU {group}{_VALUE}{_VALUE_END}(?:{_CONTINUATION}{_VALUE}{_VALUE_END})*)"
+            rf"PY {group}[0-9]{{4}})\nUT {group}{_VALUE}){_VALUE_END}{RECORD_END}\n")
+
+
+# the record block that write_wos_export writes, after any blank lines
+_CANONICAL_BLOCK = re.compile(rf"\n*{_block('(')}")
+# a run of such blocks, each after exactly one blank line, as write_wos_export
+# writes every block but the first; it captures nothing, which matches faster
+_CANONICAL_RUN = re.compile(rf"(?:\n{_block('(?:')})+")
 _ER_LINE = "\n" + RECORD_END + "\n"
 _ER_BYTES = re.compile(rb"\nER\r?\n")
 
@@ -156,11 +172,17 @@ def _close_export(run: ExportRun) -> None:
         raise EmptyCorpusError("no records found in input")
 
 
-def _scan(chunks: Iterable[str], run: ExportRun) -> Iterator[tuple[str, int, tuple[str, ...]]]:
+def _scan(chunks: Iterable[str], run: ExportRun,
+          text_runs: bool = False) -> Iterator[Union[tuple[str, int, tuple[str, ...]], str]]:
     # scan_wos_export of the part of an export that chunks hold, which
-    # begins after run.lines lines of that export, between two blocks
+    # begins after run.lines lines of that export, between two blocks.  With
+    # text_runs, a run of canonical blocks after one the fast path kept is
+    # yielded as its export text, a str, where _render_record would write
+    # the same text for each of them; a run that fails is not tried again
+    # before its end, so that its blocks are matched as a run only once
     tag_of = _tag_prefixes().get
-    match = _CANONICAL_BLOCK.match
+    match, find_all = _CANONICAL_BLOCK.match, _CANONICAL_BLOCK.findall
+    match_run = _CANONICAL_RUN.match
     next_name = "\n" + _CONTINUATION  # between two AU values of a matched block
     uts, skipped_lines, merged_lines = run.uts, run.skipped_lines, run.merged_lines
     records, synthetic = run.records, run.synthetic
@@ -172,7 +194,7 @@ def _scan(chunks: Iterable[str], run: ExportRun) -> Iterator[tuple[str, int, tup
     lineno = run.lines  # lines before the current position
     at_end = run.ended  # past EF: the rest is only read
     for text in chunks:
-        pos = 0
+        pos = tried = 0  # tried: the end of the last run matched in this chunk
         while pos < len(text) and not at_end:
             if start is None:
                 block = match(text, pos)
@@ -187,6 +209,24 @@ def _scan(chunks: Iterable[str], run: ExportRun) -> Iterator[tuple[str, int, tup
                     yield rid, year, tuple(dict.fromkeys(block[1][:-1].split(next_name)))
                     lineno += text.count("\n", pos, end)
                     pos = end
+                    if (text_runs and not synthetic and pos > tried
+                            and (blocks := match_run(text, pos))):
+                        # the blocks' text, if the run gave out no synthetic id so
+                        # far and they hold no year out of range, no repeated or
+                        # earlier UT and no block with a repeated name
+                        tried = end = blocks.end()
+                        names, years, ids = zip(*find_all(text, pos, end))
+                        new = set(ids)
+                        if (YEAR_MIN <= int(min(years)) and int(max(years)) <= YEAR_MAX
+                                and len(new) == len(ids) and uts.isdisjoint(new)
+                                and sum(map(len, map(set, teams := [
+                                    a[:-1].split(next_name) for a in names if next_name in a
+                                ]))) == sum(map(len, teams))):
+                            uts.update(new)
+                            records += len(ids)
+                            yield text[pos + 1:end] + "\n"
+                            lineno += text.count("\n", pos, end)
+                            pos = end
                     continue
             stop = text.find(_ER_LINE, pos)
             stop = len(text) if stop < 0 else stop + len(_ER_LINE)
@@ -260,20 +300,43 @@ def scan_wos_file(paths: Iterable, run: ExportRun) -> Iterator[tuple[str, int, t
 
 
 def _file_chunks(path, start: int = 0, stop: int | None = None) -> Iterator[str]:
-    # universal-newline mode ends lines at \n, \r\n and \r only; a
-    # segment starts and stops after a \n, so it holds the file's lines
+    # CHUNK_CHARS bytes at a time, decoded in universal-newline mode, which
+    # ends lines at \n, \r\n and \r only; a segment starts and stops after
+    # a \n, so it holds the file's lines
     raw = io.FileIO(path) if not start and stop is None else _ByteRange(path, start, stop)
-    with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8") as fh:
-        try:
-            yield from iter(lambda: fh.read(CHUNK_CHARS) + fh.readline(), "")
-        except UnicodeDecodeError:
-            # name the undecodable byte's offset from the start of the
-            # file, as a whole-file read does, not from the current chunk;
-            # a pipe cannot be read again, so there it counts from the failed read
-            if fh.seekable():
-                fh.seek(0)
-                fh.read()
-            raise
+    decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), True)
+    line: list[str] = []  # the text read after the last line end
+    offset = start  # of the next read in the file
+    with io.BufferedReader(raw) as fh:
+        while True:
+            data = fh.read(CHUNK_CHARS)
+            held = decoder.getstate()[0]  # undecoded bytes of the reads before
+            try:
+                text = decoder.decode(data, final=not data)
+            except UnicodeDecodeError as exc:
+                # named as a decode of the whole input names it, from its start
+                raise _decode_error(exc, offset - len(held)) from None
+            offset += len(data)
+            # a chunk ends at the last line end read, but a line longer than a
+            # read ends its own chunk, which then holds that line alone
+            if (cut := (text.find if len(line) > 1 else text.rfind)("\n") + 1):
+                line.append(text[:cut])
+                chunk, line = "".join(line), [text[cut:]]  # no piece held on with it
+                yield chunk
+            else:
+                line.append(text)
+            if not data:
+                break
+    if rest := "".join(line):
+        yield rest
+
+
+def _decode_error(exc: UnicodeDecodeError, offset: int) -> ValueError:
+    # exc's message with its positions moved on by offset
+    first, last = offset + exc.start, offset + exc.end - 1
+    what = (f"byte 0x{exc.object[exc.start]:02x} in position {first}" if first == last
+            else f"bytes in position {first}-{last}")
+    return ValueError(f"'{exc.encoding}' codec can't decode {what}: {exc.reason}")
 
 
 class _ByteRange(io.FileIO):
@@ -342,17 +405,22 @@ def write_export(papers: Iterable[tuple[str, int, tuple[str, ...]]], out: TextIO
     out.write(FILE_END + "\n")
 
 
-def _rendered(papers: Iterable[tuple[str, int, tuple[str, ...]]]) -> Iterator[str]:
-    # the export text of papers, a batch at a time
-    for batch in batches(papers):
-        yield "".join([_render_record(*paper) for paper in batch])
+def _rendered(papers: Iterable[Union[tuple[str, int, tuple[str, ...]], str]]) -> Iterator[str]:
+    # the export text of papers, a batch at a time; a str is the text of a
+    # run of blocks that _scan copied as read, at most a chunk, and goes alone
+    for kind, group in itertools.groupby(papers, type):
+        if kind is str:
+            yield from group
+        else:
+            for batch in batches(group):
+                yield "".join([_render_record(*paper) for paper in batch])
 
 
 def write_export_files(paths: Iterable, run: ExportRun, out: TextIO) -> None:
     """``write_export(scan_wos_file(paths, run), out)``, in one process per usable CPU.
 
     The text, the tallies in ``run`` and any error are the serial call's."""
-    _forked_scan(paths, run, _rendered, out.writelines)
+    _forked_scan(paths, run, _rendered, out.writelines, text_runs=True)
     out.write(FILE_END + "\n")
 
 
@@ -365,11 +433,12 @@ def count_export_files(paths: Iterable, run: ExportRun) -> CountTables:
     return tables
 
 
-def _forked_scan(paths: Iterable, run: ExportRun, send, take) -> None:
+def _forked_scan(paths: Iterable, run: ExportRun, send, take, text_runs: bool = False) -> None:
     """``take(send(scan_wos_file(paths, run)))``, all parts but the first read by children.
 
     ``send(papers)`` yields one piece per batch of papers, which
-    ``take(pieces)`` adds to the result.  The serial call's result,
+    ``take(pieces)`` adds to the result; with ``text_runs``, the papers
+    are those of :func:`_scan` with ``text_runs``.  The serial call's result,
     tallies in ``run`` and errors, raised at the same export, are kept.
     Each child scans a part (:func:`_cut`) a segment at a time, each with
     a fresh run, and pickles the segment's ``send(papers)`` pieces to one
@@ -408,7 +477,7 @@ def _forked_scan(paths: Iterable, run: ExportRun, send, take) -> None:
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _scan_part(part, send, sent, result, mask)
+                    _scan_part(part, send, sent, result, mask, text_runs)
                 children.append((pid, sent, result))
             except OSError:
                 break
@@ -444,12 +513,13 @@ def _forked_scan(paths: Iterable, run: ExportRun, send, take) -> None:
                     del ids  # not held while the pieces are taken
                     take(pieces)
                 else:
-                    take(send(_scan(_file_chunks(*segment), run)))
+                    take(send(_scan(_file_chunks(*segment), run, text_runs)))
                 if stop is None:
                     _close_export(run)
 
 
-def _scan_part(part: list, send, sent: BinaryIO, result: BinaryIO, mask) -> None:
+def _scan_part(part: list, send, sent: BinaryIO, result: BinaryIO, mask,
+               text_runs: bool) -> None:
     # in a forked child: for each segment, pickle its send() pieces and None
     # to sent, and what it added to a fresh run to result (the ids: the UTs
     # it kept, if it gave no synthetic id); then exit without returning to the
@@ -460,7 +530,7 @@ def _scan_part(part: list, send, sent: BinaryIO, result: BinaryIO, mask) -> None
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         for segment in part:
             run = ExportRun()
-            for piece in send(_scan(_file_chunks(*segment), run)):
+            for piece in send(_scan(_file_chunks(*segment), run, text_runs)):
                 pickle.dump(piece, sent)
             pickle.dump(None, sent)
             pickle.dump((run.lines, list(run.uts), run.skipped_lines, run.merged_lines,

@@ -85,6 +85,8 @@ INPUTS = {
     "single.csv": "authors,2015,2016\n1,3,2\n",
     "uncollapsed.csv": "authors,2015,2016\n1,1,0\n2,1,0\n3,0,1\n",
     "collapsed.csv": "# already collapsed\nauthors,2015,2016\n1,2,1\n2,1,1\n3+,0,2\n",
+    # every row within COUNT_MAX, but classes 11 and 12 fold into one above it
+    "over_cap.csv": f"authors,2001\n1,1\n11,{2**62}\n12,{2**62}\n",
     "standard.conf": "convention = standard\nexact-ln2 = true\n",
     "unknown.conf": "does-not-exist = 1\n",
     "undecodable.conf": b"convention = standard\n# \xff\n",
@@ -195,6 +197,7 @@ CASES = [
     ("collab-matrix-cap-limit", "collab --matrix uncollapsed.csv --cap 10000"),
     ("collab-matrix-cap-above-limit", "collab --matrix uncollapsed.csv --cap 10001"),
     ("collab-wos-cap-above-limit", "collab --wos export.txt --cap 10001"),
+    ("collab-matrix-folded-above-count-max", "collab --matrix over_cap.csv"),
     ("collab-single-author", "collab --matrix single.csv"),
     ("collab-single-author-team", "collab --matrix single.csv --partition team"),
     # the CAI warning comes before the error of the write that then fails

@@ -2,6 +2,7 @@ import io
 
 import pytest
 
+from bibmet import wos
 from bibmet.errors import EmptyCorpusError
 from bibmet.wos import ExportRun, parse_wos_export, scan_wos_export, write_wos_export
 
@@ -171,3 +172,21 @@ def test_write_parse_roundtrip(sample_wos_text):
     assert again.records == corpus.records
     # serialization itself is stable
     assert write_wos_export(again) == text
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 64])
+@pytest.mark.parametrize("tail", [b"\xff\n", b"\xe2\x82x\n", b"\xe2\x82"],
+                         ids=["invalid-start", "cut-sequence", "cut-at-end"])
+def test_undecodable_bytes_are_named_from_the_input_start_at_any_read_size(
+        tmp_path, monkeypatch, chunk, tail):
+    # reads that end inside a multi-byte character leave its first bytes
+    # with the decoder, and the position must still count them
+    data = "PT J\r\nAU Müller, Ä\n".encode("utf-8") * 3 + tail
+    path = tmp_path / "export.txt"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as whole:
+        data.decode("utf-8")
+    monkeypatch.setattr(wos, "CHUNK_CHARS", chunk)
+    with pytest.raises(ValueError) as chunked:
+        list(wos._file_chunks(path))
+    assert str(chunked.value) == str(whole.value)

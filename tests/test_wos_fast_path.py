@@ -2,29 +2,36 @@
 
 Hypothesis writes exports in the block shape that ``write_wos_export``
 writes, which the scanner reads with one regular expression per block,
-and gives one of them at a time a deviation that must send it, or the
-whole file, down the line-by-line rules: a value with Unicode whitespace
-around it, a repeated name, a 2- or 4-space indent, an odd ``PY``,
-``ER x``, no blank line, ``EF`` mid-file, CR or CRLF line ends, no final
-line end, a reused, empty or missing ``UT``.  Files are read in chunks of
-1, 7 or 64 characters, each completed to the next line end, which cut
-blocks at every line, or of the default size.
+and the writer as runs of such blocks copied as read, and gives one of
+them at a time a deviation that must send it, or the whole file, down
+the line-by-line rules: a value with Unicode whitespace around it, a
+repeated name, a 2- or 4-space indent, an odd ``PY``, ``ER x``, no or
+two blank lines, ``EF`` mid-file, CR or CRLF line ends, no final line
+end, a reused, empty or missing ``UT``, ``rec000001`` after a block
+without ``UT``.  Half the exports are a run of 20 to 30 blocks, so that
+the deviation lands inside a run.  Files are read in chunks of 1, 7 or
+64 bytes, each completed to the next line end, which cut blocks at every
+line, or of the default size.
 The count tables, skipped lines, errors and the bytes of
 ``bibmet ingest --emit wos`` must equal the reference's, and the scanner
 must yield the same papers, ids, skipped and merged lines for the whole
-run with its fast path switched off.
+run, and the writer the same bytes, with its fast path switched off.
 """
 
+import dataclasses
 import io
+import os
 import re
 import tempfile
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bibmet import wos
+from bibmet.corpus import Corpus
 from bibmet.synth import sample_corpus
 from bibmet.tables import normalize_line_ends
 from test_ingest_differential import (
@@ -41,15 +48,15 @@ YEARS = st.sampled_from(["1000", "2001", "2015", "3000"])
 SPACES = st.sampled_from(["\x85", "\x0c", " ", "\t", "\xa0", "\u2028", "\x1c"])
 ODD_YEARS = st.sampled_from(["+2015", " 2015", "2015 ", "0999", "3001", "\u0662\u0660\u0661\u0665",
                              "02015", "20x1", ""])
-DEVIATIONS = ["none", "space", "repeat", "indent", "year", "er", "no-blank", "ef",
-              "line-ends", "no-final-newline", "ut"]
+DEVIATIONS = ["none", "space", "repeat", "indent", "year", "er", "no-blank", "two-blanks", "ef",
+              "line-ends", "no-final-newline", "ut", "renamed"]
 
 
 @st.composite
-def canonical_blocks(draw):
+def canonical_blocks(draw, blanks=st.sampled_from([1, 1, 1, 2, 3])):
     return {"names": draw(st.lists(NAMES, min_size=1, max_size=4, unique=True)),
             "indents": None, "year": draw(YEARS), "ut": "UT WOS:%d" % draw(st.integers(1, 99)),
-            "er": "ER", "blanks": draw(st.sampled_from([1, 1, 1, 2, 3]))}
+            "er": "ER", "blanks": draw(blanks)}
 
 
 def render(block):
@@ -64,7 +71,15 @@ def render(block):
 @st.composite
 def exports(draw):
     """A canonical export with at most one deviation."""
-    blocks = draw(st.lists(canonical_blocks(), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        # one run, each block after one blank line and with a UT of its own,
+        # which a second export of the same base repeats whole
+        blocks = draw(st.lists(canonical_blocks(st.just(1)), min_size=20, max_size=30))
+        base = draw(st.sampled_from([0, 100]))
+        for i, block in enumerate(blocks):
+            block["ut"] = f"UT WOS:{base + i}"
+    else:
+        blocks = draw(st.lists(canonical_blocks(), min_size=1, max_size=6))
     ef = draw(st.booleans())
     deviation = draw(st.sampled_from(DEVIATIONS))
     block = blocks[draw(st.integers(0, len(blocks) - 1))]
@@ -87,14 +102,21 @@ def exports(draw):
         i = draw(st.integers(1, len(names) - 1))
         block["indents"][i] = draw(st.sampled_from(["  ", "    "]))
     elif deviation == "year":
-        block["year"] = draw(ODD_YEARS)
+        block["year"] = draw(st.sampled_from(["0999", "3001"]) | ODD_YEARS)  # often out of range
     elif deviation == "er":
         block["er"] = draw(st.sampled_from(["ER x", "ER ", "ER  "]))
     elif deviation == "no-blank":
         block["blanks"] = 0
+    elif deviation == "two-blanks":
+        block["blanks"] = 2
     elif deviation == "ut":
         block["ut"] = draw(st.sampled_from(
-            [None, "UT", "UT ", "UT   ", "UT rec000001", blocks[0]["ut"]]))
+            [None, "UT", "UT ", "UT   ", "UT rec000001", blocks[0]["ut"], blocks[-1]["ut"]]))
+    elif deviation == "renamed" and len(blocks) > 1:
+        # a block without UT takes rec000001, so a later one that holds it is renamed
+        i = draw(st.integers(0, len(blocks) - 2))
+        blocks[i]["ut"] = None
+        blocks[draw(st.integers(i + 1, len(blocks) - 1))]["ut"] = "UT rec000001"
     texts = [render(b) for b in blocks]
     if deviation == "ef":
         texts.insert(draw(st.integers(1, len(texts))), "EF\n")
@@ -122,6 +144,9 @@ def test_chunked_fast_path_matches_the_seed_reference(texts, chunk, strict):
         assert outcome(lambda: run_records_path(paths, 3)) == expected
         argv = ["ingest", "--emit", "wos", *paths] + (["--strict"] if strict else [])
         assert run_cli(argv) == (code, emitted, err)
+        with mock.patch.object(wos, "_CANONICAL_BLOCK", re.compile("(?!)")):
+            # with no block kept by the fast path, the writer matches no run either
+            assert run_cli(argv) == (code, emitted, err)
     # the run's papers, ids, skipped and merged lines, as without the fast path
     exports = []
     for text in texts:
@@ -145,3 +170,46 @@ def test_every_block_write_wos_export_writes_is_canonical():
     blocks = [m[0] for m in wos._CANONICAL_BLOCK.finditer(text)]
     assert len(blocks) == 12
     assert "".join(blocks) + "\nEF\n" == text
+    # and every block after the first is in one run, which the writer copies as read
+    assert wos._CANONICAL_RUN.fullmatch(text, len(blocks[0]), len(text) - len("\nEF\n"))
+
+
+@pytest.mark.parametrize("repeats", ["every-block", "every-other-block"])
+def test_a_run_that_fails_is_not_tried_again_before_its_end(tmp_path, monkeypatch, repeats):
+    # the second export repeats the UT of every block of the first, or of
+    # every other one: its runs fail, and the blocks of a failed run must
+    # not each cost a run match of the rest
+    corpus = sample_corpus(range(2001, 2005), [500] * 4, {1: 0.3, 2: 0.3, 5: 0.4}, seed=7)
+    first = tmp_path / "first.txt"
+    first.write_text(wos.write_wos_export(corpus), encoding="utf-8")
+    paths = [first, first]  # named twice, every block of the second merged
+    if repeats == "every-other-block":
+        paths[1] = tmp_path / "second.txt"
+        paths[1].write_text(wos.write_wos_export(Corpus(tuple(
+            dataclasses.replace(r, id=r.id + "-2") if i % 2 else r
+            for i, r in enumerate(corpus.records)))), encoding="utf-8")
+    expected = io.StringIO()
+    wos.write_export(wos.scan_wos_file(paths, wos.ExportRun()), expected)
+    attempts, chunks = [], []
+
+    class Spy:
+        @staticmethod
+        def match(text, pos):
+            attempts.append(pos)
+            return run.match(text, pos)
+
+    def counted(*segment):
+        for chunk in file_chunks(*segment):
+            chunks.append(chunk)
+            yield chunk
+
+    run, file_chunks = wos._CANONICAL_RUN, wos._file_chunks
+    monkeypatch.setattr(wos, "_CANONICAL_RUN", Spy())
+    monkeypatch.setattr(wos, "_file_chunks", counted)
+    monkeypatch.setattr(wos, "CHUNK_CHARS", 4096)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    out = io.StringIO()
+    wos.write_export_files(paths, wos.ExportRun(), out)
+    assert out.getvalue() == expected.getvalue()
+    assert len(chunks) > 40
+    assert 0 < len(attempts) <= len(chunks)
