@@ -44,7 +44,7 @@ from .lotka import (
     lotka_constant,
 )
 from .synth import PowerLawSpec, sample_productivity, sample_spec_papers, spec_from_json
-from .tables import AuthorshipMatrix, ProductivityDistribution, YearlySeries, normalize_line_ends
+from .tables import AuthorshipMatrix, ProductivityDistribution, YearlySeries
 from .wos import ExportRun, _file_chunks, count_export_files, write_export, write_export_files
 
 # not called: perfbench/spans.py patches these names here (see tests/test_tracer_targets.py)
@@ -128,7 +128,7 @@ def _apply_config(argv: list[str], commands) -> list[str]:
     except (OSError, ValueError) as exc:
         raise _UsageError(f"bibmet: cannot read config file: {exc}") from exc
     flags: list[str] = []
-    for lineno, raw in enumerate(normalize_line_ends(text).split("\n"), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -171,9 +171,7 @@ def _build_parser() -> _Parser:
     p.add_argument("files", nargs="+", metavar="FILE", help="tagged .txt export(s)")
     p.add_argument("--emit", choices=["yearly", "matrix", "distribution", "wos"],
                    default="yearly", help="which table to emit (default yearly)")
-    p.add_argument("--cap", type=int, default=10, help="author-class cap (default 10)")
-    p.add_argument("--no-collapse", action="store_true",
-                   help="do not fold author counts above the cap into one class")
+    _add_cap_flags(p)
     p.add_argument("--strict", action="store_true",
                    help="fail if any export block had to be skipped")
     p.add_argument("--source-comment", action="store_true",
@@ -236,8 +234,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--emit", choices=["wos", "yearly", "matrix", "distribution"],
                    help="output format (corpus specs default to wos; "
                         "productivity specs emit a distribution)")
-    p.add_argument("--cap", type=int, default=10)
-    p.add_argument("--no-collapse", action="store_true")
+    _add_cap_flags(p)
     add_output(p)
     p.set_defaults(func=_cmd_synth)
 
@@ -253,10 +250,14 @@ def _add_growth_flags(p):
                    help="use ln 2 instead of 0.693 for doubling time")
 
 
-def _add_collab_flags(p):
+def _add_cap_flags(p):
     p.add_argument("--cap", type=int, default=10, help="author-class cap (default 10)")
     p.add_argument("--no-collapse", action="store_true",
-                   help="keep author-count classes above the cap separate")
+                   help="do not fold author counts above the cap into one class")
+
+
+def _add_collab_flags(p):
+    _add_cap_flags(p)
     p.add_argument("--partition", choices=sorted(PARTITIONS), default="multi",
                    help="co-authorship class partition (default multi)")
 

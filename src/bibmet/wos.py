@@ -26,9 +26,9 @@ a ``UT``, or with one that equals a synthetic id given out before, takes
 the next synthetic id (``rec000001``, ...) that no ``UT`` of the run holds.
 
 One block scanner, :func:`scan_wos_export`, reads a run's exports in
-chunks that end at a line end (:func:`_file_chunks` reads ``CHUNK_CHARS``
-bytes of a file at a time and cuts the text after a line end, for every
-export and for the CLI's CSV count tables).  Between blocks it first
+chunks that end at a line end (:func:`_file_chunks` reads a file, or a
+byte range of it, ``CHUNK_CHARS`` bytes at most at a time and cuts the
+text after a line end, for every export and the CLI's CSV count tables).  Between blocks it first
 tries one regular expression for the block :func:`write_wos_export`
 writes, which reads the whole block with no work per line; every other
 block goes through the line-by-line rules, which keep only the block's
@@ -66,7 +66,6 @@ import os
 import re
 import signal
 import stat
-import sys
 import tempfile
 import threading
 from dataclasses import dataclass, field
@@ -81,7 +80,7 @@ _CONTINUATION = "   "
 RECORD_END = "ER"
 FILE_END = "EF"
 
-#: Bytes read from an input file at a time, before the rest of the line.
+#: Bytes read from an input file at a time; text after a read's last line end carries over.
 CHUNK_CHARS = 128 * 1024
 # Each value of the block that write_wos_export writes starts and ends with
 # a non-space, so it equals its own strip() and no line needs a look; its
@@ -300,16 +299,17 @@ def scan_wos_file(paths: Iterable, run: ExportRun) -> Iterator[tuple[str, int, t
 
 
 def _file_chunks(path, start: int = 0, stop: int | None = None) -> Iterator[str]:
-    # CHUNK_CHARS bytes at a time, decoded in universal-newline mode, which
-    # ends lines at \n, \r\n and \r only; a segment starts and stops after
-    # a \n, so it holds the file's lines
-    raw = io.FileIO(path) if not start and stop is None else _ByteRange(path, start, stop)
+    # bytes start to stop (the end if None), at most CHUNK_CHARS a read (a pipe gives
+    # what one read returns), decoded in universal-newline mode, which ends lines at
+    # \n, \r\n and \r only; a segment starts and stops after a \n, so holds whole lines
     decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), True)
     line: list[str] = []  # the text read after the last line end
     offset = start  # of the next read in the file
-    with io.BufferedReader(raw) as fh:
+    with io.FileIO(path) as fh:
+        if start:  # a range of a regular file: a pipe cannot seek, even to 0
+            fh.seek(start)
         while True:
-            data = fh.read(CHUNK_CHARS)
+            data = fh.read(CHUNK_CHARS if stop is None else min(CHUNK_CHARS, stop - offset))
             held = decoder.getstate()[0]  # undecoded bytes of the reads before
             try:
                 text = decoder.decode(data, final=not data)
@@ -337,18 +337,6 @@ def _decode_error(exc: UnicodeDecodeError, offset: int) -> ValueError:
     what = (f"byte 0x{exc.object[exc.start]:02x} in position {first}" if first == last
             else f"bytes in position {first}-{last}")
     return ValueError(f"'{exc.encoding}' codec can't decode {what}: {exc.reason}")
-
-
-class _ByteRange(io.FileIO):
-    """Bytes ``start`` to ``stop`` (the end if None) of a file, but for ``readall``."""
-
-    def __init__(self, path, start: int, stop: int | None):
-        super().__init__(path)
-        self.seek(start)
-        self.stop = sys.maxsize if stop is None else stop
-
-    def readinto(self, buffer) -> int:
-        return super().readinto(memoryview(buffer)[:max(0, self.stop - self.tell())])
 
 
 def parse_wos_export(source: Union[str, TextIO]) -> WosParseResult:

@@ -961,6 +961,20 @@ def test_config_file_supplies_defaults(capsys, tmp_path):
     assert json.loads(out)["convention"] == "paper"
 
 
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_config_line_ends_read_as_lf(capsys, tmp_path, end):
+    # a comment line ends at its own line end, not at the next \n
+    lines = ["# defaults", "convention = standard", "exact-ln2 = true", ""]
+    outputs = []
+    for line_end in ("\n", end):
+        config = tmp_path / "bibmet.conf"
+        config.write_bytes(line_end.join(lines).encode("utf-8"))
+        outputs.append(run(capsys, "growth", "--series", SERIES, "--config", str(config),
+                           "--format", "json"))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0 and json.loads(outputs[0][1])["convention"] == "standard"
+
+
 def test_config_path_with_a_nul_byte_is_usage_error(capsys):
     # main's own argv, not a shell's, can hold one
     code, out, err = run(capsys, "growth", "--series", SERIES, "--config=bibmet\0.conf")

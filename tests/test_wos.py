@@ -190,3 +190,54 @@ def test_undecodable_bytes_are_named_from_the_input_start_at_any_read_size(
     with pytest.raises(ValueError) as chunked:
         list(wos._file_chunks(path))
     assert str(chunked.value) == str(whole.value)
+
+
+def crlf_export(bad: bytes = b"") -> tuple[bytes, list[int]]:
+    # an export with CRLF line ends, multi-byte names and six ER lines, bad
+    # in the title of its third block; and the byte after each ER line end
+    blocks = [f"PT J\r\nAU Müller, Ä\r\n   Øster, {i}\r\nTI Über {i}\r\nPY 2015\r\n"
+              f"UT WOS:{i}\r\nER\r\n\r\n".encode("utf-8") for i in range(6)]
+    blocks[2] = blocks[2].replace(b"TI \xc3\x9cber", b"TI \xc3\x9cber" + bad)
+    data = b"".join(blocks) + b"EF\r\n"
+    return data, [end.end() for end in wos._ER_BYTES.finditer(data)]
+
+
+def byte_ranges(cuts: list[int]) -> list[tuple[int, int | None]]:
+    # every range from a cut (or 0) to a later cut (or None, the end)
+    return [(start, stop) for start in [0] + cuts for stop in cuts + [None]
+            if stop is None or start < stop]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_a_byte_range_reads_its_own_bytes_decoded(tmp_path, monkeypatch, chunk):
+    # reads of 1 or 7 bytes end inside a multi-byte character, and a read
+    # that would pass stop is cut there
+    data, cuts = crlf_export()
+    path = tmp_path / "export.txt"
+    path.write_bytes(data)
+    monkeypatch.setattr(wos, "CHUNK_CHARS", chunk)
+    for start, stop in byte_ranges(cuts):
+        expected = data[start:stop].decode("utf-8").replace("\r\n", "\n")
+        chunks = list(wos._file_chunks(path, start, stop))
+        assert "".join(chunks) == expected, (start, stop)
+        assert all(piece.endswith("\n") for piece in chunks), (start, stop)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_an_undecodable_byte_in_a_range_is_named_from_the_file_start(
+        tmp_path, monkeypatch, chunk):
+    data, cuts = crlf_export(bad=b"\xff")
+    path = tmp_path / "export.txt"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as whole:
+        data.decode("utf-8")
+    bad = whole.value.start
+    monkeypatch.setattr(wos, "CHUNK_CHARS", chunk)
+    for start, stop in byte_ranges(cuts):
+        if start <= bad < (len(data) if stop is None else stop):
+            with pytest.raises(ValueError) as ranged:
+                list(wos._file_chunks(path, start, stop))
+            assert str(ranged.value) == str(whole.value), (start, stop)
+        else:  # a range before or after the byte reads none of it
+            expected = data[start:stop].decode("utf-8").replace("\r\n", "\n")
+            assert "".join(wos._file_chunks(path, start, stop)) == expected, (start, stop)
