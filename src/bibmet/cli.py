@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import os
 import shutil
@@ -44,7 +43,7 @@ from .lotka import (
     lotka_constant,
 )
 from .synth import PowerLawSpec, sample_productivity, sample_spec_papers, spec_from_json
-from .tables import AuthorshipMatrix, ProductivityDistribution, YearlySeries
+from .tables import AuthorshipMatrix, ProductivityDistribution, Value, YearlySeries
 from .wos import ExportRun, _file_chunks, count_export_files, write_export, write_export_files
 
 # not called: perfbench/spans.py patches these names here (see tests/test_tracer_targets.py)
@@ -440,7 +439,12 @@ def _render(report: GrowthReport | CollabReport, fmt: str) -> str:
         return report.to_csv()
     if fmt == "markdown":
         return report.to_markdown()
-    return json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True) + "\n"
+    return json.dumps(report, default=_as_dict, indent=2, sort_keys=True) + "\n"
+
+
+def _as_dict(value: Value) -> dict:
+    # what json.dumps writes for each value type it meets: a dict of its fields
+    return dict(zip(value.__slots__, value._fields()))
 
 
 def _cmd_growth(args) -> int:

@@ -22,11 +22,10 @@ as j):
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import DomainError
-from .tables import AuthorshipMatrix
+from .tables import AuthorshipMatrix, Value, _set
 
 # (label, smallest class, largest class or None for unbounded)
 ClassPartition = Sequence[tuple[str, int, int | None]]
@@ -127,38 +126,48 @@ def coauthorship_index(matrix: AuthorshipMatrix,
     return result
 
 
-@dataclass(frozen=True)
-class CollabRow:
+class CollabRow(Value):
     """One period's collaboration metrics (a year, or the pooled total)."""
 
-    label: str
-    papers: int
-    author_slots: int
-    ci: float
-    dc: float
-    cai_multi: float | None
-    cai_by_class: dict[str, float]
-    cc: float
-    mcc: float | None
+    __slots__ = ("label", "papers", "author_slots", "ci", "dc", "cai_multi", "cai_by_class",
+                 "cc", "mcc")
+
+    def __init__(self, label: str, papers: int, author_slots: int, ci: float, dc: float,
+                 cai_multi: float | None, cai_by_class: dict[str, float], cc: float,
+                 mcc: float | None):
+        _set(self, "label", label)
+        _set(self, "papers", papers)
+        _set(self, "author_slots", author_slots)
+        _set(self, "ci", ci)
+        _set(self, "dc", dc)
+        _set(self, "cai_multi", cai_multi)
+        _set(self, "cai_by_class", cai_by_class)
+        _set(self, "cc", cc)
+        _set(self, "mcc", mcc)
 
 
-@dataclass(frozen=True)
-class ClassSummary:
+class ClassSummary(Value):
     """Pooled per-class row: papers, author slots, share of all papers."""
 
-    authors: int
-    papers: int
-    author_slots: int
-    percent: float
+    __slots__ = ("authors", "papers", "author_slots", "percent")
+
+    def __init__(self, authors: int, papers: int, author_slots: int, percent: float):
+        _set(self, "authors", authors)
+        _set(self, "papers", papers)
+        _set(self, "author_slots", author_slots)
+        _set(self, "percent", percent)
 
 
-@dataclass(frozen=True)
-class CollabReport:
+class CollabReport(Value):
     """Per-year collaboration metrics plus a pooled totals row."""
 
-    rows: tuple[CollabRow, ...]
-    total: CollabRow
-    class_summary: tuple[ClassSummary, ...]
+    __slots__ = ("rows", "total", "class_summary")
+
+    def __init__(self, rows: tuple[CollabRow, ...], total: CollabRow,
+                 class_summary: tuple[ClassSummary, ...]):
+        _set(self, "rows", rows)
+        _set(self, "total", total)
+        _set(self, "class_summary", class_summary)
 
     def row(self, year: int) -> CollabRow:
         for r in self.rows:

@@ -15,12 +15,11 @@ distribution are built from, so records need not be kept to tabulate.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Iterable, Iterator
 
 from .errors import DomainError
-from .tables import AuthorshipMatrix, ProductivityDistribution, YearlySeries
+from .tables import AuthorshipMatrix, ProductivityDistribution, Value, YearlySeries, _set
 
 YEAR_MIN = 1000
 YEAR_MAX = 3000
@@ -46,39 +45,39 @@ def _normalize_authors(authors) -> tuple[str, ...]:
     return tuple(seen)
 
 
-@dataclass(frozen=True)
-class PublicationRecord:
+class PublicationRecord(Value):
     """One publication: an opaque id, a year, and an ordered author list."""
 
-    id: str
-    year: int
-    authors: tuple[str, ...]
+    __slots__ = ("id", "year", "authors")
 
-    def __post_init__(self):
-        object.__setattr__(self, "authors", _normalize_authors(self.authors))
-        if not self.id:
+    def __init__(self, id: str, year: int, authors: tuple[str, ...]):
+        authors = _normalize_authors(authors)
+        if not id:
             raise ValueError("record id must be non-empty")
-        if not isinstance(self.year, int) or not YEAR_MIN <= self.year <= YEAR_MAX:
-            raise ValueError(f"year {self.year!r} outside [{YEAR_MIN}, {YEAR_MAX}]")
-        if not self.authors:
-            raise ValueError(f"record {self.id}: at least one author required")
+        if not isinstance(year, int) or not YEAR_MIN <= year <= YEAR_MAX:
+            raise ValueError(f"year {year!r} outside [{YEAR_MIN}, {YEAR_MAX}]")
+        if not authors:
+            raise ValueError(f"record {id}: at least one author required")
+        _set(self, "id", id)
+        _set(self, "year", year)
+        _set(self, "authors", authors)
 
     @property
     def author_count(self) -> int:
         return len(self.authors)
 
 
-@dataclass(frozen=True)
-class Corpus:
+class Corpus(Value):
     """An immutable collection of publication records with unique ids."""
 
-    records: tuple[PublicationRecord, ...]
+    __slots__ = ("records",)
 
-    def __post_init__(self):
-        ids = [r.id for r in self.records]
+    def __init__(self, records: tuple[PublicationRecord, ...]):
+        ids = [r.id for r in records]
         if len(set(ids)) != len(ids):
             dup = next(i for i, c in Counter(ids).items() if c > 1)
             raise ValueError(f"duplicate record id: {dup!r}")
+        _set(self, "records", records)
 
     def __len__(self) -> int:
         return len(self.records)

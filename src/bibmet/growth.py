@@ -19,22 +19,24 @@ switches to full precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
+from .corpus import YEAR_MAX, YEAR_MIN
 from .errors import DomainError
-from .tables import YearlySeries
+from .tables import Value, YearlySeries, _set
 
 LN2_APPROX = 0.693
 
 _CONVENTIONS = ("paper", "standard")
 
 
-@dataclass(frozen=True)
-class GrowthRatios:
+class GrowthRatios(Value):
     """Per-year prior/current output ratios; ``None`` where undefined."""
 
-    entries: tuple[tuple[int, float | None], ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[int, float | None], ...]):
+        _set(self, "entries", entries)
 
     @property
     def mean(self) -> float:
@@ -47,57 +49,75 @@ class GrowthRatios:
         return dict(self.entries)[year]
 
 
-@dataclass(frozen=True)
-class RgrSeries:
+class RgrSeries(Value):
     """Per-year relative growth rate under a named convention."""
 
-    convention: str
-    entries: tuple[tuple[int, float | None], ...]
+    __slots__ = ("convention", "entries")
+
+    def __init__(self, convention: str, entries: tuple[tuple[int, float | None], ...]):
+        _set(self, "convention", convention)
+        _set(self, "entries", entries)
 
     def value(self, year: int) -> float | None:
         return dict(self.entries)[year]
 
 
-@dataclass(frozen=True)
-class BlockMeans:
+class BlockMeans(Value):
     """Arithmetic means over index blocks plus their overall mean."""
 
-    per_block: tuple[float, ...]
+    __slots__ = ("per_block",)
+
+    def __init__(self, per_block: tuple[float, ...]):
+        _set(self, "per_block", per_block)
 
     @property
     def overall(self) -> float:
         return sum(self.per_block) / len(self.per_block)
 
 
-@dataclass(frozen=True)
-class GrowthRow:
-    year: int
-    papers: int
-    cumulative: int
-    growth_ratio: float | None
-    rgr: float | None
-    doubling_time: float | None
+class GrowthRow(Value):
+    __slots__ = ("year", "papers", "cumulative", "growth_ratio", "rgr", "doubling_time")
+
+    def __init__(self, year: int, papers: int, cumulative: int, growth_ratio: float | None,
+                 rgr: float | None, doubling_time: float | None):
+        _set(self, "year", year)
+        _set(self, "papers", papers)
+        _set(self, "cumulative", cumulative)
+        _set(self, "growth_ratio", growth_ratio)
+        _set(self, "rgr", rgr)
+        _set(self, "doubling_time", doubling_time)
 
 
-@dataclass(frozen=True)
-class BlockSummary:
-    start_year: int
-    end_year: int
-    mean_rgr: float
-    mean_doubling_time: float
+class BlockSummary(Value):
+    __slots__ = ("start_year", "end_year", "mean_rgr", "mean_doubling_time")
+
+    def __init__(self, start_year: int, end_year: int, mean_rgr: float,
+                 mean_doubling_time: float):
+        _set(self, "start_year", start_year)
+        _set(self, "end_year", end_year)
+        _set(self, "mean_rgr", mean_rgr)
+        _set(self, "mean_doubling_time", mean_doubling_time)
 
 
-@dataclass(frozen=True)
-class GrowthReport:
-    """Full growth table: per-year rows, block means, and overall means."""
+class GrowthReport(Value):
+    """Full growth table: per-year rows, block means, and overall means.
 
-    convention: str
-    rows: tuple[GrowthRow, ...]
-    blocks: tuple[BlockSummary, ...]
-    mean_growth_ratio: float
-    mean_rgr: float            # mean of block means
-    mean_doubling_time: float  # mean of block means
-    ln2: float
+    ``mean_rgr`` and ``mean_doubling_time`` are means of the block means.
+    """
+
+    __slots__ = ("convention", "rows", "blocks", "mean_growth_ratio", "mean_rgr",
+                 "mean_doubling_time", "ln2")
+
+    def __init__(self, convention: str, rows: tuple[GrowthRow, ...],
+                 blocks: tuple[BlockSummary, ...], mean_growth_ratio: float,
+                 mean_rgr: float, mean_doubling_time: float, ln2: float):
+        _set(self, "convention", convention)
+        _set(self, "rows", rows)
+        _set(self, "blocks", blocks)
+        _set(self, "mean_growth_ratio", mean_growth_ratio)
+        _set(self, "mean_rgr", mean_rgr)
+        _set(self, "mean_doubling_time", mean_doubling_time)
+        _set(self, "ln2", ln2)
 
     def to_csv(self) -> str:
         def fmt(v):
@@ -136,13 +156,30 @@ class GrowthReport:
         return "\n".join(lines) + "\n"
 
 
+def _every_year(series: YearlySeries) -> YearlySeries:
+    """``series`` with each year missing inside its span counted as 0 papers.
+
+    That is how :meth:`CountTables.yearly_series` counts an export, so a
+    table and an export of the same papers give the same growth figures.
+    """
+    first, last = series.entries[0][0], series.entries[-1][0]
+    if last - first + 1 == len(series):
+        return series
+    if last - first > YEAR_MAX - YEAR_MIN:
+        raise DomainError(f"a yearly series with missing years must span at most "
+                          f"{YEAR_MAX - YEAR_MIN + 1} years, got {first}-{last}")
+    papers = dict(series.entries)
+    return YearlySeries(tuple((year, papers.get(year, 0)) for year in range(first, last + 1)))
+
+
 def growth_ratio_series(series: YearlySeries) -> GrowthRatios:
     """Ratio of the previous year's output to the current year's.
 
-    The first year has no ratio; a year with zero output yields an
-    undefined (``None``) ratio for the following computation and is
-    excluded from the mean.
+    The first year has no ratio; a year with zero output, as a year
+    missing from ``series`` counts, yields an undefined (``None``) ratio
+    for the following computation and is excluded from the mean.
     """
+    series = _every_year(series)
     if len(series) < 2:
         raise DomainError("growth ratios need at least two years")
     entries: list[tuple[int, float | None]] = []
@@ -158,10 +195,14 @@ def growth_ratio_series(series: YearlySeries) -> GrowthRatios:
 
 
 def relative_growth_rate(series: YearlySeries, convention: str = "paper") -> RgrSeries:
-    """Per-year relative growth rate; see the module docstring for conventions."""
+    """Per-year relative growth rate; see the module docstring for conventions.
+
+    A year missing from ``series`` inside its span counts as 0 papers.
+    """
     if convention not in _CONVENTIONS:
         raise DomainError(f"unknown rgr convention {convention!r}; "
                           f"expected one of {_CONVENTIONS}")
+    series = _every_year(series)
     if len(series) < 2:
         raise DomainError("relative growth rate needs at least two years")
     papers = series.papers
@@ -228,8 +269,10 @@ def build_growth_report(series: YearlySeries, convention: str = "paper",
 
     ``block_split`` is the number of leading defined RGR entries in the
     first averaging block, at least 1; the remainder form the second block.
+    A year missing from ``series`` inside its span gets a row of 0 papers.
     """
     _check_block_split(block_split)
+    series = _every_year(series)
     ratios = growth_ratio_series(series)
     rgr = relative_growth_rate(series, convention=convention)
     ln2 = math.log(2) if exact_ln2 else LN2_APPROX

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .corpus import YEAR_MAX, YEAR_MIN, Corpus, PublicationRecord
 from .errors import DomainError
-from .tables import ProductivityDistribution
+from .tables import ProductivityDistribution, Value, _set
 
 #: Largest ``x_max`` of a power-law spec: sampling allocates that many weights.
 X_MAX_LIMIT = 10**6
@@ -31,50 +30,52 @@ AUTHOR_POOL_LIMIT = 10**6
 AUTHOR_SLOTS_LIMIT = 5 * 10**6
 
 
-@dataclass(frozen=True)
-class PowerLawSpec:
+class PowerLawSpec(Value):
     """Target power law for productivity sampling."""
 
-    n0: float
-    total_authors: int
-    x_max: int
-    seed: int
+    __slots__ = ("n0", "total_authors", "x_max", "seed")
 
-    def __post_init__(self):
-        if not math.isfinite(self.n0):
-            raise DomainError(f"power-law exponent n0 must be finite, got {self.n0}")
-        if self.n0 <= 1:
-            raise DomainError(f"power-law exponent must be > 1, got {self.n0}")
-        if self.x_max < 2:
+    def __init__(self, n0: float, total_authors: int, x_max: int, seed: int):
+        if not math.isfinite(n0):
+            raise DomainError(f"power-law exponent n0 must be finite, got {n0}")
+        if n0 <= 1:
+            raise DomainError(f"power-law exponent must be > 1, got {n0}")
+        if x_max < 2:
             raise DomainError("x_max must be >= 2")
-        if self.x_max > X_MAX_LIMIT:
+        if x_max > X_MAX_LIMIT:
             raise DomainError(f"x_max must be <= {X_MAX_LIMIT}")
-        if not 1 <= self.total_authors < 2 ** 63:  # numpy's multinomial takes an int64
+        if not 1 <= total_authors < 2 ** 63:  # numpy's multinomial takes an int64
             raise DomainError("total_authors must be >= 1 and < 2**63")
-        if not 0 <= int(self.seed) < 2 ** 64:
+        if not 0 <= int(seed) < 2 ** 64:
             raise DomainError("seed must fit in 64 bits")
+        _set(self, "n0", n0)
+        _set(self, "total_authors", total_authors)
+        _set(self, "x_max", x_max)
+        _set(self, "seed", seed)
 
 
-@dataclass(frozen=True)
-class CorpusSpec:
+class CorpusSpec(Value):
     """Shape of a synthetic corpus: per-year paper counts and team-size mix."""
 
-    start_year: int
-    papers_per_year: tuple[int, ...]
-    author_count_dist: tuple[tuple[int, float], ...]
-    seed: int
-    author_pool: int = 10000
+    __slots__ = ("start_year", "papers_per_year", "author_count_dist", "seed", "author_pool")
 
-    def __post_init__(self):
-        if not 0 <= self.seed < 2 ** 64:
+    def __init__(self, start_year: int, papers_per_year: tuple[int, ...],
+                 author_count_dist: tuple[tuple[int, float], ...], seed: int,
+                 author_pool: int = 10000):
+        if not 0 <= seed < 2 ** 64:
             raise DomainError("seed must fit in 64 bits")
-        if self.author_pool > AUTHOR_POOL_LIMIT:
+        if author_pool > AUTHOR_POOL_LIMIT:
             raise DomainError(f"author_pool must be <= {AUTHOR_POOL_LIMIT}")
-        papers = sum(p for p in self.papers_per_year if p > 0)
-        largest = max((j for j, _ in self.author_count_dist), default=0)
+        papers = sum(p for p in papers_per_year if p > 0)
+        largest = max((j for j, _ in author_count_dist), default=0)
         if papers * largest > AUTHOR_SLOTS_LIMIT:
             raise DomainError(f"papers times the largest team size must be <= "
                               f"{AUTHOR_SLOTS_LIMIT}, got {papers} x {largest}")
+        _set(self, "start_year", start_year)
+        _set(self, "papers_per_year", papers_per_year)
+        _set(self, "author_count_dist", author_count_dist)
+        _set(self, "seed", seed)
+        _set(self, "author_pool", author_pool)
 
 
 def sample_productivity(spec: PowerLawSpec) -> ProductivityDistribution:

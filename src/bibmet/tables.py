@@ -12,7 +12,7 @@ In the matrix dialect the first column holds the author-count class; a
 trailing ``+`` on the last class label (``10+``) marks a collapsed top
 class that absorbs all larger author counts.
 
-Each table's ``__post_init__`` holds its rules (keys strictly increasing,
+Each table's ``__init__`` holds its rules (keys strictly increasing,
 counts non-negative and at most ``COUNT_MAX``, ``x >= 1``, classes ``>= 1``
 and at most ``COUNT_MAX``, a collapsed class ``>= 2``).  The CSV reader
 checks only the header, the integer cells (ASCII digits after an optional
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal, Union
 
 from .errors import DomainError, ParseError
@@ -42,6 +41,46 @@ CAP_MAX = 10_000
 COUNT_MAX = 2**63 - 1
 
 
+#: sets a field of a :class:`Value` in its ``__init__``
+_set = object.__setattr__
+
+
+class Value:
+    """An immutable value: equality, hash, ``repr`` and pickling from its ``__slots__``.
+
+    A subclass lists its fields in ``__slots__`` and sets each one in its
+    ``__init__`` with ``_set``.  The value types are not dataclasses:
+    importing ``dataclasses`` and generating their methods would cost
+    every run about 20 ms at start-up.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+
 class _RowError(ValueError):
     """A table rule broken at data row ``row`` (``-1``: header, ``None``: whole table)."""
 
@@ -50,17 +89,16 @@ class _RowError(ValueError):
         self.row = row
 
 
-@dataclass(frozen=True)
-class YearlySeries:
+class YearlySeries(Value):
     """Publication counts per year, with cumulative and percentage views."""
 
-    entries: tuple[tuple[int, int], ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        if not self.entries:
+    def __init__(self, entries: tuple[tuple[int, int], ...]):
+        if not entries:
             raise _RowError("a yearly series needs at least one entry")
         prev = None
-        for i, (year, papers) in enumerate(self.entries):
+        for i, (year, papers) in enumerate(entries):
             # a bool is an int to Python, but its CSV cell would read "True"
             if (not isinstance(year, int) or not isinstance(papers, int)
                     or year.__class__ is bool or papers.__class__ is bool):
@@ -72,6 +110,7 @@ class YearlySeries:
             if prev is not None and year <= prev:
                 raise _RowError("years must be strictly increasing", i)
             prev = year
+        _set(self, "entries", entries)
 
     @property
     def years(self) -> tuple[int, ...]:
@@ -123,8 +162,7 @@ class YearlySeries:
         return _read_csv(cls, source, "year,papers", "year", "paper count")
 
 
-@dataclass(frozen=True)
-class AuthorshipMatrix:
+class AuthorshipMatrix(Value):
     """Counts of papers by author-count class and year.
 
     ``counts[i][k]`` is the number of papers in year ``years[k]`` written
@@ -132,40 +170,41 @@ class AuthorshipMatrix:
     class means "``cap`` or more authors" and ``cap == classes[-1]``.
     """
 
-    classes: tuple[int, ...]
-    years: tuple[int, ...]
-    counts: tuple[tuple[int, ...], ...]
-    collapsed: bool = False
-    cap: int = 10
+    __slots__ = ("classes", "years", "counts", "collapsed", "cap")
 
-    def __post_init__(self):
-        if not self.classes or not self.years:
+    def __init__(self, classes: tuple[int, ...], years: tuple[int, ...],
+                 counts: tuple[tuple[int, ...], ...], collapsed: bool = False, cap: int = 10):
+        if not classes or not years:
             raise _RowError("matrix needs at least one class and one year")
-        if any(not isinstance(y, int) or y.__class__ is bool for y in self.years):
+        if any(not isinstance(y, int) or y.__class__ is bool for y in years):
             raise _RowError("years must be integers", -1)
-        if list(self.years) != sorted(set(self.years)):
+        if list(years) != sorted(set(years)):
             raise _RowError("years must be strictly increasing", -1)
-        if len(self.counts) != len(self.classes):
+        if len(counts) != len(classes):
             raise ValueError("one count row per class required")
-        for i, (j, row) in enumerate(zip(self.classes, self.counts)):
+        for i, (j, row) in enumerate(zip(classes, counts)):
             if not isinstance(j, int) or j.__class__ is bool or j < 1:
                 raise _RowError("author-count classes must be integers >= 1", i)
             if j > COUNT_MAX:
                 raise _RowError(f"author-count classes must be <= {COUNT_MAX}", i)
-            if i and j <= self.classes[i - 1]:
+            if i and j <= classes[i - 1]:
                 raise _RowError("classes must be strictly increasing", i)
-            if len(row) != len(self.years):
+            if len(row) != len(years):
                 raise _RowError("one count per year required in each row", i)
             if any(not isinstance(c, int) or c.__class__ is bool or c < 0 for c in row):
                 raise _RowError("counts must be non-negative integers", i)
             if max(row) > COUNT_MAX:
                 raise _RowError(f"counts must be <= {COUNT_MAX}", i)
-        if self.cap < 2:
+        if cap < 2:
             # the cap of a collapsed matrix is its last class
-            raise _RowError("cap must be >= 2",
-                            len(self.classes) - 1 if self.collapsed else None)
-        if self.collapsed and self.classes[-1] != self.cap:
+            raise _RowError("cap must be >= 2", len(classes) - 1 if collapsed else None)
+        if collapsed and classes[-1] != cap:
             raise ValueError("collapsed matrix must end at the cap class")
+        _set(self, "classes", classes)
+        _set(self, "years", years)
+        _set(self, "counts", counts)
+        _set(self, "collapsed", collapsed)
+        _set(self, "cap", cap)
 
     def year_index(self, year: int) -> int:
         try:
@@ -259,17 +298,16 @@ class AuthorshipMatrix:
         return _read_csv(cls, source, "authors,<year>,...", "author-count class", "count")
 
 
-@dataclass(frozen=True)
-class ProductivityDistribution:
+class ProductivityDistribution(Value):
     """Author-productivity histogram: ``y`` authors wrote exactly ``x`` papers."""
 
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ("pairs",)
 
-    def __post_init__(self):
-        if not self.pairs:
+    def __init__(self, pairs: tuple[tuple[int, int], ...]):
+        if not pairs:
             raise _RowError("a productivity distribution needs at least one pair")
         prev = None
-        for i, (x, y) in enumerate(self.pairs):
+        for i, (x, y) in enumerate(pairs):
             if (not isinstance(x, int) or not isinstance(y, int)
                     or x.__class__ is bool or y.__class__ is bool):
                 raise _RowError("x and y must be integers", i)
@@ -282,6 +320,7 @@ class ProductivityDistribution:
             if prev is not None and x <= prev:
                 raise _RowError("x values must be strictly increasing", i)
             prev = x
+        _set(self, "pairs", pairs)
 
     @property
     def xs(self) -> tuple[int, ...]:
@@ -326,7 +365,7 @@ def parse_counts_csv(text: str, shape: TableShape) -> CountTable:
     ``matrix`` (``authors,<year>,...``) or ``distribution`` (``x,y``).
     Raises :class:`ParseError` at the line of the first row the reader
     cannot read, else of the first row that breaks a rule of the table's
-    ``__post_init__``; a rule on the whole table (no data rows) is
+    ``__init__``; a rule on the whole table (no data rows) is
     reported at the header.
     """
     table = {"yearly": YearlySeries, "matrix": AuthorshipMatrix,

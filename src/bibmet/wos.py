@@ -68,12 +68,11 @@ import signal
 import stat
 import tempfile
 import threading
-from dataclasses import dataclass, field
 from typing import BinaryIO, Iterable, Iterator, TextIO, Union
 
 from .corpus import YEAR_MAX, YEAR_MIN, Corpus, CountTables, PublicationRecord, batches
 from .errors import EmptyCorpusError
-from .tables import normalize_line_ends
+from .tables import Value, _set, normalize_line_ends
 
 _CONTINUATION = "   "
 
@@ -105,32 +104,50 @@ _ER_LINE = "\n" + RECORD_END + "\n"
 _ER_BYTES = re.compile(rb"\nER\r?\n")
 
 
-@dataclass(frozen=True)
-class WosParseResult:
-    """A parsed corpus plus the tally of skipped (unusable) blocks."""
+class WosParseResult(Value):
+    """A parsed corpus plus the tally of skipped (unusable) blocks.
 
-    corpus: Corpus
-    skipped_lines: tuple[int, ...]  # starting line of each skipped block
+    ``skipped_lines`` holds the starting line of each skipped block.
+    """
+
+    __slots__ = ("corpus", "skipped_lines")
+
+    def __init__(self, corpus: Corpus, skipped_lines: tuple[int, ...]):
+        _set(self, "corpus", corpus)
+        _set(self, "skipped_lines", skipped_lines)
 
     @property
     def skipped(self) -> int:
         return len(self.skipped_lines)
 
 
-@dataclass
-class ExportRun:
-    """What the exports of one run share: ids, tallies and block start lines."""
+class ExportRun(Value):
+    """What the exports of one run share: ids, tallies and block start lines.
 
-    uts: set[str] = field(default_factory=set)  # of every usable block read
-    skipped_lines: list[int] = field(default_factory=list)  # from the export's start
-    merged_lines: list[int] = field(default_factory=list)
-    records: int = 0  # kept blocks
-    synthetic: int = 0  # the number of the last synthetic id given out
-    # the export being read: its lines so far, whether its EF was read, and
-    # the usable and skipped blocks of the run before it
-    lines: int = 0
-    ended: bool = False
-    before: tuple[int, int] = (0, 0)
+    Unlike the other value types it is mutable, as the scan updates it, and
+    so unhashable.
+    """
+
+    __slots__ = ("uts", "skipped_lines", "merged_lines", "records", "synthetic", "lines",
+                 "ended", "before")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, uts: set[str] | None = None, skipped_lines: list[int] | None = None,
+                 merged_lines: list[int] | None = None, records: int = 0, synthetic: int = 0,
+                 lines: int = 0, ended: bool = False, before: tuple[int, int] = (0, 0)):
+        self.uts = set() if uts is None else uts  # of every usable block read
+        # the lines of both, from the export's start
+        self.skipped_lines = [] if skipped_lines is None else skipped_lines
+        self.merged_lines = [] if merged_lines is None else merged_lines
+        self.records = records  # kept blocks
+        self.synthetic = synthetic  # the number of the last synthetic id given out
+        # the export being read: its lines so far, whether its EF was read, and
+        # the usable and skipped blocks of the run before it
+        self.lines = lines
+        self.ended = ended
+        self.before = before
 
 
 def scan_wos_export(exports: Iterable[Iterable[str]],

@@ -134,6 +134,29 @@ def test_growth_csv_has_published_rgr(capsys):
     assert abs(float(row_2009[4]) - 0.527) < 5e-4
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json", "markdown"])
+def test_growth_counts_a_year_missing_from_a_series_as_an_export_does(capsys, tmp_path, fmt):
+    # 5 papers in 2001 and 7 in 2003: an export of them has a year 2002 of 0 papers
+    series = tmp_path / "gap.csv"
+    series.write_text("year,papers\n2001,5\n2003,7\n", encoding="utf-8")
+    export = tmp_path / "gap.txt"
+    papers = [(f"WOS:{i}", 2001 if i <= 5 else 2003, (f"Author {i}",)) for i in range(1, 13)]
+    with open(export, "w", encoding="utf-8", newline="") as out:
+        write_export(papers, out)
+    code, out, _ = run(capsys, "growth", "--series", str(series), "--format", fmt)
+    assert (code, out) == run(capsys, "growth", "--wos", str(export), "--format", fmt)[:2]
+    assert code == 0 and "2002" in out
+
+
+def test_growth_refuses_to_fill_a_span_longer_than_an_export_can_hold(capsys, tmp_path):
+    series = tmp_path / "wide.csv"
+    series.write_text("year,papers\n1,5\n3000,7\n", encoding="utf-8")
+    code, out, err = run(capsys, "growth", "--series", str(series))
+    assert (code, out) == (2, "")
+    assert err == ("bibmet: domain error: a yearly series with missing years must span "
+                   "at most 2001 years, got 1-3000\n")
+
+
 def test_collab_csv(capsys):
     code, out, _ = run(capsys, "collab", "--matrix", MATRIX, "--cap", "10")
     assert code == 0

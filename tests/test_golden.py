@@ -68,6 +68,8 @@ INPUTS = {
                    "PT J\nPY 2002\nER\nPT J\nAU Ok, A\nPY 2003\nUT WOS:3\nER\nEF\n",
     "latin1.txt": b"PT J\nAU M\xfcller, A\nPY 2001\nER\nEF\n",
     "one_year.csv": "year,papers\n2010,5\n",
+    # 2002 is missing: growth counts it as a year of 0 papers, as an export would
+    "gap_year.csv": "year,papers\n2001,5\n2003,7\n",
     "bad.csv": "wrong,header\n1,2\n",
     "shallow.csv": "x,y\n1,100\n2,90\n4,80\n8,72\n",
     # gaps of 5 and 30 x, one of them with a listed zero: the K-S table is sparse
@@ -174,6 +176,7 @@ CASES = [
     ("growth-output-blocked", "growth --series yearly.csv --output blocked"),
     ("growth-wos", "growth --wos export.txt"),
     ("growth-one-year", "growth --series one_year.csv"),
+    ("growth-gap-year", "growth --series gap_year.csv"),
     ("growth-malformed", "growth --series bad.csv"),
     ("growth-missing-file", "growth --series nope.csv"),
     ("growth-no-input", "growth"),

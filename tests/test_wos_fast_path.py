@@ -18,7 +18,6 @@ must yield the same papers, ids, skipped and merged lines for the whole
 run, and the writer the same bytes, with its fast path switched off.
 """
 
-import dataclasses
 import io
 import os
 import re
@@ -31,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bibmet import wos
-from bibmet.corpus import Corpus
+from bibmet.corpus import Corpus, PublicationRecord
 from bibmet.synth import sample_corpus
 from bibmet.tables import normalize_line_ends
 from test_ingest_differential import (
@@ -186,7 +185,7 @@ def test_a_run_that_fails_is_not_tried_again_before_its_end(tmp_path, monkeypatc
     if repeats == "every-other-block":
         paths[1] = tmp_path / "second.txt"
         paths[1].write_text(wos.write_wos_export(Corpus(tuple(
-            dataclasses.replace(r, id=r.id + "-2") if i % 2 else r
+            PublicationRecord(r.id + "-2", r.year, r.authors) if i % 2 else r
             for i, r in enumerate(corpus.records)))), encoding="utf-8")
     expected = io.StringIO()
     wos.write_export(wos.scan_wos_file(paths, wos.ExportRun()), expected)
