@@ -25,7 +25,7 @@ import warnings
 from typing import Mapping, Sequence
 
 from .errors import DomainError
-from .tables import AuthorshipMatrix, Value, _set
+from .tables import AuthorshipMatrix, Value
 
 # (label, smallest class, largest class or None for unbounded)
 ClassPartition = Sequence[tuple[str, int, int | None]]
@@ -132,42 +132,17 @@ class CollabRow(Value):
     __slots__ = ("label", "papers", "author_slots", "ci", "dc", "cai_multi", "cai_by_class",
                  "cc", "mcc")
 
-    def __init__(self, label: str, papers: int, author_slots: int, ci: float, dc: float,
-                 cai_multi: float | None, cai_by_class: dict[str, float], cc: float,
-                 mcc: float | None):
-        _set(self, "label", label)
-        _set(self, "papers", papers)
-        _set(self, "author_slots", author_slots)
-        _set(self, "ci", ci)
-        _set(self, "dc", dc)
-        _set(self, "cai_multi", cai_multi)
-        _set(self, "cai_by_class", cai_by_class)
-        _set(self, "cc", cc)
-        _set(self, "mcc", mcc)
-
 
 class ClassSummary(Value):
     """Pooled per-class row: papers, author slots, share of all papers."""
 
     __slots__ = ("authors", "papers", "author_slots", "percent")
 
-    def __init__(self, authors: int, papers: int, author_slots: int, percent: float):
-        _set(self, "authors", authors)
-        _set(self, "papers", papers)
-        _set(self, "author_slots", author_slots)
-        _set(self, "percent", percent)
-
 
 class CollabReport(Value):
     """Per-year collaboration metrics plus a pooled totals row."""
 
     __slots__ = ("rows", "total", "class_summary")
-
-    def __init__(self, rows: tuple[CollabRow, ...], total: CollabRow,
-                 class_summary: tuple[ClassSummary, ...]):
-        _set(self, "rows", rows)
-        _set(self, "total", total)
-        _set(self, "class_summary", class_summary)
 
     def row(self, year: int) -> CollabRow:
         for r in self.rows:
@@ -227,17 +202,9 @@ def authorship_pattern_report(matrix: AuthorshipMatrix,
         papers = sum(counts.values())
         slots = sum(j * f for j, f in counts.items())
         mcc = modified_cc(counts) if any(j >= 2 and f > 0 for j, f in counts.items()) else None
-        return CollabRow(
-            label=label,
-            papers=papers,
-            author_slots=slots,
-            ci=collaborative_index(slots, papers),
-            dc=degree_of_collaboration(counts),
-            cai_multi=multi_value,
-            cai_by_class=dict(cai_map),
-            cc=collaborative_coefficient(counts),
-            mcc=mcc,
-        )
+        return CollabRow(label, papers, slots, collaborative_index(slots, papers),
+                         degree_of_collaboration(counts), multi_value, dict(cai_map),
+                         collaborative_coefficient(counts), mcc)
 
     rows = []
     for year in matrix.years:
@@ -253,9 +220,10 @@ def authorship_pattern_report(matrix: AuthorshipMatrix,
     total = build_row("all", pooled, pooled_cai, 100.0 if has_multi else None)
 
     grand = matrix.grand_total
+    # built by position, the short path of Value.__init__: an uncollapsed
+    # matrix can hold a million classes
     summary = tuple(
-        ClassSummary(authors=j, papers=papers, author_slots=j * papers,
-                     percent=100.0 * papers / grand)
+        ClassSummary(j, papers, j * papers, 100.0 * papers / grand)
         for j, papers in pooled.items()
     )
     return CollabReport(rows=tuple(rows), total=total,

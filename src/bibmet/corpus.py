@@ -19,7 +19,7 @@ from itertools import chain, islice
 from typing import Iterable, Iterator
 
 from .errors import DomainError
-from .tables import AuthorshipMatrix, ProductivityDistribution, Value, YearlySeries, _set
+from .tables import AuthorshipMatrix, ProductivityDistribution, Value, YearlySeries
 
 YEAR_MIN = 1000
 YEAR_MAX = 3000
@@ -58,9 +58,7 @@ class PublicationRecord(Value):
             raise ValueError(f"year {year!r} outside [{YEAR_MIN}, {YEAR_MAX}]")
         if not authors:
             raise ValueError(f"record {id}: at least one author required")
-        _set(self, "id", id)
-        _set(self, "year", year)
-        _set(self, "authors", authors)
+        super().__init__(id, year, authors)
 
     @property
     def author_count(self) -> int:
@@ -77,7 +75,7 @@ class Corpus(Value):
         if len(set(ids)) != len(ids):
             dup = next(i for i, c in Counter(ids).items() if c > 1)
             raise ValueError(f"duplicate record id: {dup!r}")
-        _set(self, "records", records)
+        super().__init__(records)
 
     def __len__(self) -> int:
         return len(self.records)

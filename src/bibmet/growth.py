@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .corpus import YEAR_MAX, YEAR_MIN
 from .errors import DomainError
-from .tables import Value, YearlySeries, _set
+from .tables import Value, YearlySeries
 
 LN2_APPROX = 0.693
 
@@ -34,9 +34,6 @@ class GrowthRatios(Value):
     """Per-year prior/current output ratios; ``None`` where undefined."""
 
     __slots__ = ("entries",)
-
-    def __init__(self, entries: tuple[tuple[int, float | None], ...]):
-        _set(self, "entries", entries)
 
     @property
     def mean(self) -> float:
@@ -54,10 +51,6 @@ class RgrSeries(Value):
 
     __slots__ = ("convention", "entries")
 
-    def __init__(self, convention: str, entries: tuple[tuple[int, float | None], ...]):
-        _set(self, "convention", convention)
-        _set(self, "entries", entries)
-
     def value(self, year: int) -> float | None:
         return dict(self.entries)[year]
 
@@ -67,9 +60,6 @@ class BlockMeans(Value):
 
     __slots__ = ("per_block",)
 
-    def __init__(self, per_block: tuple[float, ...]):
-        _set(self, "per_block", per_block)
-
     @property
     def overall(self) -> float:
         return sum(self.per_block) / len(self.per_block)
@@ -78,25 +68,9 @@ class BlockMeans(Value):
 class GrowthRow(Value):
     __slots__ = ("year", "papers", "cumulative", "growth_ratio", "rgr", "doubling_time")
 
-    def __init__(self, year: int, papers: int, cumulative: int, growth_ratio: float | None,
-                 rgr: float | None, doubling_time: float | None):
-        _set(self, "year", year)
-        _set(self, "papers", papers)
-        _set(self, "cumulative", cumulative)
-        _set(self, "growth_ratio", growth_ratio)
-        _set(self, "rgr", rgr)
-        _set(self, "doubling_time", doubling_time)
-
 
 class BlockSummary(Value):
     __slots__ = ("start_year", "end_year", "mean_rgr", "mean_doubling_time")
-
-    def __init__(self, start_year: int, end_year: int, mean_rgr: float,
-                 mean_doubling_time: float):
-        _set(self, "start_year", start_year)
-        _set(self, "end_year", end_year)
-        _set(self, "mean_rgr", mean_rgr)
-        _set(self, "mean_doubling_time", mean_doubling_time)
 
 
 class GrowthReport(Value):
@@ -107,17 +81,6 @@ class GrowthReport(Value):
 
     __slots__ = ("convention", "rows", "blocks", "mean_growth_ratio", "mean_rgr",
                  "mean_doubling_time", "ln2")
-
-    def __init__(self, convention: str, rows: tuple[GrowthRow, ...],
-                 blocks: tuple[BlockSummary, ...], mean_growth_ratio: float,
-                 mean_rgr: float, mean_doubling_time: float, ln2: float):
-        _set(self, "convention", convention)
-        _set(self, "rows", rows)
-        _set(self, "blocks", blocks)
-        _set(self, "mean_growth_ratio", mean_growth_ratio)
-        _set(self, "mean_rgr", mean_rgr)
-        _set(self, "mean_doubling_time", mean_doubling_time)
-        _set(self, "ln2", ln2)
 
     def to_csv(self) -> str:
         def fmt(v):

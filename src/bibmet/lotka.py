@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .corpus import Corpus, CountTables
 from .errors import DomainError
-from .tables import ProductivityDistribution, Value, _set
+from .tables import ProductivityDistribution, Value
 
 #: Critical-value coefficients for the one-sample K-S test, coeff / sqrt(N).
 KS_COEFFICIENTS = {0.20: 1.07, 0.15: 1.14, 0.10: 1.22, 0.05: 1.36, 0.01: 1.63}
@@ -50,20 +50,7 @@ class LotkaFit(Value):
 
     __slots__ = ("n", "slope", "sum_x", "sum_y", "sum_xy", "sum_x2", "n_points", "points_used",
                  "warnings", "c")
-
-    def __init__(self, n: float, slope: float, sum_x: float, sum_y: float, sum_xy: float,
-                 sum_x2: float, n_points: int, points_used: tuple[int, ...],
-                 warnings: tuple[str, ...] = (), c: float | None = None):
-        _set(self, "n", n)
-        _set(self, "slope", slope)
-        _set(self, "sum_x", sum_x)
-        _set(self, "sum_y", sum_y)
-        _set(self, "sum_xy", sum_xy)
-        _set(self, "sum_x2", sum_x2)
-        _set(self, "n_points", n_points)
-        _set(self, "points_used", points_used)
-        _set(self, "warnings", warnings)
-        _set(self, "c", c)
+    _defaults = {"warnings": (), "c": None}
 
     def with_constant(self, c: float) -> "LotkaFit":
         return LotkaFit(*self._fields()[:-1], c)  # every field as it is, but the last, c
@@ -190,19 +177,6 @@ class KSReport(Value):
 
     __slots__ = ("rows", "d_max", "x_at_dmax", "critical_value", "alpha", "mode", "n", "c",
                  "total_authors")
-
-    def __init__(self, rows: tuple[KSRow, ...], d_max: float, x_at_dmax: int,
-                 critical_value: float, alpha: float, mode: str, n: float, c: float,
-                 total_authors: int):
-        _set(self, "rows", rows)
-        _set(self, "d_max", d_max)
-        _set(self, "x_at_dmax", x_at_dmax)
-        _set(self, "critical_value", critical_value)
-        _set(self, "alpha", alpha)
-        _set(self, "mode", mode)
-        _set(self, "n", n)
-        _set(self, "c", c)
-        _set(self, "total_authors", total_authors)
 
     @property
     def verdict(self) -> str:

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .corpus import YEAR_MAX, YEAR_MIN, Corpus, PublicationRecord
 from .errors import DomainError
-from .tables import ProductivityDistribution, Value, _set
+from .tables import ProductivityDistribution, Value
 
 #: Largest ``x_max`` of a power-law spec: sampling allocates that many weights.
 X_MAX_LIMIT = 10**6
@@ -48,10 +48,7 @@ class PowerLawSpec(Value):
             raise DomainError("total_authors must be >= 1 and < 2**63")
         if not 0 <= int(seed) < 2 ** 64:
             raise DomainError("seed must fit in 64 bits")
-        _set(self, "n0", n0)
-        _set(self, "total_authors", total_authors)
-        _set(self, "x_max", x_max)
-        _set(self, "seed", seed)
+        super().__init__(n0, total_authors, x_max, seed)
 
 
 class CorpusSpec(Value):
@@ -71,11 +68,7 @@ class CorpusSpec(Value):
         if papers * largest > AUTHOR_SLOTS_LIMIT:
             raise DomainError(f"papers times the largest team size must be <= "
                               f"{AUTHOR_SLOTS_LIMIT}, got {papers} x {largest}")
-        _set(self, "start_year", start_year)
-        _set(self, "papers_per_year", papers_per_year)
-        _set(self, "author_count_dist", author_count_dist)
-        _set(self, "seed", seed)
-        _set(self, "author_pool", author_pool)
+        super().__init__(start_year, papers_per_year, author_count_dist, seed, author_pool)
 
 
 def sample_productivity(spec: PowerLawSpec) -> ProductivityDistribution:

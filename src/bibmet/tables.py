@@ -41,20 +41,43 @@ CAP_MAX = 10_000
 COUNT_MAX = 2**63 - 1
 
 
-#: sets a field of a :class:`Value` in its ``__init__``
-_set = object.__setattr__
-
-
 class Value:
-    """An immutable value: equality, hash, ``repr`` and pickling from its ``__slots__``.
+    """An immutable value: built, compared, hashed, shown and pickled by its fields.
 
-    A subclass lists its fields in ``__slots__`` and sets each one in its
-    ``__init__`` with ``_set``.  The value types are not dataclasses:
-    importing ``dataclasses`` and generating their methods would cost
-    every run about 20 ms at start-up.
+    A subclass lists its fields, in order, in ``__slots__``, and the
+    default of each optional field in ``_defaults``.  A default is one
+    object that every instance shares, so it must be immutable.
+    ``Value.__init__`` binds the arguments to the fields by position or
+    keyword, as a signature would, fills in the defaults and sets each
+    field.  A type with rules checks them in an ``__init__`` of its own,
+    which then calls ``Value.__init__``.  The value types are not
+    dataclasses: importing ``dataclasses`` and generating their methods
+    would cost every run about 20 ms at start-up.
     """
 
     __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            kind = self.__class__.__qualname__
+            if len(args) > len(names):
+                raise TypeError(f"{kind}() takes {len(names)} arguments but {len(args)} "
+                                "were given")
+            given = dict(zip(names, args))
+            for name in kwargs:
+                if name not in names:
+                    raise TypeError(f"{kind}() got an unexpected keyword argument {name!r}")
+                if name in given:
+                    raise TypeError(f"{kind}() got multiple values for argument {name!r}")
+            values = {**self._defaults, **given, **kwargs}
+            missing = [name for name in names if name not in values]
+            if missing:
+                raise TypeError(f"{kind}() missing argument(s): {', '.join(missing)}")
+            args = [values[name] for name in names]
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -110,7 +133,7 @@ class YearlySeries(Value):
             if prev is not None and year <= prev:
                 raise _RowError("years must be strictly increasing", i)
             prev = year
-        _set(self, "entries", entries)
+        super().__init__(entries)
 
     @property
     def years(self) -> tuple[int, ...]:
@@ -200,11 +223,7 @@ class AuthorshipMatrix(Value):
             raise _RowError("cap must be >= 2", len(classes) - 1 if collapsed else None)
         if collapsed and classes[-1] != cap:
             raise ValueError("collapsed matrix must end at the cap class")
-        _set(self, "classes", classes)
-        _set(self, "years", years)
-        _set(self, "counts", counts)
-        _set(self, "collapsed", collapsed)
-        _set(self, "cap", cap)
+        super().__init__(classes, years, counts, collapsed, cap)
 
     def year_index(self, year: int) -> int:
         try:
@@ -320,7 +339,7 @@ class ProductivityDistribution(Value):
             if prev is not None and x <= prev:
                 raise _RowError("x values must be strictly increasing", i)
             prev = x
-        _set(self, "pairs", pairs)
+        super().__init__(pairs)
 
     @property
     def xs(self) -> tuple[int, ...]:

@@ -72,7 +72,7 @@ from typing import BinaryIO, Iterable, Iterator, TextIO, Union
 
 from .corpus import YEAR_MAX, YEAR_MIN, Corpus, CountTables, PublicationRecord, batches
 from .errors import EmptyCorpusError
-from .tables import Value, _set, normalize_line_ends
+from .tables import Value, normalize_line_ends
 
 _CONTINUATION = "   "
 
@@ -111,10 +111,6 @@ class WosParseResult(Value):
     """
 
     __slots__ = ("corpus", "skipped_lines")
-
-    def __init__(self, corpus: Corpus, skipped_lines: tuple[int, ...]):
-        _set(self, "corpus", corpus)
-        _set(self, "skipped_lines", skipped_lines)
 
     @property
     def skipped(self) -> int:

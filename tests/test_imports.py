@@ -6,7 +6,8 @@ No linter is a dependency, so this stands in for pyflakes' F401: each
 must be referenced in it.  An import kept for another module's sake
 carries ``noqa: F401`` on its line.  ``tests/test_acceptance.py`` is left
 out: the acceptance tests are kept exactly as written, unused
-``import pytest`` included.
+``import pytest`` included.  The package's ``__all__`` lists exactly the
+names its ``__init__.py`` imports, sorted.
 """
 
 import ast
@@ -52,3 +53,10 @@ def test_unused_imports_are_found():
               "from x import y as z, w\nfrom q import r  # noqa: F401\n"
               "def f(p: w) -> None:\n    return re.sub\n")
     assert unused_imports(source) == ["line 2: os", "line 3: a", "line 4: z"]
+
+
+def test_package_exports_exactly_what_it_imports():
+    tree = ast.parse(Path(bibmet.__file__).read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert bibmet.__all__ == sorted(imported)

@@ -5,21 +5,25 @@ defaults it documents.  Two values are equal when they are of the same
 class with equal fields, equal values hash alike (a type with a dict
 field is unhashable), ``repr`` reads ``Name(field=value, ...)``, no field
 can be assigned or deleted, and a value survives ``pickle`` and
-``copy.copy``.
+``copy.copy``.  An unknown field, a field given twice and a missing
+field are each a ``TypeError``.
 """
 
 import copy
+import importlib
 import pickle
+import pkgutil
 
 import pytest
 
+import bibmet
 from bibmet.collab import ClassSummary, CollabReport, CollabRow
 from bibmet.corpus import Corpus, PublicationRecord
 from bibmet.growth import (
     BlockMeans, BlockSummary, GrowthRatios, GrowthReport, GrowthRow, RgrSeries)
 from bibmet.lotka import KSReport, KSRow, LotkaFit
 from bibmet.synth import CorpusSpec, PowerLawSpec
-from bibmet.tables import AuthorshipMatrix, ProductivityDistribution, YearlySeries
+from bibmet.tables import AuthorshipMatrix, ProductivityDistribution, Value, YearlySeries
 from bibmet.wos import ExportRun, WosParseResult
 
 RECORD = PublicationRecord("WOS:1", 2001, ("Ames, A", "Bell, B"))
@@ -83,6 +87,19 @@ IDS = [case[0].__name__ for case in CASES]
 def test_every_immutable_type_is_listed():
     assert len(CASES) == len({case[0] for case in CASES}) == 19
     assert set(DEFAULTS) <= {case[0] for case in CASES}
+    for module in pkgutil.iter_modules(bibmet.__path__):
+        importlib.import_module(f"bibmet.{module.name}")
+
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    defined = {cls for cls in subclasses(Value) if cls.__module__.split(".")[0] == "bibmet"}
+    assert defined - {ExportRun} == {case[0] for case in CASES}
+    for cls in defined:
+        for default in cls._defaults.values():
+            hash(default)  # one object serves every instance, so it must be immutable
 
 
 @pytest.mark.parametrize("cls, fields, values, required, changed", CASES, ids=IDS)
@@ -94,6 +111,20 @@ def test_construction_by_position_keyword_and_default(cls, fields, values, requi
     assert {name: getattr(defaulted, name) for name in fields[required:]} == DEFAULTS.get(cls, {})
     with pytest.raises(TypeError):
         cls(*values, None)
+
+
+@pytest.mark.parametrize("cls, fields, values, required, changed", CASES, ids=IDS)
+def test_construction_rejects_unknown_repeated_and_missing_fields(cls, fields, values, required,
+                                                                  changed):
+    keywords = dict(zip(fields, values))
+    with pytest.raises(TypeError):
+        cls(**keywords, unknown=None)
+    with pytest.raises(TypeError):
+        cls(values[0], **keywords)
+    with pytest.raises(TypeError):
+        cls(*values[:required - 1])
+    with pytest.raises(TypeError):
+        cls(**{name: value for name, value in keywords.items() if name != fields[0]})
 
 
 @pytest.mark.parametrize("cls, fields, values, required, changed", CASES, ids=IDS)
