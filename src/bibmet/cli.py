@@ -406,7 +406,7 @@ def _productivity(args, dist: ProductivityDistribution, n: float | None = None,
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_ingest(args) -> int:
+def _cmd_ingest(args):
     if args.emit == "wos":
         if args.source_comment:
             raise _UsageError("bibmet ingest: --source-comment only applies to the CSV emits")
@@ -414,12 +414,11 @@ def _cmd_ingest(args) -> int:
         with _staged_output(args.output) as out:
             _read_exports(args.files, args.strict,
                           lambda files, run: write_export_files(files, run, out))
-        return 0
+        return
     text = _table_csv(args, _read_exports(args.files, args.strict, count_export_files))
     if args.source_comment:
         text = f"# source: {' '.join(args.files)}\n" + text
     _emit(text, args.output)
-    return 0
 
 
 def _table_csv(args, counts: CountTables) -> str:
@@ -447,37 +446,33 @@ def _as_dict(value: Value) -> dict:
     return dict(zip(value.__slots__, value._fields()))
 
 
-def _cmd_growth(args) -> int:
+def _cmd_growth(args):
     _check_flags(args)
     report = _growth(args, _series(args))
     _emit(_render(report, args.format), args.output)
-    return 0
 
 
-def _cmd_collab(args) -> int:
+def _cmd_collab(args):
     report = _collab(args, _matrix(args))
     _emit(_render(report, args.format), args.output)
-    return 0
 
 
-def _cmd_lotka(args) -> int:
+def _cmd_lotka(args):
     _check_flags(args)
     fit = _fit(args, _distribution(args))
     _emit(fit.to_json(), args.output)
-    return 0
 
 
-def _cmd_ks(args) -> int:
+def _cmd_ks(args):
     if (args.n is None) != (args.c is None):
         raise _UsageError("bibmet: provide both --n and --c, or neither")
     _check_flags(args)
     dist = _distribution(args)
     _, report = _productivity(args, dist, args.n, args.c)
     _emit(report.to_csv(), args.output)
-    return 0
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args):
     if not (args.wos or args.series or args.matrix or args.dist):
         raise _UsageError("bibmet report: no inputs; provide --wos, --series, "
                           "--matrix and/or --dist")
@@ -514,7 +509,7 @@ def _cmd_report(args) -> int:
                 text = table.to_json() if name.endswith(".json") else table.to_csv()
                 stack.enter_context(_staged_output(str(out / name))).write(text)
         print(f"bibmet: wrote {len(written)} file(s) to {out}", file=sys.stderr)
-        return 0
+        return
 
     sections = []
     if growth_report is not None:
@@ -524,7 +519,6 @@ def _cmd_report(args) -> int:
     if fit is not None:
         sections.append("## Author productivity\n\n" + _lotka_markdown(fit, ks_report))
     _emit("\n".join(sections), None)
-    return 0
 
 
 def _lotka_markdown(fit, ks_report: KSReport) -> str:
@@ -545,7 +539,7 @@ def _lotka_markdown(fit, ks_report: KSReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args):
     spec = spec_from_json(Path(args.spec).read_text(encoding="utf-8"))
     if isinstance(spec, PowerLawSpec):
         if args.emit not in (None, "distribution"):
@@ -556,7 +550,6 @@ def _cmd_synth(args) -> int:
             write_export(sample_spec_papers(spec), out)
     else:
         _emit(_table_csv(args, CountTables(sample_spec_papers(spec))), args.output)
-    return 0
 
 
 if __name__ == "__main__":

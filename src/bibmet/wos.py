@@ -47,10 +47,11 @@ is rendered.
 :func:`count_export_files` and :func:`write_export_files` count or write
 the papers of a run's files in one process per usable CPU: the files
 are cut at record ends into byte ranges, so that a single export uses
-every CPU, a forked child pickles for each batch of papers the piece
-that :meth:`~bibmet.corpus.CountTables.fold` or the writer takes, and
-this process, in one loop, keeps a child's range where the serial scan
-must give the same and scans every other (:func:`_forked_scan`).  Only
+every CPU, a forked child pickles, a segment at a time, the piece of
+each batch of papers that :meth:`~bibmet.corpus.CountTables.fold` or the
+writer takes and then the segment's :class:`ExportRun`, and this process,
+in one loop, keeps a child's segment where the serial scan must give the
+same and scans every other (:func:`_forked_scan`).  Only
 :func:`parse_wos_export` and :func:`parse_wos_file`, one export each,
 build one :class:`~bibmet.corpus.PublicationRecord` per block.
 """
@@ -421,7 +422,8 @@ def write_export_files(paths: Iterable, run: ExportRun, out: TextIO) -> None:
     """``write_export(scan_wos_file(paths, run), out)``, in one process per usable CPU.
 
     The text, the tallies in ``run`` and any error are the serial call's."""
-    _forked_scan(paths, run, _rendered, out.writelines, text_runs=True)
+    _forked_scan(paths, run, lambda chunks, run: _rendered(_scan(chunks, run, text_runs=True)),
+                 out.writelines)
     out.write(FILE_END + "\n")
 
 
@@ -430,21 +432,21 @@ def count_export_files(paths: Iterable, run: ExportRun) -> CountTables:
 
     The tables, the tallies in ``run`` and any error are the serial call's."""
     tables = CountTables()
-    _forked_scan(paths, run, CountTables.pieces, tables.fold)
+    _forked_scan(paths, run, lambda chunks, run: CountTables.pieces(_scan(chunks, run)),
+                 tables.fold)
     return tables
 
 
-def _forked_scan(paths: Iterable, run: ExportRun, send, take, text_runs: bool = False) -> None:
-    """``take(send(scan_wos_file(paths, run)))``, all parts but the first read by children.
+def _forked_scan(paths: Iterable, run: ExportRun, scan, take) -> None:
+    """``take(scan(chunks, run))`` per segment of ``paths``, all parts but the first in children.
 
-    ``send(papers)`` yields one piece per batch of papers, which
-    ``take(pieces)`` adds to the result; with ``text_runs``, the papers
-    are those of :func:`_scan` with ``text_runs``.  The serial call's result,
+    ``scan(chunks, run)`` yields one piece per batch of the papers that
+    :func:`_scan` keeps from a segment's chunks.  The serial call's result,
     tallies in ``run`` and errors, raised at the same export, are kept.
     Each child scans a part (:func:`_cut`) a segment at a time, each with
-    a fresh run, and pickles the segment's ``send(papers)`` pieces to one
-    file and what the segment added to its run, which is read before the
-    pieces, to another.  This process then takes every segment in order,
+    a fresh run, and pickles the segment's pieces to one file and then
+    the segment's :class:`ExportRun`, which is read before the pieces,
+    to another.  This process then takes every segment in order,
     those of its own first part too, in one loop.  It takes a child's
     pieces, with line numbers that go on from those before in the export,
     only where the serial scan must give the same: the child exited 0,
@@ -478,7 +480,7 @@ def _forked_scan(paths: Iterable, run: ExportRun, send, take, text_runs: bool = 
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _scan_part(part, send, sent, result, mask, text_runs)
+                    _scan_part(part, scan, sent, result, mask)
                 children.append((pid, sent, result))
             except OSError:
                 break
@@ -497,32 +499,31 @@ def _forked_scan(paths: Iterable, run: ExportRun, send, take, text_runs: bool = 
                     _open_export(run)
                 keep = status == 0
                 if keep:
-                    lines, ids, skipped, merged, synthetic, ended = pickle.load(result)
+                    done = pickle.load(result)  # the segment's run
                     pieces = iter(functools.partial(pickle.load, sent), None)
                     # after the EF of its export, a segment is only read
-                    keep = not (start and run.ended or run.synthetic or synthetic
-                                or not run.uts.isdisjoint(ids))
+                    keep = not (start and run.ended or run.synthetic or done.synthetic
+                                or not run.uts.isdisjoint(done.uts))
                     if not keep:
                         for _ in pieces:
                             pass
                 if keep:
-                    run.uts.update(ids)
-                    run.records += len(ids)
-                    run.skipped_lines += [run.lines + line for line in skipped]
-                    run.merged_lines += [run.lines + line for line in merged]
-                    run.lines, run.ended = run.lines + lines, ended
-                    del ids  # not held while the pieces are taken
+                    run.uts.update(done.uts)
+                    run.records += done.records
+                    run.skipped_lines += [run.lines + line for line in done.skipped_lines]
+                    run.merged_lines += [run.lines + line for line in done.merged_lines]
+                    run.lines, run.ended = run.lines + done.lines, done.ended
+                    del done  # its ids are not held while the pieces are taken
                     take(pieces)
                 else:
-                    take(send(_scan(_file_chunks(*segment), run, text_runs)))
+                    take(scan(_file_chunks(*segment), run))
                 if stop is None:
                     _close_export(run)
 
 
-def _scan_part(part: list, send, sent: BinaryIO, result: BinaryIO, mask,
-               text_runs: bool) -> None:
-    # in a forked child: for each segment, pickle its send() pieces and None
-    # to sent, and what it added to a fresh run to result (the ids: the UTs
+def _scan_part(part: list, scan, sent: BinaryIO, result: BinaryIO, mask) -> None:
+    # in a forked child: for each segment, pickle its scan() pieces and None
+    # to sent, and the fresh run it scanned with to result (its uts: the UTs
     # it kept, if it gave no synthetic id); then exit without returning to the
     # caller or flushing the buffers it inherited (stdout, stderr, the output)
     code = 1
@@ -531,11 +532,10 @@ def _scan_part(part: list, send, sent: BinaryIO, result: BinaryIO, mask,
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         for segment in part:
             run = ExportRun()
-            for piece in send(_scan(_file_chunks(*segment), run, text_runs)):
+            for piece in scan(_file_chunks(*segment), run):
                 pickle.dump(piece, sent)
             pickle.dump(None, sent)
-            pickle.dump((run.lines, list(run.uts), run.skipped_lines, run.merged_lines,
-                         run.synthetic, run.ended), result)
+            pickle.dump(run, result)
         sent.flush()
         result.flush()
         code = 0

@@ -89,6 +89,10 @@ def test_dc_domain():
 def test_cc_trivial_cases():
     assert collaborative_coefficient({1: 17}) == 0.0
     assert collaborative_coefficient({2: 40}) == approx(0.5)
+    with pytest.raises(DomainError, match="at least one paper"):
+        collaborative_coefficient({})
+    with pytest.raises(DomainError, match="classes must be >= 1"):
+        collaborative_coefficient({0: 1})
 
 
 def test_cc_2008_column(collab_fixture):
@@ -177,6 +181,15 @@ def test_cai_empty_class_excluded_with_warning():
     assert cai[2000]["single"] == approx(100.0)
 
 
+def test_cai_needs_papers_in_the_matrix_and_in_every_year():
+    empty = AuthorshipMatrix((1, 2), (2000,), ((0,), (0,)), collapsed=False, cap=2)
+    with pytest.raises(DomainError, match="non-empty matrix"):
+        coauthorship_index(empty, MULTI_VS_SINGLE)
+    gap = AuthorshipMatrix((1, 2), (2000, 2001), ((1, 0), (2, 0)), collapsed=False, cap=2)
+    with pytest.raises(DomainError, match="year 2001 has no papers"):
+        coauthorship_index(gap, MULTI_VS_SINGLE)
+
+
 # ---------------------------------------------------------------------------
 # assembled report
 
@@ -188,6 +201,8 @@ def test_report_2008_row(collab_fixture):
     assert row.cc == approx(0.6758, abs=5e-4)
     assert row.mcc == approx(0.7509, abs=1e-3)
     assert row.cai_multi == approx(96.38, abs=1e-2)
+    with pytest.raises(KeyError):
+        report.row(1999)
 
 
 def test_report_pooled_row(collab_fixture):

@@ -1,6 +1,12 @@
 import pytest
 
-from bibmet.corpus import Corpus, PublicationRecord, build_authorship_matrix, build_yearly_series
+from bibmet.corpus import (
+    Corpus,
+    CountTables,
+    PublicationRecord,
+    build_authorship_matrix,
+    build_yearly_series,
+)
 from bibmet.errors import DomainError
 
 
@@ -33,6 +39,7 @@ def test_corpus_rejects_duplicate_ids():
 def test_corpus_author_slots():
     c = Corpus((rec("a", 2015, ["X", "Y"]), rec("b", 2015, ["Z"])))
     assert c.author_slots == 3
+    assert list(c) == list(c.records)
 
 
 def test_build_yearly_series_zero_fills_gaps():
@@ -70,6 +77,11 @@ def test_build_matrix_uncollapsed_extends_past_cap():
     assert not m.collapsed
     assert m.classes[-1] == 12
     assert m.class_counts(2008)[12] == 1
+
+
+def test_build_matrix_empty_corpus():
+    with pytest.raises(DomainError, match="empty corpus"):
+        CountTables().authorship_matrix()
 
 
 def test_build_matrix_cap_validation():

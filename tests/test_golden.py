@@ -70,6 +70,8 @@ INPUTS = {
     "one_year.csv": "year,papers\n2010,5\n",
     # 2002 is missing: growth counts it as a year of 0 papers, as an export would
     "gap_year.csv": "year,papers\n2001,5\n2003,7\n",
+    # no papers after the first year: no growth rate is defined
+    "zero_growth.csv": "year,papers\n2001,5\n2002,0\n",
     "bad.csv": "wrong,header\n1,2\n",
     "shallow.csv": "x,y\n1,100\n2,90\n4,80\n8,72\n",
     # gaps of 5 and 30 x, one of them with a listed zero: the K-S table is sparse
@@ -84,9 +86,11 @@ INPUTS = {
     "underscore.csv": "x,y\n1_0,5\n",
     # an x of 5,001 digits, more than int() converts
     "long_cell.csv": "x,y\n1,100\n2,30\n1" + "0" * 5000 + ",1\n",
+    "zero_dist.csv": "x,y\n1,0\n2,0\n",
     "single.csv": "authors,2015,2016\n1,3,2\n",
     "uncollapsed.csv": "authors,2015,2016\n1,1,0\n2,1,0\n3,0,1\n",
     "collapsed.csv": "# already collapsed\nauthors,2015,2016\n1,2,1\n2,1,1\n3+,0,2\n",
+    "zero_matrix.csv": "authors,2001,2002\n1,0,0\n2,0,0\n",
     # every row within COUNT_MAX, but classes 11 and 12 fold into one above it
     "over_cap.csv": f"authors,2001\n1,1\n11,{2**62}\n12,{2**62}\n",
     "standard.conf": "convention = standard\nexact-ln2 = true\n",
@@ -177,6 +181,7 @@ CASES = [
     ("growth-wos", "growth --wos export.txt"),
     ("growth-one-year", "growth --series one_year.csv"),
     ("growth-gap-year", "growth --series gap_year.csv"),
+    ("growth-no-defined-rate", "growth --series zero_growth.csv"),
     ("growth-malformed", "growth --series bad.csv"),
     ("growth-missing-file", "growth --series nope.csv"),
     ("growth-no-input", "growth"),
@@ -203,6 +208,7 @@ CASES = [
     ("collab-matrix-folded-above-count-max", "collab --matrix over_cap.csv"),
     ("collab-single-author", "collab --matrix single.csv"),
     ("collab-single-author-team", "collab --matrix single.csv --partition team"),
+    ("collab-empty-matrix", "collab --matrix zero_matrix.csv"),
     # the CAI warning comes before the error of the write that then fails
     ("collab-single-author-output-missing-dir",
      "collab --matrix single.csv --output missing/collab.csv"),
@@ -236,6 +242,7 @@ CASES = [
     ("ks-count-above-max", "ks --dist huge_count.csv --n 2 --c 0.6"),
     ("ks-underscore-cell", "ks --dist underscore.csv"),
     ("ks-long-cell", "ks --dist long_cell.csv"),
+    ("ks-no-authors", "ks --dist zero_dist.csv --n 2 --c 0.6"),
     ("ks-no-input", "ks"),
 
     ("report-csvs-markdown", f"report {CSVS}"),

@@ -40,11 +40,15 @@ def test_zero_count_year_gives_undefined_ratio():
     assert ratios.value(2001) is None
     # mean over the defined ratios only
     assert ratios.mean == approx(0.0)
+    with pytest.raises(DomainError, match="no defined growth ratios"):
+        growth_ratio_series(series(0, 0, 0)).mean
 
 
 def test_ratio_needs_two_years():
     with pytest.raises(DomainError):
         growth_ratio_series(series(5))
+    with pytest.raises(DomainError, match="at least two years"):
+        relative_growth_rate(series(5))
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +137,8 @@ def test_block_means_rejects_bad_partitions():
         block_means([1.0, 2.0], [(0, 1)])  # not covering
     with pytest.raises(DomainError):
         block_means([1.0, 2.0], [(1, 2)])  # gap at start
+    with pytest.raises(DomainError, match="past the values"):
+        block_means([1.0, 2.0], [(0, 3)])
 
 
 def test_default_blocks():

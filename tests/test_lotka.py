@@ -108,6 +108,9 @@ def test_fit_singular_cases():
         fit_lotka_least_squares(dist((3, 10)))
     with pytest.raises(DomainError, match="singular"):
         fit_lotka_least_squares(dist((1, 5), (2, 0), (3, 0)))
+    # two x values whose float logs are equal
+    with pytest.raises(DomainError, match="all x values identical"):
+        fit_lotka_least_squares(dist((10**400, 5), (10**400 + 1, 2)))
 
 
 def test_fit_warns_on_growing_frequencies():

@@ -93,6 +93,10 @@ def test_spec_validation():
         PowerLawSpec(2.0, 2 ** 63, 10, 0)
     with pytest.raises(DomainError, match="seed must fit in 64 bits"):
         CorpusSpec(2010, (3,), ((1, 1.0),), seed=-1)
+    with pytest.raises(DomainError, match="seed must fit in 64 bits"):
+        CorpusSpec(2010, (3,), ((1, 1.0),), seed=2**64)
+    with pytest.raises(DomainError, match="seed must fit in 64 bits"):
+        PowerLawSpec(2.0, 100, 10, 2**64)
     for n0 in (float("nan"), float("inf")):
         with pytest.raises(DomainError, match="n0 must be finite"):
             PowerLawSpec(n0, 100, 10, 0)

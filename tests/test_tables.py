@@ -57,6 +57,10 @@ def test_yearly_views():
     assert s.total == 5
     assert s.percentages == (40.0, 0.0, 60.0)
     assert s.count(2009) == 0
+    assert list(s) == [(2008, 2), (2009, 0), (2010, 3)]
+    with pytest.raises(KeyError):
+        s.count(2011)
+    assert YearlySeries(((2001, 0), (2002, 0))).percentages == (0.0, 0.0)
 
 
 def test_yearly_rejects_disorder_and_negatives():
@@ -92,6 +96,8 @@ def test_matrix_totals_and_slots():
     assert m.author_slots(2008) == 2 * 1 + 1 * 3
     assert m.author_slots() == 3 + 3
     assert m.yearly_series().entries == ((2008, 3), (2009, 1))
+    with pytest.raises(KeyError):
+        m.year_index(2010)
 
 
 def test_matrix_collapse_folds_top_classes():
@@ -127,6 +133,10 @@ def test_matrix_validation():
         AuthorshipMatrix((1,), (2000,), ((1, 2),))
     with pytest.raises(ValueError):
         AuthorshipMatrix((1, 4), (2000,), ((1,), (1,)), collapsed=True, cap=10)
+    with pytest.raises(ValueError, match="^one count row per class required$"):
+        AuthorshipMatrix((1, 2), (2000,), ((1,),))
+    with pytest.raises(ValueError, match="^matrix has no papers in any year$"):
+        AuthorshipMatrix((1, 2), (2000, 2001), ((0, 0), (0, 0))).drop_empty_years()
 
 
 @pytest.mark.parametrize("classes, counts, message", [
@@ -153,6 +163,7 @@ def test_distribution_totals():
     assert d.total_authors == 4
     assert d.author_slots == 3 + 2
     assert d.xs == (1, 2)
+    assert list(d) == [(1, 3), (2, 1)]
 
 
 def test_distribution_validation():
