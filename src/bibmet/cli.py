@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import shutil
@@ -60,12 +61,11 @@ class _Parser(argparse.ArgumentParser):
     commands: dict[str, argparse.ArgumentParser]  # of the main parser: its subcommands
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, epilog="--config FILE reads defaults from 'key = value' lines "
-                                       "named after long flags.", **kwargs)
-
-    def _get_formatter(self):
         # the width COLUMNS=80 gives: usage and help text must not depend on the terminal
-        return self.formatter_class(prog=self.prog, width=78)
+        super().__init__(*args, epilog="--config FILE reads defaults from 'key = value' lines "
+                                       "named after long flags.",
+                         formatter_class=functools.partial(argparse.HelpFormatter, width=78),
+                         **kwargs)
 
     def error(self, message):
         raise _UsageError(f"{self.prog}: {message}\n{self.format_usage()}")

@@ -114,11 +114,11 @@ def coauthorship_index(matrix: AuthorshipMatrix,
         else:
             usable.append((label, lo, hi))
     result: dict[int, dict[str, float]] = {}
-    for year in matrix.years:
-        year_total = matrix.year_total(year)
+    for year, column in zip(matrix.years, zip(*matrix.counts)):
+        year_total = sum(column)
         if year_total == 0:
             raise DomainError(f"year {year} has no papers; CAI undefined")
-        year_counts = _partition_counts(matrix.class_counts(year), usable)
+        year_counts = _partition_counts(dict(zip(matrix.classes, column)), usable)
         result[year] = {
             label: (year_counts[label] / year_total) / (pooled[label] / grand) * 100.0
             for label, _, _ in usable
@@ -206,11 +206,9 @@ def authorship_pattern_report(matrix: AuthorshipMatrix,
                          degree_of_collaboration(counts), multi_value, dict(cai_map),
                          collaborative_coefficient(counts), mcc)
 
-    rows = []
-    for year in matrix.years:
-        counts = matrix.class_counts(year)
-        rows.append(build_row(str(year), counts, cai[year],
-                              cai_multi[year].get("multi")))
+    rows = [build_row(str(year), dict(zip(matrix.classes, column)), cai[year],
+                      cai_multi[year].get("multi"))
+            for year, column in zip(matrix.years, zip(*matrix.counts))]
 
     pooled = matrix.class_counts()
     # pooled CAI is identically 100 for every nonempty class by definition

@@ -260,11 +260,11 @@ class AuthorshipMatrix(Value):
         return sum(j * c for j, c in counts.items())
 
     def yearly_series(self) -> YearlySeries:
-        return YearlySeries(tuple((y, self.year_total(y)) for y in self.years))
+        return YearlySeries(tuple(zip(self.years, map(sum, zip(*self.counts)))))
 
     def drop_empty_years(self) -> "AuthorshipMatrix":
         """Remove year columns with no papers (zero-filled gap years)."""
-        keep = [k for k, y in enumerate(self.years) if self.year_total(y) > 0]
+        keep = [k for k, total in enumerate(map(sum, zip(*self.counts))) if total > 0]
         if len(keep) == len(self.years):
             return self
         if not keep:

@@ -126,25 +126,23 @@ class ExportRun(Value):
     """
 
     __slots__ = ("uts", "skipped_lines", "merged_lines", "records", "synthetic", "lines",
-                 "ended", "before")
+                 "ended")
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
     __hash__ = None
 
     def __init__(self, uts: set[str] | None = None, skipped_lines: list[int] | None = None,
                  merged_lines: list[int] | None = None, records: int = 0, synthetic: int = 0,
-                 lines: int = 0, ended: bool = False, before: tuple[int, int] = (0, 0)):
+                 lines: int = 0, ended: bool = False):
         self.uts = set() if uts is None else uts  # of every usable block read
         # the lines of both, from the export's start
         self.skipped_lines = [] if skipped_lines is None else skipped_lines
         self.merged_lines = [] if merged_lines is None else merged_lines
         self.records = records  # kept blocks
         self.synthetic = synthetic  # the number of the last synthetic id given out
-        # the export being read: its lines so far, whether its EF was read, and
-        # the usable and skipped blocks of the run before it
+        # the export being read: its lines so far and whether its EF was read
         self.lines = lines
         self.ended = ended
-        self.before = before
 
 
 def scan_wos_export(exports: Iterable[Iterable[str]],
@@ -164,19 +162,20 @@ def scan_wos_export(exports: Iterable[Iterable[str]],
     usable block, naming the start line of the first block it skipped.
     """
     for chunks in exports:
-        _open_export(run)
+        before = _open_export(run)
         yield from _scan(chunks, run)
-        _close_export(run)
+        _close_export(run, before)
 
 
-def _open_export(run: ExportRun) -> None:
+def _open_export(run: ExportRun) -> tuple[int, int]:
+    # starts an export; returns the usable and skipped blocks of the run before it
     run.lines, run.ended = 0, False
-    run.before = run.records + len(run.merged_lines), len(run.skipped_lines)
+    return run.records + len(run.merged_lines), len(run.skipped_lines)
 
 
-def _close_export(run: ExportRun) -> None:
-    # the export that _open_export opened has been read to its end
-    usable, skips = run.before
+def _close_export(run: ExportRun, before: tuple[int, int]) -> None:
+    # the export that _open_export opened, returning before, has been read to its end
+    usable, skips = before
     if run.records + len(run.merged_lines) == usable:
         if len(run.skipped_lines) > skips:
             raise EmptyCorpusError(
@@ -496,7 +495,7 @@ def _forked_scan(paths: Iterable, run: ExportRun, scan, take) -> None:
             for segment in part:
                 _, start, stop = segment
                 if not start:
-                    _open_export(run)
+                    before = _open_export(run)
                 keep = status == 0
                 if keep:
                     done = pickle.load(result)  # the segment's run
@@ -518,7 +517,7 @@ def _forked_scan(paths: Iterable, run: ExportRun, scan, take) -> None:
                 else:
                     take(scan(_file_chunks(*segment), run))
                 if stop is None:
-                    _close_export(run)
+                    _close_export(run, before)
 
 
 def _scan_part(part: list, scan, sent: BinaryIO, result: BinaryIO, mask) -> None:

@@ -167,6 +167,21 @@ def test_collab_csv(capsys):
     assert abs(float(first[6]) - 0.6758) < 5e-4
 
 
+@pytest.mark.parametrize("command", ["collab", "report"])
+def test_a_wide_matrix_is_read_in_time_linear_in_its_years(tmp_path, command):
+    # 20,000 years of 2 classes, under 0.5 s on a 2-core host; a search
+    # for each year's column, quadratic in the years, took over 8 s
+    years = range(1, 20_001)
+    matrix = tmp_path / "wide.csv"
+    matrix.write_text("authors," + ",".join(map(str, years)) + "\n1" + ",1" * len(years)
+                      + "\n2," + ",".join(str(year % 2) for year in years) + "\n",
+                      encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(bibmet.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "bibmet.cli", command, "--matrix", str(matrix)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=4)
+    assert (done.returncode, done.stderr) == (0, "")
+
+
 def test_ks_with_explicit_parameters(capsys):
     code, out, _ = run(capsys, "ks", "--dist", DIST, "--n", "1.96913",
                        "--c", "0.5974", "--alpha", "0.01", "--ks-mode", "paper")

@@ -26,9 +26,7 @@ SEARCHED = sorted(
      if p != Path(__file__).resolve()]  # which names the exceptions below
     + [ROOT / "README.md", ROOT / "pyproject.toml"])
 
-CALLED_ELSEWHERE = {
-    "cli._Parser._get_formatter": "argparse calls it to format the help and usage text",
-}
+CALLED_ELSEWHERE: dict[str, str] = {}
 
 _DEFINITION = re.compile(r"\b(?:def|class)\s+\w+")
 

@@ -186,7 +186,7 @@ def test_an_export_run_is_mutable_equal_by_fields_with_containers_of_its_own():
     first.records += 1
     assert (second.uts, second.skipped_lines, second.merged_lines, second.records) == (
         set(), [], [], 0)
-    assert (second.synthetic, second.lines, second.ended, second.before) == (0, 0, False, (0, 0))
+    assert (second.synthetic, second.lines, second.ended) == (0, 0, False)
     uts = {"WOS:2"}
     run = ExportRun(uts=uts)
     assert run.uts is uts
