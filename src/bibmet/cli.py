@@ -43,7 +43,6 @@ from .lotka import (
     ks_test,
     lotka_constant,
 )
-from .synth import PowerLawSpec, sample_productivity, sample_spec_papers, spec_from_json
 from .tables import AuthorshipMatrix, ProductivityDistribution, Value, YearlySeries
 from .wos import ExportRun, _file_chunks, count_export_files, write_export, write_export_files
 
@@ -540,6 +539,8 @@ def _lotka_markdown(fit, ks_report: KSReport) -> str:
 
 
 def _cmd_synth(args):
+    from .synth import PowerLawSpec, sample_productivity, sample_spec_papers, spec_from_json
+
     spec = spec_from_json(Path(args.spec).read_text(encoding="utf-8"))
     if isinstance(spec, PowerLawSpec):
         if args.emit not in (None, "distribution"):

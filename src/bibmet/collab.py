@@ -47,9 +47,6 @@ def collaborative_index(author_slots: int, papers: int) -> float:
     return author_slots / papers
 
 
-average_authors_per_paper = collaborative_index
-
-
 def degree_of_collaboration(class_counts: Mapping[int, int]) -> float:
     """Fraction of multi-authored papers, ``(N - f_1) / N``."""
     n = sum(class_counts.values())

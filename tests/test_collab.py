@@ -7,7 +7,6 @@ from bibmet.collab import (
     MULTI_VS_SINGLE,
     TEAM_SIZE_CLASSES,
     authorship_pattern_report,
-    average_authors_per_paper,
     coauthorship_index,
     collaborative_coefficient,
     collaborative_index,
@@ -46,7 +45,6 @@ def random_matrix(rng):
 def test_ci_is_mean_team_size():
     assert collaborative_index(10, 10) == 1.0
     assert collaborative_index(41264, 7482) == approx(5.5151, abs=1e-4)
-    assert average_authors_per_paper is collaborative_index
 
 
 def test_ci_needs_papers():

@@ -26,7 +26,10 @@ SEARCHED = sorted(
      if p != Path(__file__).resolve()]  # which names the exceptions below
     + [ROOT / "README.md", ROOT / "pyproject.toml"])
 
-CALLED_ELSEWHERE: dict[str, str] = {}
+CALLED_ELSEWHERE: dict[str, str] = {
+    "__init__.__getattr__": "Python's import system (PEP 562)",
+    "__init__.__dir__": "Python's import system (PEP 562)",
+}
 
 _DEFINITION = re.compile(r"\b(?:def|class)\s+\w+")
 

@@ -1,16 +1,20 @@
 """Every name a module of ``bibmet``, a test or a demo imports is used in that module.
 
 No linter is a dependency, so this stands in for pyflakes' F401: each
-``src/bibmet/*.py`` but ``__init__.py``, which imports to re-export, each
-``tests/*.py`` and each ``demos/*.py`` is parsed and every imported name
-must be referenced in it.  An import kept for another module's sake
-carries ``noqa: F401`` on its line.  ``tests/test_acceptance.py`` is left
-out: the acceptance tests are kept exactly as written, unused
-``import pytest`` included.  The package's ``__all__`` lists exactly the
-names its ``__init__.py`` imports, sorted.
+``src/bibmet/*.py``, each ``tests/*.py`` and each ``demos/*.py`` is parsed
+and every imported name must be referenced in it.  An import kept for
+another module's sake carries ``noqa: F401`` on its line.
+``tests/test_acceptance.py`` is left out: the acceptance tests are kept
+exactly as written, unused ``import pytest`` included.  The package's
+``__all__`` lists the names of its export table, sorted, and a bare
+``import bibmet`` runs none of its modules.
 """
 
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,7 +23,7 @@ import bibmet
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
-    [p for p in Path(bibmet.__file__).parent.glob("*.py") if p.name != "__init__.py"]
+    list(Path(bibmet.__file__).parent.glob("*.py"))
     + [p for p in (ROOT / "tests").glob("*.py") if p.name != "test_acceptance.py"]
     + list((ROOT / "demos").glob("*.py")))
 
@@ -56,7 +60,31 @@ def test_unused_imports_are_found():
 
 
 def test_package_exports_exactly_what_it_imports():
-    tree = ast.parse(Path(bibmet.__file__).read_text(encoding="utf-8"))
-    imported = {alias.asname or alias.name for node in tree.body
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert bibmet.__all__ == sorted(imported)
+    assert bibmet.__all__ == sorted(name for names in bibmet._EXPORTS.values() for name in names)
+    star = {}
+    exec("from bibmet import *", star)
+    for module, names in bibmet._EXPORTS.items():
+        defining = importlib.import_module(f"bibmet.{module}")
+        assert getattr(bibmet, module) is defining
+        for name in names:
+            imported = {}
+            exec(f"from bibmet import {name}", imported)
+            assert imported[name] is star[name] is getattr(bibmet, name) is getattr(defining, name)
+
+
+def test_package_lists_its_names_and_knows_no_others():
+    assert set(bibmet.__all__) <= set(dir(bibmet))
+    with pytest.raises(AttributeError, match="no attribute 'average_authors_per_paper'"):
+        bibmet.average_authors_per_paper
+
+
+def test_import_runs_no_module_until_a_name_is_used():
+    # tests/test_synth.py checks that importing the CLI leaves synth unloaded
+    script = ("import sys, bibmet\n"
+              "print(sorted(m for m in sys.modules if m.startswith('bibmet')))\n"
+              "print(bibmet.wos.__name__, bibmet.tables.__name__)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(bibmet.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, "['bibmet']\nbibmet.wos bibmet.tables\n", "")

@@ -32,14 +32,15 @@ TABLE_COUNTS = (331, 477, 487, 583, 769, 862, 1026, 1125, 1332, 1494)
 
 
 def test_importing_the_cli_leaves_numpy_unloaded():
-    # only the samplers import numpy, so a run that samples nothing skips it;
-    # ingest forks its own children, so no process-pool module loads either,
-    # and pickle loads only in a run that forks; the value types are plain
-    # classes, so neither dataclasses nor the inspect it imports loads
+    # only the samplers import numpy, and only synth runs them, so a run of
+    # another command loads neither synth nor numpy; ingest forks its own
+    # children, so no process-pool module loads either, and pickle loads
+    # only in a run that forks; the value types are plain classes, so
+    # neither dataclasses nor the inspect it imports loads
     env = dict(os.environ, PYTHONPATH=str(Path(bibmet.__file__).parents[1]))
     code = ("import sys, bibmet.cli; print(sorted(m for m in sys.modules if m.startswith("
-            "('numpy', 'multiprocessing', 'concurrent.futures', 'pickle', 'dataclasses', "
-            "'inspect'))))")
+            "('bibmet.synth', 'numpy', 'multiprocessing', 'concurrent.futures', 'pickle', "
+            "'dataclasses', 'inspect'))))")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
