@@ -28,28 +28,36 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .collab import PARTITIONS, CollabReport, authorship_pattern_report
-from .corpus import CountTables
 from .errors import DomainError, ParseError
-from .growth import GrowthReport, _check_block_split, build_growth_report
-from .lotka import (
-    KSReport,
-    LotkaFit,
-    _check_truncation,
-    _ks_coefficient,
-    fit_lotka_least_squares,
-    ks_test,
-    lotka_constant,
-)
-from .tables import AuthorshipMatrix, ProductivityDistribution, Value, YearlySeries
-from .wos import ExportRun, _file_chunks, count_export_files, write_export, write_export_files
 
-# not called: perfbench/spans.py patches these names here (see tests/test_tracer_targets.py)
-from .corpus import build_authorship_matrix, build_yearly_series  # noqa: F401
-from .lotka import productivity_distribution  # noqa: F401
-from .wos import parse_wos_file, write_wos_export  # noqa: F401
+if TYPE_CHECKING:  # each command imports the modules it runs, so --version loads none
+    from .collab import CollabReport
+    from .corpus import CountTables
+    from .growth import GrowthReport
+    from .lotka import KSReport, LotkaFit
+    from .tables import AuthorshipMatrix, ProductivityDistribution, Value, YearlySeries
+
+
+def _forwarder(name: str):
+    """A function that calls the package's ``name``, importing its module on the first call."""
+    return lambda *args, **kwargs: getattr(sys.modules[__package__], name)(*args, **kwargs)
+
+
+# perfbench/spans.py wraps these names here (see tests/test_tracer_targets.py); they go when
+# the run record replaces spans.py (ROADMAP item 2).  The CLI calls the first five by them
+fit_lotka_least_squares = _forwarder("fit_lotka_least_squares")
+lotka_constant = _forwarder("lotka_constant")
+ks_test = _forwarder("ks_test")
+build_growth_report = _forwarder("build_growth_report")
+authorship_pattern_report = _forwarder("authorship_pattern_report")
+build_yearly_series = _forwarder("build_yearly_series")
+build_authorship_matrix = _forwarder("build_authorship_matrix")
+productivity_distribution = _forwarder("productivity_distribution")
+parse_wos_file = _forwarder("parse_wos_file")
+write_wos_export = _forwarder("write_wos_export")
 
 
 class _UsageError(Exception):
@@ -256,7 +264,8 @@ def _add_cap_flags(p):
 
 def _add_collab_flags(p):
     _add_cap_flags(p)
-    p.add_argument("--partition", choices=sorted(PARTITIONS), default="multi",
+    # collab.PARTITIONS, sorted: the parser is built before any command imports collab
+    p.add_argument("--partition", choices=["multi", "team"], default="multi",
                    help="co-authorship class partition (default multi)")
 
 
@@ -323,12 +332,13 @@ def _staged_output(output: str | None):
         raise
 
 
-def _read_exports(files, strict: bool, read):
-    """``read(files, run)`` on a new run: ``count_export_files`` or an export writer.
+def _read_exports(files, strict: bool, read=None):
+    """``read(files, run)`` on a new run: an export writer, or ``count_export_files`` if None.
 
     Its result is returned once the ingest line is printed and every check passed."""
+    from .wos import ExportRun, count_export_files
     run = ExportRun()
-    result = read(files, run)
+    result = (read or count_export_files)(files, run)
     merges = f", merged {len(run.merged_lines)} duplicate(s)" if run.merged_lines else ""
     print(f"bibmet: parsed {run.records} record(s) from {len(files)} file(s), "
           f"skipped {len(run.skipped_lines)} block(s){merges}", file=sys.stderr)
@@ -340,10 +350,11 @@ def _read_exports(files, strict: bool, read):
 def _check_flags(args) -> None:
     # a flag out of range fails the command before any input is read; in
     # report it fails the run, as in the single command, instead of skipping its section
-    for flag, check in [("block_split", _check_block_split), ("truncation", _check_truncation),
-                        ("alpha", _ks_coefficient)]:
-        if flag in args:
-            check(getattr(args, flag))
+    for flag, module, check in [("block_split", "growth", "_check_block_split"),
+                                ("truncation", "lotka", "_check_truncation"),
+                                ("alpha", "lotka", "_ks_coefficient")]:
+        if flag in args:  # the package imports the module on first use: only for a flag here
+            getattr(getattr(sys.modules[__package__], module), check)(getattr(args, flag))
 
 
 def _counts(args, counts: CountTables | None, flag: str) -> CountTables:
@@ -352,11 +363,12 @@ def _counts(args, counts: CountTables | None, flag: str) -> CountTables:
         return counts
     if not args.wos:
         raise _UsageError(f"bibmet: provide {flag} or --wos")
-    return _read_exports(args.wos, False, count_export_files)
+    return _read_exports(args.wos, False)
 
 
 def _series(args, counts: CountTables | None = None) -> YearlySeries:
     if args.series:
+        from .tables import YearlySeries, _file_chunks
         return YearlySeries.from_csv(_file_chunks(args.series))
     return _counts(args, counts, "--series").yearly_series()
 
@@ -364,6 +376,7 @@ def _series(args, counts: CountTables | None = None) -> YearlySeries:
 def _matrix(args, counts: CountTables | None = None) -> AuthorshipMatrix:
     """The matrix, collapsed at ``--cap`` unless ``--no-collapse`` or a CSV already is."""
     if args.matrix:
+        from .tables import AuthorshipMatrix, _file_chunks
         matrix = AuthorshipMatrix.from_csv(_file_chunks(args.matrix))
         if not args.no_collapse and not matrix.collapsed:
             matrix = matrix.collapse(args.cap)
@@ -374,6 +387,7 @@ def _matrix(args, counts: CountTables | None = None) -> AuthorshipMatrix:
 
 def _distribution(args, counts: CountTables | None = None) -> ProductivityDistribution:
     if args.dist:
+        from .tables import ProductivityDistribution, _file_chunks
         return ProductivityDistribution.from_csv(_file_chunks(args.dist))
     return _counts(args, counts, "--dist").productivity_distribution()
 
@@ -384,6 +398,7 @@ def _growth(args, series: YearlySeries) -> GrowthReport:
 
 
 def _collab(args, matrix: AuthorshipMatrix) -> CollabReport:
+    from .collab import PARTITIONS
     return authorship_pattern_report(matrix, partition=PARTITIONS[args.partition])
 
 
@@ -409,12 +424,13 @@ def _cmd_ingest(args):
     if args.emit == "wos":
         if args.source_comment:
             raise _UsageError("bibmet ingest: --source-comment only applies to the CSV emits")
+        from .wos import write_export_files
         # every check passes before the export reaches the output
         with _staged_output(args.output) as out:
             _read_exports(args.files, args.strict,
                           lambda files, run: write_export_files(files, run, out))
         return
-    text = _table_csv(args, _read_exports(args.files, args.strict, count_export_files))
+    text = _table_csv(args, _read_exports(args.files, args.strict))
     if args.source_comment:
         text = f"# source: {' '.join(args.files)}\n" + text
     _emit(text, args.output)
@@ -476,7 +492,7 @@ def _cmd_report(args):
         raise _UsageError("bibmet report: no inputs; provide --wos, --series, "
                           "--matrix and/or --dist")
     _check_flags(args)
-    counts = _read_exports(args.wos, args.strict, count_export_files) if args.wos else None
+    counts = _read_exports(args.wos, args.strict) if args.wos else None
     series = _series(args, counts) if args.series or args.wos else None
     matrix = _matrix(args, counts) if args.matrix or args.wos else None
     dist = _distribution(args, counts) if args.dist or args.wos else None
@@ -539,7 +555,9 @@ def _lotka_markdown(fit, ks_report: KSReport) -> str:
 
 
 def _cmd_synth(args):
+    from .corpus import CountTables
     from .synth import PowerLawSpec, sample_productivity, sample_spec_papers, spec_from_json
+    from .wos import write_export
 
     spec = spec_from_json(Path(args.spec).read_text(encoding="utf-8"))
     if isinstance(spec, PowerLawSpec):

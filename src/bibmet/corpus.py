@@ -19,10 +19,9 @@ from itertools import chain, islice
 from typing import Iterable, Iterator
 
 from .errors import DomainError
-from .tables import AuthorshipMatrix, ProductivityDistribution, Value, YearlySeries
+from .tables import (YEAR_MAX, YEAR_MIN, AuthorshipMatrix, ProductivityDistribution, Value,
+                     YearlySeries)
 
-YEAR_MIN = 1000
-YEAR_MAX = 3000
 # papers in one batch, which CountTables.pieces counts and wos.write_export
 # renders at once: about a 128 KiB chunk's worth of write_wos_export records
 _PAPERS_PER_FOLD = 1024

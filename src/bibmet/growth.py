@@ -21,9 +21,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .corpus import YEAR_MAX, YEAR_MIN
 from .errors import DomainError
-from .tables import Value, YearlySeries
+from .tables import YEAR_MAX, YEAR_MIN, Value, YearlySeries
 
 LN2_APPROX = 0.693
 

@@ -13,11 +13,13 @@ from __future__ import annotations
 import json
 import math
 from itertools import accumulate
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .corpus import Corpus, CountTables
 from .errors import DomainError
 from .tables import ProductivityDistribution, Value
+
+if TYPE_CHECKING:
+    from .corpus import Corpus
 
 #: Critical-value coefficients for the one-sample K-S test, coeff / sqrt(N).
 KS_COEFFICIENTS = {0.20: 1.07, 0.15: 1.14, 0.10: 1.22, 0.05: 1.36, 0.01: 1.63}
@@ -36,6 +38,7 @@ def productivity_distribution(corpus: Corpus) -> ProductivityDistribution:
     Author identity is the exact name string; the sum of x * y_x equals
     the corpus's total author slots.
     """
+    from .corpus import CountTables  # here, so that a command on CSV tables loads no corpus
     return CountTables.from_corpus(corpus).productivity_distribution()
 
 

@@ -17,12 +17,15 @@ counts non-negative and at most ``COUNT_MAX``, ``x >= 1``, classes ``>= 1``
 and at most ``COUNT_MAX``, a collapsed class ``>= 2``).  The CSV reader
 checks only the header, the integer cells (ASCII digits after an optional
 ``-``) and the ``+`` marker.  It reads text, or chunks of it that end at a
-line end as the CLI reads a file, once, and keeps the line of each row, so
-that a rule is reported at the line of the first row breaking it.
+line end as :func:`_file_chunks` reads a file (a table, or a tagged export
+for :mod:`bibmet.wos`), once, and keeps the line of each row, so that a
+rule is reported at the line of the first row breaking it.
 """
 
 from __future__ import annotations
 
+import codecs
+import io
 import sys
 from array import array
 from typing import Iterable, Iterator, Literal, Union
@@ -39,6 +42,13 @@ CAP_MAX = 10_000
 #: Largest paper count, matrix cell, ``y`` or author-count class (an int64,
 #: as ``PowerLawSpec.total_authors``); years and ``x`` have no bound.
 COUNT_MAX = 2**63 - 1
+
+#: Years a paper may have (an export's ``PY``, a generated corpus); ``corpus`` re-exports them.
+YEAR_MIN = 1000
+YEAR_MAX = 3000
+
+#: Bytes read from an input file at a time; text after a read's last line end carries over.
+CHUNK_CHARS = 128 * 1024
 
 
 class Value:
@@ -397,6 +407,47 @@ def parse_counts_csv(text: str, shape: TableShape) -> CountTable:
 def normalize_line_ends(text: str) -> str:
     """``text`` with every ``\\r\\n`` and ``\\r`` line end written as ``\\n``."""
     return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _file_chunks(path, start: int = 0, stop: int | None = None) -> Iterator[str]:
+    # bytes start to stop (the end if None), at most CHUNK_CHARS a read (a pipe gives
+    # what one read returns), decoded in universal-newline mode, which ends lines at
+    # \n, \r\n and \r only; a segment starts and stops after a \n, so holds whole lines
+    decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), True)
+    line: list[str] = []  # the text read after the last line end
+    offset = start  # of the next read in the file
+    with io.FileIO(path) as fh:
+        if start:  # a range of a regular file: a pipe cannot seek, even to 0
+            fh.seek(start)
+        while True:
+            data = fh.read(CHUNK_CHARS if stop is None else min(CHUNK_CHARS, stop - offset))
+            held = decoder.getstate()[0]  # undecoded bytes of the reads before
+            try:
+                text = decoder.decode(data, final=not data)
+            except UnicodeDecodeError as exc:
+                # named as a decode of the whole input names it, from its start
+                raise _decode_error(exc, offset - len(held)) from None
+            offset += len(data)
+            # a chunk ends at the last line end read, but a line longer than a
+            # read ends its own chunk, which then holds that line alone
+            if (cut := (text.find if len(line) > 1 else text.rfind)("\n") + 1):
+                line.append(text[:cut])
+                chunk, line = "".join(line), [text[cut:]]  # no piece held on with it
+                yield chunk
+            else:
+                line.append(text)
+            if not data:
+                break
+    if rest := "".join(line):
+        yield rest
+
+
+def _decode_error(exc: UnicodeDecodeError, offset: int) -> ValueError:
+    # exc's message with its positions moved on by offset
+    first, last = offset + exc.start, offset + exc.end - 1
+    what = (f"byte 0x{exc.object[exc.start]:02x} in position {first}" if first == last
+            else f"bytes in position {first}-{last}")
+    return ValueError(f"'{exc.encoding}' codec can't decode {what}: {exc.reason}")
 
 
 def _rows(chunks: Iterable[str]) -> Iterator[tuple[int, list[str]]]:

@@ -26,15 +26,17 @@ a ``UT``, or with one that equals a synthetic id given out before, takes
 the next synthetic id (``rec000001``, ...) that no ``UT`` of the run holds.
 
 One block scanner, :func:`scan_wos_export`, reads a run's exports in
-chunks that end at a line end (:func:`_file_chunks` reads a file, or a
-byte range of it, ``CHUNK_CHARS`` bytes at most at a time and cuts the
-text after a line end, for every export and the CLI's CSV count tables).  Between blocks it first
-tries one regular expression for the block :func:`write_wos_export`
-writes, which reads the whole block with no work per line; every other
-block goes through the line-by-line rules, which keep only the block's
-``AU``/``PY``/``UT`` values in hand, so that a block cut by a chunk's
-end goes on in the next chunk.  Both give the
-same papers, ids and tallies.  The scanner yields the kept blocks as
+chunks that end at a line end.  The chunk reader, which also reads the
+CLI's CSV count tables, lives in :mod:`bibmet.tables`:
+:func:`~bibmet.tables._file_chunks` reads a file, or a byte range of it,
+``tables.CHUNK_CHARS`` bytes at most at a time and cuts the text after a
+line end.  Between blocks the scanner first tries one regular expression
+for the block :func:`write_wos_export` writes, which reads the whole
+block with no work per line; every other block goes through the
+line-by-line rules, which keep only the block's ``AU``/``PY``/``UT``
+values in hand, so that a block cut by a chunk's end goes on in the next
+chunk.  Both give the same papers, ids and tallies.
+The scanner yields the kept blocks as
 ``(id, year, authors)`` papers, which the analysis commands fold straight
 into :class:`~bibmet.corpus.CountTables`, so the memory of each process
 is bounded by a few chunks plus the distinct authors and ids (and the
@@ -58,7 +60,6 @@ build one :class:`~bibmet.corpus.PublicationRecord` per block.
 
 from __future__ import annotations
 
-import codecs
 import contextlib
 import functools
 import io
@@ -71,17 +72,16 @@ import tempfile
 import threading
 from typing import BinaryIO, Iterable, Iterator, TextIO, Union
 
-from .corpus import YEAR_MAX, YEAR_MIN, Corpus, CountTables, PublicationRecord, batches
+from . import tables
+from .corpus import Corpus, CountTables, PublicationRecord, batches
 from .errors import EmptyCorpusError
-from .tables import Value, normalize_line_ends
+from .tables import YEAR_MAX, YEAR_MIN, Value, _file_chunks, normalize_line_ends
 
 _CONTINUATION = "   "
 
 RECORD_END = "ER"
 FILE_END = "EF"
 
-#: Bytes read from an input file at a time; text after a read's last line end carries over.
-CHUNK_CHARS = 128 * 1024
 # Each value of the block that write_wos_export writes starts and ends with
 # a non-space, so it equals its own strip() and no line needs a look; its
 # line end follows [^\n]* directly, so that a block of another shape fails
@@ -311,47 +311,6 @@ def scan_wos_file(paths: Iterable, run: ExportRun) -> Iterator[tuple[str, int, t
     return scan_wos_export(map(_file_chunks, paths), run)
 
 
-def _file_chunks(path, start: int = 0, stop: int | None = None) -> Iterator[str]:
-    # bytes start to stop (the end if None), at most CHUNK_CHARS a read (a pipe gives
-    # what one read returns), decoded in universal-newline mode, which ends lines at
-    # \n, \r\n and \r only; a segment starts and stops after a \n, so holds whole lines
-    decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), True)
-    line: list[str] = []  # the text read after the last line end
-    offset = start  # of the next read in the file
-    with io.FileIO(path) as fh:
-        if start:  # a range of a regular file: a pipe cannot seek, even to 0
-            fh.seek(start)
-        while True:
-            data = fh.read(CHUNK_CHARS if stop is None else min(CHUNK_CHARS, stop - offset))
-            held = decoder.getstate()[0]  # undecoded bytes of the reads before
-            try:
-                text = decoder.decode(data, final=not data)
-            except UnicodeDecodeError as exc:
-                # named as a decode of the whole input names it, from its start
-                raise _decode_error(exc, offset - len(held)) from None
-            offset += len(data)
-            # a chunk ends at the last line end read, but a line longer than a
-            # read ends its own chunk, which then holds that line alone
-            if (cut := (text.find if len(line) > 1 else text.rfind)("\n") + 1):
-                line.append(text[:cut])
-                chunk, line = "".join(line), [text[cut:]]  # no piece held on with it
-                yield chunk
-            else:
-                line.append(text)
-            if not data:
-                break
-    if rest := "".join(line):
-        yield rest
-
-
-def _decode_error(exc: UnicodeDecodeError, offset: int) -> ValueError:
-    # exc's message with its positions moved on by offset
-    first, last = offset + exc.start, offset + exc.end - 1
-    what = (f"byte 0x{exc.object[exc.start]:02x} in position {first}" if first == last
-            else f"bytes in position {first}-{last}")
-    return ValueError(f"'{exc.encoding}' codec can't decode {what}: {exc.reason}")
-
-
 def parse_wos_export(source: Union[str, TextIO]) -> WosParseResult:
     """Parse a tagged export into a corpus.
 
@@ -430,10 +389,10 @@ def count_export_files(paths: Iterable, run: ExportRun) -> CountTables:
     """``CountTables(scan_wos_file(paths, run))``, in one process per usable CPU.
 
     The tables, the tallies in ``run`` and any error are the serial call's."""
-    tables = CountTables()
+    counts = CountTables()
     _forked_scan(paths, run, lambda chunks, run: CountTables.pieces(_scan(chunks, run)),
-                 tables.fold)
-    return tables
+                 counts.fold)
+    return counts
 
 
 def _forked_scan(paths: Iterable, run: ExportRun, scan, take) -> None:
@@ -550,7 +509,7 @@ def _cut(paths: list) -> list[list]:
     file is ``(path, 0, None)``.  The ``k``-th of ``n`` cuts falls at
     the first file end, or end of a line reading ``ER`` ended by ``\\n``
     or ``\\r\\n``, at or after byte ``total * k / n`` of the files and
-    within ``CHUNK_CHARS`` bytes of it, so that each part starts between
+    within ``tables.CHUNK_CHARS`` bytes of it, so that each part starts between
     two records.  Files are cut only where each is a regular file, which
     can be read once by one process and then by another, and no file is
     named twice, since its second reading is all merged and a child's
@@ -578,7 +537,7 @@ def _cut(paths: list) -> list[list]:
         if offset:
             with open(paths[i], "rb") as fh:
                 fh.seek(offset - 1)
-                end = _ER_BYTES.search(fh.read(CHUNK_CHARS + len(_ER_LINE) + 1))
+                end = _ER_BYTES.search(fh.read(tables.CHUNK_CHARS + len(_ER_LINE) + 1))
             offset = sizes[i] if end is None else offset - 1 + end.end()
         cuts.add((i, offset) if offset < sizes[i] else (i + 1, 0))
     parts: list[list] = [[]]

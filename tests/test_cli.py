@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import bibmet
-from bibmet import fixtures, wos
+from bibmet import cli, collab, fixtures, wos
 from bibmet.cli import main
 from bibmet.lotka import TRUNCATION_MAX
 from bibmet.synth import AUTHOR_POOL_LIMIT, AUTHOR_SLOTS_LIMIT, X_MAX_LIMIT, sample_papers
@@ -155,6 +155,34 @@ def test_growth_refuses_to_fill_a_span_longer_than_an_export_can_hold(capsys, tm
     assert (code, out) == (2, "")
     assert err == ("bibmet: domain error: a yearly series with missing years must span "
                    "at most 2001 years, got 1-3000\n")
+
+
+@pytest.mark.parametrize("command", ["collab", "report"])
+def test_partition_choices_are_the_partitions_collab_defines(command):
+    # written out, so that building the parser imports no collab
+    parser = cli._build_parser().commands[command]
+    [choices] = [action.choices for action in parser._actions if action.dest == "partition"]
+    assert choices == sorted(collab.PARTITIONS)
+
+
+def test_report_calls_each_metric_by_its_name_on_the_cli(capsys, monkeypatch):
+    # perfbench/spans.py times these five where the CLI looks them up; a call
+    # that went round them would leave its layer's time at 0
+    live = ["fit_lotka_least_squares", "lotka_constant", "ks_test", "build_growth_report",
+            "authorship_pattern_report"]
+    called = []
+
+    def spy(name, forward):
+        def call(*args, **kwargs):
+            called.append(name)
+            return forward(*args, **kwargs)
+        return call
+
+    for name in live:
+        monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
+    code, out, _ = run(capsys, "report", "--series", SERIES, "--matrix", MATRIX, "--dist", DIST)
+    assert code == 0 and "## Author productivity" in out
+    assert sorted(set(called)) == sorted(live)
 
 
 def test_collab_csv(capsys):

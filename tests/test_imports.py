@@ -7,7 +7,9 @@ another module's sake carries ``noqa: F401`` on its line.
 ``tests/test_acceptance.py`` is left out: the acceptance tests are kept
 exactly as written, unused ``import pytest`` included.  The package's
 ``__all__`` lists the names of its export table, sorted, and a bare
-``import bibmet`` runs none of its modules.
+``import bibmet`` runs none of its modules.  Each command loads only the
+modules it runs: ``--version``, ``--help`` and a usage error none of the
+analysis, and the commands on CSV tables neither ``wos`` nor ``corpus``.
 """
 
 import ast
@@ -88,3 +90,54 @@ def test_import_runs_no_module_until_a_name_is_used():
                           text=True, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (
         0, "['bibmet']\nbibmet.wos bibmet.tables\n", "")
+
+
+def loaded_by(*argv: str) -> tuple[int, set[str]]:
+    """The exit code of ``bibmet argv`` in a child process, and its modules of bibmet and numpy."""
+    script = ("import contextlib, io, sys\n"
+              "from bibmet.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = main(sys.argv[1:])\n"
+              "print(code, *sorted(m for m in sys.modules if m.startswith('bibmet') "
+              "or m == 'numpy'))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(bibmet.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True,
+                          text=True, timeout=60)
+    code, *modules = done.stdout.split()
+    return int(code), set(modules)
+
+
+DATA = Path(bibmet.__file__).parent / "data"
+NOT_FOR_TABLES = {"bibmet.wos", "bibmet.corpus", "bibmet.growth", "bibmet.collab", "bibmet.synth"}
+
+
+@pytest.mark.parametrize("argv, code", [(["--version"], 0), (["--help"], 0),
+                                        (["collab", "--partition", "solo"], 64)],
+                         ids=["version", "help", "usage-error"])
+def test_a_run_that_runs_no_command_loads_no_analysis_module(argv, code):
+    assert loaded_by(*argv) == (code, {"bibmet", "bibmet.cli", "bibmet.errors"})
+
+
+@pytest.mark.parametrize("command", ["ks", "lotka"])
+def test_a_command_on_a_distribution_loads_lotka_and_tables_alone(command):
+    code, modules = loaded_by(command, "--dist", str(DATA / "concussion_author_productivity.csv"))
+    assert code == 0
+    assert {"bibmet.lotka", "bibmet.tables"} <= modules
+    assert modules.isdisjoint(NOT_FOR_TABLES | {"numpy"})
+
+
+def test_growth_on_a_series_loads_no_lotka():
+    # _check_flags imports a checker's module only for a flag that the command has
+    code, modules = loaded_by("growth", "--series", str(DATA / "concussion_yearly.csv"))
+    assert code == 0
+    assert "bibmet.growth" in modules
+    assert modules.isdisjoint({"bibmet.lotka", "bibmet.wos", "bibmet.corpus", "numpy"})
+
+
+def test_report_on_an_export_loads_no_synth_or_numpy(tmp_path, sample_wos_text):
+    path = tmp_path / "export.txt"
+    path.write_text(sample_wos_text, encoding="utf-8")
+    code, modules = loaded_by("report", "--wos", str(path))
+    assert code == 0
+    assert {"bibmet.wos", "bibmet.corpus", "bibmet.lotka"} <= modules
+    assert modules.isdisjoint({"bibmet.synth", "numpy"})

@@ -2,7 +2,7 @@ import io
 
 import pytest
 
-from bibmet import wos
+from bibmet import tables, wos
 from bibmet.errors import EmptyCorpusError
 from bibmet.wos import ExportRun, parse_wos_export, scan_wos_export, write_wos_export
 
@@ -186,10 +186,19 @@ def test_undecodable_bytes_are_named_from_the_input_start_at_any_read_size(
     path.write_bytes(data)
     with pytest.raises(UnicodeDecodeError) as whole:
         data.decode("utf-8")
-    monkeypatch.setattr(wos, "CHUNK_CHARS", chunk)
+    monkeypatch.setattr(tables, "CHUNK_CHARS", chunk)
+    assert probe_chunks(tmp_path) > 1
     with pytest.raises(ValueError) as chunked:
-        list(wos._file_chunks(path))
+        list(tables._file_chunks(path))
     assert str(chunked.value) == str(whole.value)
+
+
+def probe_chunks(tmp_path) -> int:
+    # the chunks that the reader cuts a 256-byte file into: one at the default
+    # read size, more once a smaller size patched in has reached the reader
+    path = tmp_path / "lines.txt"
+    path.write_bytes(b"x\n" * 128)
+    return len(list(tables._file_chunks(path)))
 
 
 def crlf_export(bad: bytes = b"") -> tuple[bytes, list[int]]:
@@ -215,10 +224,11 @@ def test_a_byte_range_reads_its_own_bytes_decoded(tmp_path, monkeypatch, chunk):
     data, cuts = crlf_export()
     path = tmp_path / "export.txt"
     path.write_bytes(data)
-    monkeypatch.setattr(wos, "CHUNK_CHARS", chunk)
+    monkeypatch.setattr(tables, "CHUNK_CHARS", chunk)
+    assert probe_chunks(tmp_path) > 1
     for start, stop in byte_ranges(cuts):
         expected = data[start:stop].decode("utf-8").replace("\r\n", "\n")
-        chunks = list(wos._file_chunks(path, start, stop))
+        chunks = list(tables._file_chunks(path, start, stop))
         assert "".join(chunks) == expected, (start, stop)
         assert all(piece.endswith("\n") for piece in chunks), (start, stop)
 
@@ -232,12 +242,13 @@ def test_an_undecodable_byte_in_a_range_is_named_from_the_file_start(
     with pytest.raises(UnicodeDecodeError) as whole:
         data.decode("utf-8")
     bad = whole.value.start
-    monkeypatch.setattr(wos, "CHUNK_CHARS", chunk)
+    monkeypatch.setattr(tables, "CHUNK_CHARS", chunk)
+    assert probe_chunks(tmp_path) > 1
     for start, stop in byte_ranges(cuts):
         if start <= bad < (len(data) if stop is None else stop):
             with pytest.raises(ValueError) as ranged:
-                list(wos._file_chunks(path, start, stop))
+                list(tables._file_chunks(path, start, stop))
             assert str(ranged.value) == str(whole.value), (start, stop)
         else:  # a range before or after the byte reads none of it
             expected = data[start:stop].decode("utf-8").replace("\r\n", "\n")
-            assert "".join(wos._file_chunks(path, start, stop)) == expected, (start, stop)
+            assert "".join(tables._file_chunks(path, start, stop)) == expected, (start, stop)

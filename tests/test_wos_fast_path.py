@@ -29,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bibmet import wos
+from bibmet import tables, wos
 from bibmet.corpus import Corpus, PublicationRecord
 from bibmet.synth import sample_corpus
 from bibmet.tables import normalize_line_ends
@@ -129,11 +129,15 @@ def exports(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(texts=st.lists(exports(), min_size=1, max_size=2),
-       chunk=st.sampled_from([1, 7, 64, wos.CHUNK_CHARS]), strict=st.booleans())
+       chunk=st.sampled_from([1, 7, 64, tables.CHUNK_CHARS]), strict=st.booleans())
 def test_chunked_fast_path_matches_the_seed_reference(texts, chunk, strict):
     expected = outcome(lambda: reference(texts, 3))
     code, emitted, err = reference_emit(texts, strict)
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(wos, "CHUNK_CHARS", chunk):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(tables, "CHUNK_CHARS", chunk):
+        # a 256-byte file is one chunk at the default read size: a small one reached the reader
+        probe = Path(tmp) / "probe.txt"
+        probe.write_bytes(b"x\n" * 128)
+        assert (len(list(tables._file_chunks(probe))) > 1) == (chunk < 256)
         paths = []
         for i, text in enumerate(texts):
             path = Path(tmp) / f"export{i}.txt"
@@ -173,6 +177,23 @@ def test_every_block_write_wos_export_writes_is_canonical():
     assert wos._CANONICAL_RUN.fullmatch(text, len(blocks[0]), len(text) - len("\nEF\n"))
 
 
+@pytest.mark.parametrize("year", ["0999", "3001"], ids=["below-year-min", "above-year-max"])
+def test_a_year_out_of_range_in_a_run_skips_its_block(tmp_path, monkeypatch, year):
+    # the first block is kept alone, then the other three are matched as one
+    # run, which its year check must refuse, so that the third block is skipped;
+    # on one CPU, so that no cut between the blocks splits the run
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    blocks = [render({"names": ["Smith, A", "Lee, C"], "indents": None, "year": y,
+                      "ut": f"UT WOS:{i}", "er": "ER", "blanks": 1})
+              for i, y in enumerate(["2001", "2002", year, "2003"])]
+    path = tmp_path / "export.txt"
+    path.write_text("".join(blocks) + "EF\n", encoding="utf-8")
+    assert wos._CANONICAL_RUN.fullmatch("\n" + "".join(blocks[1:]).removesuffix("\n"))
+    assert run_cli(["ingest", "--emit", "wos", str(path)]) == (
+        0, "".join(blocks[:2] + blocks[3:]) + "EF\n",
+        "bibmet: parsed 3 record(s) from 1 file(s), skipped 1 block(s)\n")
+
+
 @pytest.mark.parametrize("repeats", ["every-block", "every-other-block"])
 def test_a_run_that_fails_is_not_tried_again_before_its_end(tmp_path, monkeypatch, repeats):
     # the second export repeats the UT of every block of the first, or of
@@ -205,7 +226,7 @@ def test_a_run_that_fails_is_not_tried_again_before_its_end(tmp_path, monkeypatc
     run, file_chunks = wos._CANONICAL_RUN, wos._file_chunks
     monkeypatch.setattr(wos, "_CANONICAL_RUN", Spy())
     monkeypatch.setattr(wos, "_file_chunks", counted)
-    monkeypatch.setattr(wos, "CHUNK_CHARS", 4096)
+    monkeypatch.setattr(tables, "CHUNK_CHARS", 4096)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     out = io.StringIO()
     wos.write_export_files(paths, wos.ExportRun(), out)
