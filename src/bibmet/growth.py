@@ -239,32 +239,26 @@ def build_growth_report(series: YearlySeries, convention: str = "paper",
     rgr = relative_growth_rate(series, convention=convention)
     ln2 = math.log(2) if exact_ln2 else LN2_APPROX
 
-    cum = series.cumulative
     rows = []
-    for i, (year, papers) in enumerate(series.entries):
-        r = ratios.entries[i][1]
-        g = rgr.entries[i][1]
+    for (year, papers), cum, (_, r), (_, g) in zip(series.entries, series.cumulative,
+                                                   ratios.entries, rgr.entries):
         dt = ln2 / g if g is not None and g > 0 else None
-        rows.append(GrowthRow(year, papers, cum[i], r, g, dt))
-
-    defined = [(row.year, row.rgr, row.doubling_time) for row in rows
-               if row.rgr is not None and row.doubling_time is not None]
+        rows.append(GrowthRow(year, papers, cum, r, g, dt))
+    # the rows with a doubling time, which have a positive rate too
+    defined = [row for row in rows if row.doubling_time is not None]
     if not defined:
         raise DomainError("no defined growth-rate entries")
-    blocks_idx = default_blocks(len(defined), first=block_split)
-    rgr_means = block_means([d[1] for d in defined], blocks_idx)
-    dt_means = block_means([d[2] for d in defined], blocks_idx)
-    blocks = tuple(
-        BlockSummary(defined[start][0], defined[stop - 1][0],
-                     rgr_means.per_block[k], dt_means.per_block[k])
-        for k, (start, stop) in enumerate(blocks_idx)
-    )
+    parts = [defined[start:stop] for start, stop in default_blocks(len(defined), block_split)]
+    blocks = tuple(BlockSummary(part[0].year, part[-1].year,
+                                sum(row.rgr for row in part) / len(part),
+                                sum(row.doubling_time for row in part) / len(part))
+                   for part in parts)
     return GrowthReport(
         convention=convention,
         rows=tuple(rows),
         blocks=blocks,
         mean_growth_ratio=ratios.mean,
-        mean_rgr=rgr_means.overall,
-        mean_doubling_time=dt_means.overall,
+        mean_rgr=sum(b.mean_rgr for b in blocks) / len(blocks),
+        mean_doubling_time=sum(b.mean_doubling_time for b in blocks) / len(blocks),
         ln2=ln2,
     )

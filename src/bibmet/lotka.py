@@ -259,23 +259,26 @@ def ks_test(dist: ProductivityDistribution, n: float, c: float,
     head = [0.0, *accumulate(expected_frequencies(n, 1.0, range(1, k + 1)))]
     log_k = math.log(k)
 
-    def em(log_x: float) -> float:
-        # the integral from K to x, written so that n just above 1 does not
-        # cancel, then the x-end terms; each power of x comes first in its
-        # product, so that a huge n gives 0 * n * ..., never inf * 0
+    def em(log_x: float, power: float) -> float:
+        # power is x^-n.  The integral from K to x, written so that n just
+        # above 1 does not cancel, then the x-end terms; each power of x comes
+        # first in its product, so that a huge n gives 0 * n * ..., never inf * 0
         return (-math.expm1((1 - n) * (log_x - log_k)) * k ** (1 - n) / (n - 1)
-                + math.exp(-n * log_x) / 2 - math.exp(-(n + 1) * log_x) * n / 12
+                + power / 2 - math.exp(-(n + 1) * log_x) * n / 12
                 + math.exp(-(n + 3) * log_x) * n * (n + 1) * (n + 2) / 720)
 
-    base = head[k] - em(log_k)
+    base = head[k] - em(log_k, math.exp(-n * log_k))
     rows = []
     obs_cum = 0.0
-    for x, exp_prop in zip(grid, expected_frequencies(n, c, grid)):
+    for x in grid:
+        # x^-n as expected_frequencies takes it, so that c * power is its share
+        log_x = math.log(x)
+        power = math.exp(-n * log_x)
         y = observed.get(x, 0)
         obs_prop = y / total
         obs_cum += obs_prop
-        exp_cum = c * (head[x] if x <= k else base + em(math.log(x)))
-        rows.append(KSRow(x, y, obs_prop, obs_cum, exp_prop, exp_cum, abs(obs_cum - exp_cum)))
+        exp_cum = c * (head[x] if x <= k else base + em(log_x, power))
+        rows.append(KSRow(x, y, obs_prop, obs_cum, c * power, exp_cum, abs(obs_cum - exp_cum)))
     peak = max(rows, key=lambda row: row.abs_diff)
     critical = ks_critical_value(total, alpha=alpha, mode=mode, n=n)
     return KSReport(rows=tuple(rows), d_max=peak.abs_diff, x_at_dmax=peak.x,

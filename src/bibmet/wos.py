@@ -103,6 +103,11 @@ _CANONICAL_BLOCK = re.compile(rf"\n*{_block('(')}")
 _CANONICAL_RUN = re.compile(rf"(?:\n{_block('(?:')})+")
 _ER_LINE = "\n" + RECORD_END + "\n"
 _ER_BYTES = re.compile(rb"\nER\r?\n")
+# the first three characters of every tag line -> its tag: an upper-case
+# letter and an upper-case letter or digit, then a space or the line's end
+_UPPER = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+_TAG_PREFIXES = {a + b + end: a + b
+                 for a in _UPPER for b in _UPPER + "0123456789" for end in (" ", "")}
 
 
 class WosParseResult(Value):
@@ -192,7 +197,7 @@ def _scan(chunks: Iterable[str], run: ExportRun,
     # yielded as its export text, a str, where _render_record would write
     # the same text for each of them; a run that fails is not tried again
     # before its end, so that its blocks are matched as a run only once
-    tag_of = _tag_prefixes().get
+    tag_of = _TAG_PREFIXES.get
     match, find_all = _CANONICAL_BLOCK.match, _CANONICAL_BLOCK.findall
     match_run = _CANONICAL_RUN.match
     next_name = "\n" + _CONTINUATION  # between two AU values of a matched block
@@ -333,19 +338,6 @@ def _parse_result(chunks: Iterable[str]) -> WosParseResult:
     # one record per paper, built before skipped_lines is read
     corpus = Corpus(tuple(PublicationRecord(*p) for p in scan_wos_export([chunks], run)))
     return WosParseResult(corpus=corpus, skipped_lines=tuple(run.skipped_lines))
-
-
-@functools.cache
-def _tag_prefixes() -> dict[str, str]:
-    """The first three characters of every tag line -> its tag.
-
-    A tag is an upper-case letter and an upper-case letter or digit,
-    followed by a space or the line's end.  Built on first use, so that
-    runs that read no export do not hold it.
-    """
-    upper = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-    tags = [a + b for a in upper for b in upper + "0123456789"]
-    return {tag + end: tag for tag in tags for end in (" ", "")}
 
 
 def write_wos_export(corpus: Corpus) -> str:

@@ -1,11 +1,15 @@
 import math
+from itertools import accumulate
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 from pytest import approx
 
 from bibmet.errors import DomainError
 from bibmet.growth import (
+    BlockSummary,
+    GrowthReport,
+    GrowthRow,
     block_means,
     build_growth_report,
     default_blocks,
@@ -188,3 +192,47 @@ def test_report_exact_ln2_flag(yearly_fixture):
     report = build_growth_report(yearly_fixture, exact_ln2=True)
     row = report.rows[1]
     assert row.doubling_time == approx(math.log(2) / row.rgr)
+
+
+@st.composite
+def gappy_series(draw):
+    """A yearly series of 2 to 16 years with zero years and missing (gap) years."""
+    steps = draw(st.lists(st.sampled_from([1, 1, 1, 2, 5]), min_size=1, max_size=15))
+    years = list(accumulate([draw(st.integers(1950, 2000)), *steps]))
+    counts = draw(st.lists(st.sampled_from([0, 1, 2, 7, 331, 10**6]),
+                           min_size=len(years), max_size=len(years)))
+    return YearlySeries(tuple(zip(years, counts)))
+
+
+def assembled_report(series, convention, block_split, exact_ln2):
+    """The growth table put together from the module's per-column functions."""
+    ratios = growth_ratio_series(series)
+    rgr = relative_growth_rate(series, convention)
+    papers = dict(series.entries)
+    years = [year for year, _ in ratios.entries]
+    counts = [papers.get(year, 0) for year in years]
+    rows = []
+    for year, count, cum, (_, ratio), (_, g) in zip(years, counts, accumulate(counts),
+                                                   ratios.entries, rgr.entries):
+        dt = doubling_time(g, exact_ln2) if g is not None and g > 0 else None
+        rows.append(GrowthRow(year, count, cum, ratio, g, dt))
+    defined = [i for i, row in enumerate(rows) if row.doubling_time is not None]
+    assume(defined)
+    blocks = default_blocks(len(defined), first=block_split)
+    rgr_means = block_means([rows[i].rgr for i in defined], blocks)
+    dt_means = block_means([rows[i].doubling_time for i in defined], blocks)
+    summaries = tuple(BlockSummary(rows[defined[start]].year, rows[defined[stop - 1]].year,
+                                   rgr_means.per_block[k], dt_means.per_block[k])
+                      for k, (start, stop) in enumerate(blocks))
+    return GrowthReport(convention, tuple(rows), summaries, ratios.mean, rgr_means.overall,
+                        dt_means.overall, math.log(2) if exact_ln2 else 0.693)
+
+
+@given(gappy_series(), st.sampled_from(["paper", "standard"]), st.integers(1, 17),
+       st.booleans())
+def test_report_is_exactly_the_table_of_its_columns(series, convention, block_split,
+                                                    exact_ln2):
+    want = assembled_report(series, convention, block_split, exact_ln2)
+    report = build_growth_report(series, convention, block_split, exact_ln2)
+    for name in GrowthReport.__slots__:
+        assert getattr(report, name) == getattr(want, name), name

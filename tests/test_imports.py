@@ -126,6 +126,16 @@ def test_a_command_on_a_distribution_loads_lotka_and_tables_alone(command):
     assert modules.isdisjoint(NOT_FOR_TABLES | {"numpy"})
 
 
+def test_report_on_the_three_tables_loads_their_modules_alone(tmp_path):
+    # the command of the tables-longtail benchmark, which compiles every module it loads
+    code, modules = loaded_by("report", "--series", str(DATA / "concussion_yearly.csv"),
+                              "--matrix", str(DATA / "concussion_authorship.csv"),
+                              "--dist", str(DATA / "concussion_author_productivity.csv"),
+                              "--out-dir", str(tmp_path))
+    assert (code, modules) == (0, {"bibmet", "bibmet.cli", "bibmet.errors", "bibmet.tables",
+                                   "bibmet.lotka", "bibmet.growth", "bibmet.collab"})
+
+
 def test_growth_on_a_series_loads_no_lotka():
     # _check_flags imports a checker's module only for a flag that the command has
     code, modules = loaded_by("growth", "--series", str(DATA / "concussion_yearly.csv"))

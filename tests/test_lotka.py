@@ -449,6 +449,26 @@ def test_ks_stays_finite_at_a_huge_exponent_or_x(n, top):
     assert math.isfinite(report.d_max)
 
 
+def assert_expected_shares_are_expected_frequencies(report):
+    for row in report.rows:
+        assert row.expected_prop == expected_frequencies(report.n, report.c, [row.x])[0], row.x
+
+
+@given(gappy_distributions(), exponents, st.floats(0.05, 1.0))
+def test_ks_expected_share_is_exactly_expected_frequencies(d, n, c):
+    # the dense reference above allows a relative 1e-13 here; the share is the same float
+    assert_expected_shares_are_expected_frequencies(ks_test(d, n, c))
+
+
+@pytest.mark.parametrize("top", [lotka.KS_HEAD_TERMS, lotka.KS_HEAD_TERMS + 1, 10**6, 10**400],
+                         ids=["head-end", "past-head", "1e6", "1e400"])
+@pytest.mark.parametrize("n", [*SHARP_EXPONENTS, 1e300])
+def test_ks_expected_share_far_out_is_exactly_expected_frequencies(top, n):
+    report = ks_test(dist((1, 5), (3, 2), (top, 1)), n, 0.75)
+    assert [r.x for r in report.rows][-2:] == [top - 1, top]
+    assert_expected_shares_are_expected_frequencies(report)
+
+
 # ---------------------------------------------------------------------------
 # K-S renderers against the frozen f-string renderers
 
