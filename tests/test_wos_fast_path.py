@@ -194,37 +194,127 @@ def test_a_year_out_of_range_in_a_run_skips_its_block(tmp_path, monkeypatch, yea
         "bibmet: parsed 3 record(s) from 1 file(s), skipped 1 block(s)\n")
 
 
-@pytest.mark.parametrize("repeats", ["every-block", "every-other-block"])
+def spaced(text):
+    """``text`` with a space after the last name of every other block: its lines, not canonical."""
+    parts = text.split("\nPY ")
+    return "".join(part + (" \nPY " if i % 2 else "\nPY ")
+                   for i, part in enumerate(parts[:-1])) + parts[-1]
+
+
+def spy(monkeypatch):
+    """Record each whole read of a chunk's blocks, as ``(pos, end)``, and each run match."""
+    reads, matches = [], []
+    read, run = wos._RUN_BLOCK, wos._CANONICAL_RUN
+
+    class Reads:
+        @staticmethod
+        def findall(text, pos, end):
+            reads.append((pos, end))
+            return read.findall(text, pos, end)
+
+    class Matches:
+        @staticmethod
+        def match(text, pos):
+            matches.append(pos)
+            return run.match(text, pos)
+
+    monkeypatch.setattr(wos, "_RUN_BLOCK", Reads())
+    monkeypatch.setattr(wos, "_CANONICAL_RUN", Matches())
+    return reads, matches
+
+
+def fallback_export(case):
+    """A writer's export with one kind of block that a whole read of its chunk cannot take."""
+    corpus = sample_corpus(range(2001, 2004), [20] * 3, {1: 0.4, 3: 0.6}, seed=11)
+    blocks = re.findall(r"PT J\n.*?\nER\n\n", wos.write_wos_export(corpus), re.S)
+    for i in (10, 25, 40):
+        if case == "blank-lines":
+            # no blank line before one block and two before a later one, so
+            # that the text adds up only if each blank line is read exactly
+            blocks[i] = blocks[i].removesuffix("\n")
+            blocks[i + 2] += "\n"
+        elif case == "title":
+            blocks[i] = blocks[i].replace("\nPY ", "\nTI A title\nPY ")
+    if case == "ef":
+        blocks.insert(30, "EF\n")
+    return "".join(blocks) + "EF\n"
+
+
+@pytest.mark.parametrize("case", ["blank-lines", "title", "ef", "cut"])
+def test_a_chunk_that_is_not_one_run_is_written_as_the_seed_writes_it(tmp_path, monkeypatch,
+                                                                       case):
+    # chunks of about five blocks, most of them cut inside a block, so that
+    # each deviation sits in a chunk that the whole read must refuse
+    text = fallback_export(case)
+    path = tmp_path / "export.txt"
+    path.write_text(text, encoding="utf-8")
+    monkeypatch.setattr(tables, "CHUNK_CHARS", 512)
+    chunks = list(tables._file_chunks(path))
+    assert sum(not chunk.endswith("\nER\n\n") for chunk in chunks[:-1]) > len(chunks) // 2
+    reads, matches = spy(monkeypatch)
+    for usable in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: usable)
+        assert run_cli(["ingest", "--emit", "wos", str(path)]) == reference_emit([text], False)
+    assert reads
+    # only a deviation sends a chunk to the run matches
+    assert bool(matches) == (case != "cut")
+
+
+@pytest.mark.parametrize("size", [300, 1000, 4096, 1 << 20])
+def test_the_writer_reads_each_chunk_of_its_own_output_in_one_pass(monkeypatch, size):
+    # every chunk of write_wos_export's text, after the block it starts
+    # with, is one run read whole, so that no run is matched: the gain of
+    # the one-pass read holds only while the writer's blocks are canonical
+    corpus = sample_corpus(range(2001, 2005), [100] * 4, {1: 0.3, 2: 0.3, 5: 0.4}, seed=5)
+    text = wos.write_wos_export(corpus)
+    fh = io.StringIO(text)
+    chunks = list(iter(lambda: fh.read(size) + fh.readline(), ""))
+    reads, matches = spy(monkeypatch)
+    run = wos.ExportRun()
+    pieces = list(wos._scan(chunks, run, text_runs=True))
+    assert "".join(wos._rendered(pieces)) + wos.FILE_END + "\n" == text
+    assert run.records == len(corpus)
+    assert not matches
+    # per chunk, the block cut by its start (and the next one, if the cut
+    # fell before an ER line) and one block alone, then the rest to its last
+    # block in one read
+    texts = sum(isinstance(piece, str) for piece in pieces)
+    assert len(reads) == texts <= len(chunks)
+    assert len(pieces) - texts <= 3 * len(chunks)
+    if size > 1000:
+        assert texts == len(chunks)
+
+
+@pytest.mark.parametrize("repeats", ["every-block", "every-other-block", "trailing-space"])
 def test_a_run_that_fails_is_not_tried_again_before_its_end(tmp_path, monkeypatch, repeats):
     # the second export repeats the UT of every block of the first, or of
     # every other one: its runs fail, and the blocks of a failed run must
-    # not each cost a run match of the rest
+    # not each cost a run read of the rest.  Or every other block of the
+    # second has a trailing space after a name, so that no chunk of it is
+    # one run: each chunk is read whole once, then each run matched once
     corpus = sample_corpus(range(2001, 2005), [500] * 4, {1: 0.3, 2: 0.3, 5: 0.4}, seed=7)
     first = tmp_path / "first.txt"
     first.write_text(wos.write_wos_export(corpus), encoding="utf-8")
     paths = [first, first]  # named twice, every block of the second merged
-    if repeats == "every-other-block":
+    if repeats != "every-block":
         paths[1] = tmp_path / "second.txt"
-        paths[1].write_text(wos.write_wos_export(Corpus(tuple(
-            PublicationRecord(r.id + "-2", r.year, r.authors) if i % 2 else r
-            for i, r in enumerate(corpus.records)))), encoding="utf-8")
+        text = wos.write_wos_export(Corpus(tuple(
+            PublicationRecord(r.id + "-2", r.year, r.authors)
+            if i % 2 or repeats == "trailing-space" else r
+            for i, r in enumerate(corpus.records))))
+        paths[1].write_text(spaced(text) if repeats == "trailing-space" else text,
+                            encoding="utf-8")
     expected = io.StringIO()
     wos.write_export(wos.scan_wos_file(paths, wos.ExportRun()), expected)
-    attempts, chunks = [], []
-
-    class Spy:
-        @staticmethod
-        def match(text, pos):
-            attempts.append(pos)
-            return run.match(text, pos)
+    chunks = []
 
     def counted(*segment):
         for chunk in file_chunks(*segment):
             chunks.append(chunk)
             yield chunk
 
-    run, file_chunks = wos._CANONICAL_RUN, wos._file_chunks
-    monkeypatch.setattr(wos, "_CANONICAL_RUN", Spy())
+    file_chunks = wos._file_chunks
+    reads, matches = spy(monkeypatch)
     monkeypatch.setattr(wos, "_file_chunks", counted)
     monkeypatch.setattr(tables, "CHUNK_CHARS", 4096)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
@@ -232,4 +322,10 @@ def test_a_run_that_fails_is_not_tried_again_before_its_end(tmp_path, monkeypatc
     wos.write_export_files(paths, wos.ExportRun(), out)
     assert out.getvalue() == expected.getvalue()
     assert len(chunks) > 40
-    assert 0 < len(attempts) <= len(chunks)
+    assert 0 < len(reads) <= len(chunks)
+    assert sum(end - pos for pos, end in reads) <= sum(map(len, chunks))
+    if repeats == "trailing-space":
+        # each canonical block of the second export is a run of its own
+        assert 0 < len(matches) <= (len(corpus) + 1) // 2
+    else:
+        assert len(matches) <= len(chunks)
