@@ -44,11 +44,11 @@ longest line), not by the size of the files.  :func:`write_export`
 writes papers to a file as export text, a batch of blocks at a time.
 For :func:`write_export_files` the scanner copies each run of canonical
 blocks, one blank line apart, as read, where rendering its blocks would
-give the same text; every other kept block is rendered.  A chunk's
-first run is read in one regular-expression pass, which finds the
-single blocks up to the chunk's last ``ER`` line and takes them as a run
-if their text adds up to all of that text; a run that does not, or a
-later one, is matched first and its values read after.
+give the same text; every other kept block is rendered.  Each run is
+read in one regular-expression pass, which takes the blocks that follow
+each other from the run's start, with their values, and the rest of the
+chunk as one item at no cost per character; the run ends where its
+blocks' text does.
 :func:`count_export_files` and :func:`write_export_files` count or write
 the papers of a run's files in one process per usable CPU: the files
 are cut at record ends into byte ranges, so that a single export uses
@@ -94,21 +94,17 @@ _VALUE = r"\S[^\n]*"
 _VALUE_END = r"\n(?<!\s\n)"
 
 
-def _block(group: str) -> str:
-    # the block's pattern, where group opens its AU, PY and UT groups; each
-    # group ends before its value's line end, so that the block's text is its
-    # AU and UT values and a fixed number of characters
-    return (rf"PT J\nAU {group}{_VALUE}(?:{_VALUE_END}{_CONTINUATION}{_VALUE})*){_VALUE_END}"
-            rf"PY {group}[0-9]{{4}})\nUT {group}{_VALUE}){_VALUE_END}{RECORD_END}\n")
-
-
+# the block's pattern, with AU, PY and UT groups; each group ends before its
+# value's line end, so that the block's text is its AU and UT values and a
+# fixed number of characters
+_BLOCK = (rf"PT J\nAU ({_VALUE}(?:{_VALUE_END}{_CONTINUATION}{_VALUE})*){_VALUE_END}"
+          rf"PY ([0-9]{{4}})\nUT ({_VALUE}){_VALUE_END}{RECORD_END}\n")
 # the record block that write_wos_export writes, after any blank lines
-_CANONICAL_BLOCK = re.compile(rf"\n*{_block('(')}")
+_CANONICAL_BLOCK = re.compile(rf"\n*{_BLOCK}")
 # one such block after exactly one blank line, as write_wos_export writes
-# every block but the first
-_RUN_BLOCK = re.compile(rf"\n{_block('(')}")
-# a run of such blocks; it captures nothing, which matches faster
-_CANONICAL_RUN = re.compile(rf"(?:\n{_block('(?:')})+")
+# every block but the first; failing that, the rest of the text as one
+# item with empty groups, which sre takes with no step per character
+_RUN_BLOCK = re.compile(rf"\n{_BLOCK}|(?s:.+)")
 _ER_LINE = "\n" + RECORD_END + "\n"
 _ER_BYTES = re.compile(rb"\nER\r?\n")
 # the first three characters of every tag line -> its tag: an upper-case
@@ -203,14 +199,12 @@ def _scan(chunks: Iterable[str], run: ExportRun,
     # begins after run.lines lines of that export, between two blocks.  With
     # text_runs, a run of canonical blocks after one the fast path kept is
     # yielded as its export text, a str, where _render_record would write
-    # the same text for each of them.  A chunk's first run is read whole, with
-    # its blocks' values, by one findall up to the chunk's last ER line; a run
-    # that is not, or a later one, is matched first and its values read after.
-    # A run that fails is not tried again before its end, so that its blocks
-    # are read as a run only once
+    # the same text for each of them.  A run is read, with its blocks' values,
+    # by one findall from its start, and ends where the blocks found end.  A
+    # run that fails is not tried again before its end, so that its blocks are
+    # read as a run only once
     tag_of = _TAG_PREFIXES.get
-    match, find_all = _CANONICAL_BLOCK.match, _CANONICAL_BLOCK.findall
-    match_run, read_run = _CANONICAL_RUN.match, _RUN_BLOCK.findall
+    match, read_run = _CANONICAL_BLOCK.match, _RUN_BLOCK.findall
     fixed = len(_render_record("", YEAR_MIN, ("",)))  # a block's text but its AU and UT
     split_names = methodcaller("split", "\n" + _CONTINUATION)  # a matched AU value
     uts, skipped_lines, merged_lines = run.uts, run.skipped_lines, run.merged_lines
@@ -224,7 +218,6 @@ def _scan(chunks: Iterable[str], run: ExportRun,
     at_end = run.ended  # past EF: the rest is only read
     for text in chunks:
         pos = tried = 0  # tried: the end of the last run read in this chunk
-        whole = True  # the chunk's first run is still to be read whole
         # the end of the chunk's last ER line, after which no run ends; 0
         # without text_runs, which reads no run
         last = text.rfind(_ER_LINE) + len(_ER_LINE) if text_runs else 0
@@ -243,26 +236,16 @@ def _scan(chunks: Iterable[str], run: ExportRun,
                     lineno += text.count("\n", pos, end)
                     pos = end
                     if not synthetic and tried < pos < last:
-                        blocks = ()  # the AU, PY and UT values of the run at pos
-                        if whole:
-                            # the text up to last is a run if the blocks found in
-                            # it add up to all of it: another shape, EF or blank
-                            # line leaves some text out
-                            whole = False
-                            end = last
-                            blocks = tuple(zip(*read_run(text, pos, end)))
-                            if blocks and (fixed * len(blocks[2]) + sum(map(len, blocks[0]))
-                                           + sum(map(len, blocks[2]))) != end - pos:
-                                blocks = ()
-                        if not blocks and (found := match_run(text, pos)):
-                            end = found.end()
-                            blocks = tuple(zip(*find_all(text, pos, end)))
+                        blocks = read_run(text, pos)  # the AU, PY and UT values of the run
+                        if not blocks[-1][0]:
+                            blocks.pop()  # the text after the run
                         if blocks:
                             # the blocks' text, if the run gave out no synthetic id so
                             # far and they hold no year out of range, no repeated or
                             # earlier UT and no block with a repeated name
-                            names, years, ids = blocks
-                            tried = end
+                            names, years, ids = zip(*blocks)
+                            tried = end = (pos + fixed * len(ids) + sum(map(len, names))
+                                           + sum(map(len, ids)))
                             new = set(ids)
                             if (YEAR_MIN <= int(min(years)) and int(max(years)) <= YEAR_MAX
                                     and len(new) == len(ids) and uts.isdisjoint(new)
@@ -274,8 +257,13 @@ def _scan(chunks: Iterable[str], run: ExportRun,
                                 lineno += text.count("\n", pos, end)
                                 pos = end
                     continue
-            stop = text.find(_ER_LINE, pos)
-            stop = len(text) if stop < 0 else stop + len(_ER_LINE)
+            # the end of the next ER line, or of the text; an ER line at pos
+            # opens after the line end before it, or at the chunk's start
+            if pos or not text.startswith(RECORD_END + "\n"):
+                stop = text.find(_ER_LINE, max(pos - 1, 0))
+                stop = len(text) if stop < 0 else stop + len(_ER_LINE)
+            else:
+                stop = len(RECORD_END) + 1
             lines = text[pos:stop].split("\n")
             if not lines[-1]:
                 lines.pop()  # the chunk ended at a line end, not before one more line

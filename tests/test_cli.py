@@ -965,6 +965,38 @@ def test_report_out_dir_with_one_file_blocked_writes_nothing(capsys, tmp_path, b
     assert list((out_dir / blocked).iterdir()) == []
 
 
+def test_report_out_dir_with_a_failed_rename_keeps_the_files_staged_before_it(capsys, tmp_path,
+                                                                              monkeypatch):
+    # the files are renamed in the reverse of the order they were staged, so
+    # when the second rename fails, only the last file staged is new
+    fresh = tmp_path / "fresh"
+    assert run(capsys, "report", "--series", SERIES, "--matrix", MATRIX, "--dist", DIST,
+               "--out-dir", str(fresh))[0] == 0
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    for name in REPORT_FILES:
+        (out_dir / name).write_text(f"an earlier {name}\n", encoding="utf-8")
+    replace, renames = os.replace, []
+
+    def failing(src, dst):
+        renames.append(os.path.basename(dst))
+        if len(renames) == 2:
+            raise OSError(5, "Input/output error", dst)
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing)
+    code, out, err = run(capsys, "report", "--series", SERIES, "--matrix", MATRIX,
+                         "--dist", DIST, "--out-dir", str(out_dir))
+    assert (code, out) == (1, "")
+    failed = os.path.realpath(out_dir / "lotka.json")
+    assert err == f"bibmet: input error: [Errno 5] Input/output error: '{failed}'\n"
+    assert renames == ["ks.csv", "lotka.json"]
+    # no staged file is left in the directory
+    assert {p.name: p.read_text(encoding="utf-8") for p in out_dir.iterdir()} == {
+        **{name: f"an earlier {name}\n" for name in REPORT_FILES},
+        "ks.csv": (fresh / "ks.csv").read_text(encoding="utf-8")}
+
+
 def test_report_survives_undefined_sections(capsys, tmp_path):
     # a single-record corpus has no growth statistics and a singular
     # productivity fit; report still emits the computable tables

@@ -18,7 +18,9 @@ must yield the same papers, ids, skipped and merged lines for the whole
 run, and the writer the same bytes, with its fast path switched off.
 """
 
+import bisect
 import io
+import itertools
 import os
 import re
 import tempfile
@@ -173,8 +175,10 @@ def test_every_block_write_wos_export_writes_is_canonical():
     blocks = [m[0] for m in wos._CANONICAL_BLOCK.finditer(text)]
     assert len(blocks) == 12
     assert "".join(blocks) + "\nEF\n" == text
-    # and every block after the first is in one run, which the writer copies as read
-    assert wos._CANONICAL_RUN.fullmatch(text, len(blocks[0]), len(text) - len("\nEF\n"))
+    # and every block after the first is in one run, which the writer copies as
+    # read: one run read finds each of them and leaves no rest
+    assert wos._RUN_BLOCK.findall(text, len(blocks[0]), len(text) - len("\nEF\n")) == [
+        m.groups() for m in wos._CANONICAL_BLOCK.finditer(text)][1:]
 
 
 @pytest.mark.parametrize("year", ["0999", "3001"], ids=["below-year-min", "above-year-max"])
@@ -188,7 +192,9 @@ def test_a_year_out_of_range_in_a_run_skips_its_block(tmp_path, monkeypatch, yea
               for i, y in enumerate(["2001", "2002", year, "2003"])]
     path = tmp_path / "export.txt"
     path.write_text("".join(blocks) + "EF\n", encoding="utf-8")
-    assert wos._CANONICAL_RUN.fullmatch("\n" + "".join(blocks[1:]).removesuffix("\n"))
+    # the three are one run: a run read finds each of them and leaves no rest
+    assert [y for _, y, _ in wos._RUN_BLOCK.findall(
+        "\n" + "".join(blocks[1:]).removesuffix("\n"))] == ["2002", year, "2003"]
     assert run_cli(["ingest", "--emit", "wos", str(path)]) == (
         0, "".join(blocks[:2] + blocks[3:]) + "EF\n",
         "bibmet: parsed 3 record(s) from 1 file(s), skipped 1 block(s)\n")
@@ -202,62 +208,76 @@ def spaced(text):
 
 
 def spy(monkeypatch):
-    """Record each whole read of a chunk's blocks, as ``(pos, end)``, and each run match."""
-    reads, matches = [], []
-    read, run = wos._RUN_BLOCK, wos._CANONICAL_RUN
+    """Record the span of each run read, as ``(pos, end)``, where ``end`` ends its blocks."""
+    reads = []
+    read = wos._RUN_BLOCK
 
     class Reads:
         @staticmethod
-        def findall(text, pos, end):
-            reads.append((pos, end))
-            return read.findall(text, pos, end)
-
-    class Matches:
-        @staticmethod
-        def match(text, pos):
-            matches.append(pos)
-            return run.match(text, pos)
+        def findall(text, pos):
+            found = list(read.finditer(text, pos))
+            reads.append((pos, max((m.end() for m in found if m[1] is not None), default=pos)))
+            return [m.groups("") for m in found]
 
     monkeypatch.setattr(wos, "_RUN_BLOCK", Reads())
-    monkeypatch.setattr(wos, "_CANONICAL_RUN", Matches())
-    return reads, matches
+    return reads
 
 
-def fallback_export(case):
-    """A writer's export with one kind of block that a whole read of its chunk cannot take."""
+def deviating_export(case):
+    """A writer's export, as its blocks and ``EF``, with one kind of block that ends a run."""
     corpus = sample_corpus(range(2001, 2004), [20] * 3, {1: 0.4, 3: 0.6}, seed=11)
     blocks = re.findall(r"PT J\n.*?\nER\n\n", wos.write_wos_export(corpus), re.S)
     for i in (10, 25, 40):
         if case == "blank-lines":
             # no blank line before one block and two before a later one, so
-            # that the text adds up only if each blank line is read exactly
+            # that a run must read each blank line exactly
             blocks[i] = blocks[i].removesuffix("\n")
             blocks[i + 2] += "\n"
         elif case == "title":
             blocks[i] = blocks[i].replace("\nPY ", "\nTI A title\nPY ")
     if case == "ef":
         blocks.insert(30, "EF\n")
-    return "".join(blocks) + "EF\n"
+    return blocks + ["EF\n"]
 
 
 @pytest.mark.parametrize("case", ["blank-lines", "title", "ef", "cut"])
 def test_a_chunk_that_is_not_one_run_is_written_as_the_seed_writes_it(tmp_path, monkeypatch,
                                                                        case):
     # chunks of about five blocks, most of them cut inside a block, so that
-    # each deviation sits in a chunk that the whole read must refuse
-    text = fallback_export(case)
+    # each deviation sits in a chunk with canonical blocks around it
+    blocks = deviating_export(case)
+    text = "".join(blocks)
     path = tmp_path / "export.txt"
     path.write_text(text, encoding="utf-8")
     monkeypatch.setattr(tables, "CHUNK_CHARS", 512)
     chunks = list(tables._file_chunks(path))
     assert sum(not chunk.endswith("\nER\n\n") for chunk in chunks[:-1]) > len(chunks) // 2
-    reads, matches = spy(monkeypatch)
     for usable in ({0}, {0, 1}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: usable)
         assert run_cli(["ingest", "--emit", "wos", str(path)]) == reference_emit([text], False)
-    assert reads
-    # only a deviation sends a chunk to the run matches
-    assert bool(matches) == (case != "cut")
+    # a block is copied as read where it and a canonical block one blank line
+    # before it are whole in one chunk, before EF: in a chunk with a
+    # deviation too, on both sides of it
+    pieces = list(wos._scan(chunks, wos.ExportRun(), text_runs=True))
+    copied = "".join(piece for piece in pieces if isinstance(piece, str))
+    ends = list(itertools.accumulate(map(len, chunks)))
+    starts = list(itertools.accumulate(map(len, blocks), initial=0))
+
+    def chunk_of(block):
+        return bisect.bisect_right(ends, starts[block])
+
+    def deviates(block):
+        return "\nTI " in blocks[block] or not re.search(r"[^\n]\n\n\Z", blocks[block])
+
+    runs = [j for j in range(1, blocks.index("EF\n"))
+            if not deviates(j - 1) and "\nTI " not in blocks[j]
+            and chunk_of(j - 1) == bisect.bisect_right(
+                ends, starts[j] + len(blocks[j].rstrip("\n")))]  # its ER line's end
+    assert all(blocks[j].rstrip("\n") + "\n\n" in copied for j in runs)
+    if case != "cut":
+        deviations = [i for i in range(len(blocks) - 1) if deviates(i)]
+        assert deviations
+        assert all(any(chunk_of(j) == chunk_of(i) for j in runs) for i in deviations)
 
 
 @pytest.mark.parametrize("size", [300, 1000, 4096, 1 << 20])
@@ -269,18 +289,17 @@ def test_the_writer_reads_each_chunk_of_its_own_output_in_one_pass(monkeypatch, 
     text = wos.write_wos_export(corpus)
     fh = io.StringIO(text)
     chunks = list(iter(lambda: fh.read(size) + fh.readline(), ""))
-    reads, matches = spy(monkeypatch)
+    reads = spy(monkeypatch)
     run = wos.ExportRun()
     pieces = list(wos._scan(chunks, run, text_runs=True))
     assert "".join(wos._rendered(pieces)) + wos.FILE_END + "\n" == text
     assert run.records == len(corpus)
-    assert not matches
-    # per chunk, the block cut by its start (and the next one, if the cut
-    # fell before an ER line) and one block alone, then the rest to its last
-    # block in one read
+    # per chunk, the block cut by its start (even where the cut fell before
+    # its ER line) and one block alone, then the rest to its last block in
+    # one read
     texts = sum(isinstance(piece, str) for piece in pieces)
     assert len(reads) == texts <= len(chunks)
-    assert len(pieces) - texts <= 3 * len(chunks)
+    assert len(pieces) - texts <= 2 * len(chunks)
     if size > 1000:
         assert texts == len(chunks)
 
@@ -290,8 +309,8 @@ def test_a_run_that_fails_is_not_tried_again_before_its_end(tmp_path, monkeypatc
     # the second export repeats the UT of every block of the first, or of
     # every other one: its runs fail, and the blocks of a failed run must
     # not each cost a run read of the rest.  Or every other block of the
-    # second has a trailing space after a name, so that no chunk of it is
-    # one run: each chunk is read whole once, then each run matched once
+    # second has a trailing space after a name, so that each canonical block
+    # of it is a run of its own, read once
     corpus = sample_corpus(range(2001, 2005), [500] * 4, {1: 0.3, 2: 0.3, 5: 0.4}, seed=7)
     first = tmp_path / "first.txt"
     first.write_text(wos.write_wos_export(corpus), encoding="utf-8")
@@ -314,7 +333,7 @@ def test_a_run_that_fails_is_not_tried_again_before_its_end(tmp_path, monkeypatc
             yield chunk
 
     file_chunks = wos._file_chunks
-    reads, matches = spy(monkeypatch)
+    reads = spy(monkeypatch)
     monkeypatch.setattr(wos, "_file_chunks", counted)
     monkeypatch.setattr(tables, "CHUNK_CHARS", 4096)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
@@ -322,10 +341,54 @@ def test_a_run_that_fails_is_not_tried_again_before_its_end(tmp_path, monkeypatc
     wos.write_export_files(paths, wos.ExportRun(), out)
     assert out.getvalue() == expected.getvalue()
     assert len(chunks) > 40
-    assert 0 < len(reads) <= len(chunks)
+    assert 0 < len(reads) <= len(chunks) + (len(corpus) + 1) // 2
     assert sum(end - pos for pos, end in reads) <= sum(map(len, chunks))
-    if repeats == "trailing-space":
-        # each canonical block of the second export is a run of its own
-        assert 0 < len(matches) <= (len(corpus) + 1) // 2
-    else:
-        assert len(matches) <= len(chunks)
+
+
+def guard_export(uts, names=()):
+    """Canonical blocks with the given ``UT`` values (None: no ``UT`` line), and ``EF``.
+
+    ``names``, if given, are the authors of the second block."""
+    return "".join(render({"names": list(names) if i == 1 and names else ["Smith, A", "Lee, C"],
+                           "indents": None, "year": "2001", "ut": ut and f"UT {ut}", "er": "ER",
+                           "blanks": 1})
+                   for i, ut in enumerate(uts)) + "EF\n"
+
+
+@pytest.mark.parametrize("text", [
+    guard_export(["WOS:0", "WOS:1", "WOS:2", "WOS:1", "WOS:3"]),
+    guard_export([None, "WOS:0", "WOS:1", "rec000001", "WOS:3"]),
+    guard_export(["WOS:0", "WOS:1", "WOS:2"], names=["Smith, A", "Lee, C", "Smith, A"]),
+], ids=["repeated-ut-in-a-run", "synthetic-id-in-a-run", "repeated-name-in-a-run"])
+@pytest.mark.parametrize("chunk", [64, tables.CHUNK_CHARS], ids=["small-chunks", "default-chunks"])
+def test_a_run_that_one_guard_refuses_is_written_as_the_seed_writes_it(tmp_path, monkeypatch,
+                                                                      text, chunk):
+    # after a first block kept alone, the rest is one run of canonical blocks,
+    # which only one of the run's guards must refuse: a UT twice in the run,
+    # a synthetic id given out before it, or a repeated name in one block
+    path = tmp_path / "export.txt"
+    path.write_text(text, encoding="utf-8")
+    monkeypatch.setattr(tables, "CHUNK_CHARS", chunk)
+    assert outcome(lambda: counts_path([str(path)], 3)) == outcome(lambda: reference([text], 3))
+    for usable in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: usable)
+        assert run_cli(["ingest", "--emit", "wos", str(path)]) == reference_emit([text], False)
+
+
+def test_a_mixed_export_is_read_in_one_pass(tmp_path, monkeypatch):
+    # a TI line in 1 block of 100 ends a run mid-chunk: each run is still read
+    # once, only as far as its blocks go, and nearly every block is copied as read
+    corpus = sample_corpus(range(2001, 2005), [2500] * 4, {1: 0.3, 2: 0.3, 5: 0.4}, seed=13)
+    parts = wos.write_wos_export(corpus).split("\nPY ")
+    text = "".join(part + ("\nTI A title\nPY " if i % 100 == 50 else "\nPY ")
+                   for i, part in enumerate(parts[:-1])) + parts[-1]
+    path = tmp_path / "export.txt"
+    path.write_text(text, encoding="utf-8")
+    reads = spy(monkeypatch)
+    run = wos.ExportRun()
+    pieces = list(wos._scan(tables._file_chunks(path), run, text_runs=True))
+    assert run.records == len(corpus)
+    copied = [piece for piece in pieces if isinstance(piece, str)]
+    longest = max(map(len, re.findall(r"PT J\n.*?\nER\n\n", text, re.S)))
+    assert 0 <= sum(end - pos for pos, end in reads) - sum(map(len, copied)) <= longest * len(reads)
+    assert sum(piece.count("PT J\n") for piece in copied) >= 0.95 * len(corpus)
